@@ -6,9 +6,10 @@
     python perfbench/client.py query REQUEST.json OUT.json [--trace]
         One pass of a closed loop with one client over the public store and
         stats API: REPEATS times a slice of the lookup_word and reverse_lookup
-        requests, `stats --json` and compare_dictionaries; then TSV_REPEATS
-        times export_tsv and import_tsv. Writes latencies,
-        per-operation times and the answers the oracle checks to OUT.json.
+        requests, `stats --json` and compare_dictionaries, so that every
+        request is sent SWEEPS times; then TSV_REPEATS times export_tsv and
+        import_tsv. Writes each request's latencies, per-operation times and
+        the answers the oracle checks to OUT.json.
 
 The untraced parse does not use this file: it runs `python -m wiktmrd.cli`.
 Both modes import wiktmrd from the checkout's src/ (PYTHONPATH).
@@ -27,6 +28,7 @@ import time
 import tracing
 
 REPEATS = 10      # slices of requests, stats and compare calls per pass
+SWEEPS = 2        # times each request is sent per pass, half a pass apart
 TSV_REPEATS = 2   # export and import pairs per pass
 
 
@@ -62,18 +64,22 @@ def _query(request_path: str, out_path: str, trace: bool) -> int:
         req = json.load(f)
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer) if trace else (lambda: None)
-    out = {"lookup_ms": [], "reverse_ms": [], "stats_s": [], "compare_s": [],
+    # lookup_ms[k] and reverse_ms[k] hold the latencies of request k
+    out = {"lookup_ms": [[] for _ in req["lookups"]],
+           "reverse_ms": [[] for _ in req["reverses"]], "stats_s": [], "compare_s": [],
            "export_s": [], "import_s": [], "export_rows": 0, "lookup_answers": {},
            "reverse_answers": {}, "errors": 0, "ops": 0}
     work = req["work"]
     t_start = time.perf_counter()
     try:
         with MrdStore(req["en"]) as en, MrdStore(req["ru"]) as ru:
+            parts = REPEATS // SWEEPS
             for i in range(REPEATS):
                 # requests are spread over the pass rather than sent in one burst
-                _timed_calls(out, "lookup_ms", en.lookup_word, req["lookups"][i::REPEATS],
+                _timed_calls(out, "lookup_ms", en.lookup_word, req["lookups"], i % parts, parts,
                              out["lookup_answers"], len, tracer, "lookup_vm_kops")
-                _timed_calls(out, "reverse_ms", en.reverse_lookup, req["reverses"][i::REPEATS],
+                _timed_calls(out, "reverse_ms", en.reverse_lookup, req["reverses"],
+                             i % parts, parts,
                              out["reverse_answers"], lambda rows: [list(r) for r in rows],
                              tracer, "reverse_vm_kops")
                 with contextlib.redirect_stdout(io.StringIO()) as sink:
@@ -112,10 +118,12 @@ def _query(request_path: str, out_path: str, trace: bool) -> int:
     return 0
 
 
-def _timed_calls(out, key, fn, args, answers, render, tracer, kops_key):
+def _timed_calls(out, key, fn, requests, first, step, answers, render, tracer, kops_key):
+    """Send requests[first::step], recording each latency under its index."""
     kops0 = tracing.vm_kops(tracer)
-    latencies = out[key]
-    for arg in args:
+    indices = range(first, len(requests), step)
+    for k in indices:
+        arg = requests[k]
         t0 = time.perf_counter()
         try:
             result = fn(arg)
@@ -124,10 +132,10 @@ def _timed_calls(out, key, fn, args, answers, render, tracer, kops_key):
             out["errors"] += 1
             continue
         finally:
-            latencies.append((time.perf_counter() - t0) * 1000)
+            out[key][k].append((time.perf_counter() - t0) * 1000)
             out["ops"] += 1
         answers[arg] = render(result)
-    out.setdefault(kops_key, []).append((tracing.vm_kops(tracer) - kops0) / max(1, len(args)))
+    out.setdefault(kops_key, []).append((tracing.vm_kops(tracer) - kops0) / max(1, len(indices)))
 
 
 def main(argv: list[str]) -> int:

@@ -7,7 +7,10 @@ run must report, and, for a sample of words, the exact answers that
 are derived from the page structures the generator chose, never from the
 program, so a parser or store defect shows as a mismatch.
 
-The same (spec, seed) always yields byte-identical XML.
+The same (spec, seed) always yields byte-identical XML. The shape of the
+pages (how many sections, meanings, relations and translation lines) is
+dealt from seed-shuffled decks, so every seed gives a dump of the same
+make-up; see `_PageMaker.pick`.
 """
 
 from __future__ import annotations
@@ -111,6 +114,26 @@ class _PageMaker:
                              for i in range(spec.vocab)]
                       for code, _ in TRANSLATION_LANGS}
         self.plain_words = [_word(self.rng, syl, 3) for _ in range(400)]
+        self.decks: dict[str, list] = {}
+
+    # -- the shape of a page -------------------------------------------------------
+
+    def pick(self, key: str, options) -> object:
+        """The next of `options` from a seed-shuffled deck for `key` that
+        holds each option once and is dealt again when empty. Over a dump
+        every option of a choice comes up in the same share whatever the
+        seed, so dumps of different seeds have the same make-up (how many
+        sections, meanings, relations and translations) and cost the program
+        alike; the seed decides which page gets which shape and every word."""
+        deck = self.decks.get(key)
+        if not deck:
+            deck = self.decks[key] = list(options)
+            self.rng.shuffle(deck)
+        return deck.pop()
+
+    def chance(self, key: str, k: int, n: int) -> bool:
+        """True k times in every n draws for `key`."""
+        return self.pick(key, (True,) * k + (False,) * (n - k))
 
     # -- oracle bookkeeping ----------------------------------------------------
 
@@ -127,10 +150,11 @@ class _PageMaker:
     def en_page(self, title: str) -> str:
         rng = self.rng
         parts = []
-        langs = [EN_SECTION_LANGS[0]] + rng.sample(EN_SECTION_LANGS[1:], rng.randint(0, 2))
+        langs = [EN_SECTION_LANGS[0]] + rng.sample(EN_SECTION_LANGS[1:],
+                                                   self.pick("en.langs", (0, 1, 2)))
         for code, name in langs:
             parts.append(f"=={name}==\n")
-            etyms = rng.choice((0, 0, 2))
+            etyms = self.pick("en.etyms", (0, 0, 2))
             blocks = range(1, etyms + 1) if etyms else (0,)
             for etym in blocks:
                 level = 3
@@ -138,10 +162,10 @@ class _PageMaker:
                     parts.append(f"===Etymology {etym}===\nFrom {{{{etyl|enm|{code}}}}} "
                                  f"{{{{m|enm|{title}{etym}}}}}.\n\n")
                     level = 4
-                elif rng.random() < 0.5:
+                elif self.chance("en.etym_text", 1, 2):
                     parts.append(f"===Etymology===\nFrom {{{{inh|{code}|ang|{title}an}}}}.\n\n")
                     parts.append("===Pronunciation===\n* {{IPA|/" + title + "/}}\n\n")
-                for pos in rng.sample(EN_POS, rng.randint(1, 2)):
+                for pos in rng.sample(EN_POS, self.pick("en.pos", (1, 2))):
                     parts.append(self._en_pos_block(title, code, pos, level))
         return "".join(parts)
 
@@ -151,7 +175,7 @@ class _PageMaker:
         sub = "=" * (level + 1)
         out = [f"{h}{pos}{h}\n{{{{{code}-{pos.lower()}}}}}\n\n"]
         self._lang_pos(title)
-        if rng.random() < 0.04:
+        if self.chance("en.form_of", 1, 25):
             # word-form entry: a single form-of definition becomes an inflection,
             # unless its lemma is the page itself
             lemma = rng.choice(self.plain_words)
@@ -162,42 +186,43 @@ class _PageMaker:
             self.oracle.tables["inflection"] += 1
             return "".join(out)
         glosses = []
-        for k in range(rng.randint(2, 4)):
+        for k in range(self.pick("en.glosses", (2, 3, 4))):
             gloss = rng.choice(self.plain_words)
             glosses.append(gloss)
             link = rng.choice(self.plain_words)
             out.append(f"# {{{{lb|{code}|informal}}}} A [[{link}]] that is ''{gloss}'' "
                        f"for {title} ({k}), with [[{link}|some]] {{{{gloss|{gloss} sense}}}}.\n")
-            if rng.random() < 0.3:
+            if self.chance("en.example", 3, 10):
                 out.append(f"#: ''The {title} was {gloss}.''\n")
             self.oracle.tables["meaning"] += 1
         out.append("\n")
-        for rel in rng.sample(EN_RELATIONS, rng.randint(1, 3)):
+        for rel in rng.sample(EN_RELATIONS, self.pick("en.relations", (1, 2, 3))):
             out.append(f"{sub}{rel}{sub}\n")
-            for _ in range(rng.randint(1, 3)):
+            for _ in range(self.pick("en.relation_lines", (1, 2, 3))):
                 # one record per link, per {{l}} template or per bare word
-                kind = rng.random()
-                if kind < 0.5:
-                    n = rng.randint(1, 3)
+                kind = self.pick("en.relation_kind", ("sense", "sense", "l", "bare"))
+                if kind == "sense":
+                    n = self.pick("en.sense_links", (1, 2, 3))
                     words = ", ".join(f"[[{w}]]" for w in rng.sample(self.plain_words, n))
                     out.append(f"* {{{{sense|{rng.choice(glosses)}}}}} {words}\n")
-                elif kind < 0.75:
+                elif kind == "l":
                     n = 1
                     out.append(f"* {{{{l|{code}|{rng.choice(self.plain_words)}}}}}\n")
                 else:
-                    n = rng.randint(1, 2)
+                    n = self.pick("en.bare_words", (1, 2))
                     out.append("* " + ", ".join(rng.sample(self.plain_words, n)) + "\n")
                 self.oracle.tables["relation"] += n
             out.append("\n")
         if code == "en":
             out.append(f"{sub}Translations{sub}\n")
-            for k in range(rng.randint(1, 2)):
+            for k in range(self.pick("en.boxes", (1, 2))):
                 out.append(f"{{{{trans-top|{glosses[k % len(glosses)]} ({title})}}}}\n")
                 self.oracle.tables["translation"] += 1
                 lo, hi = self.spec.langs_per_block
-                for lcode, lname in rng.sample(TRANSLATION_LANGS[:-1], rng.randint(lo, hi)):
+                for lcode, lname in rng.sample(TRANSLATION_LANGS[:-1],
+                                               self.pick("en.box_lines", range(lo, hi + 1))):
                     out.append(self._en_translation_line(title, lcode, lname))
-                if rng.random() < 0.2:
+                if self.chance("en.unregistered", 1, 5):
                     out.append(f"* {UNREGISTERED_NAME}: {{{{t|qya|{title}}}}}\n")
                     self.oracle.translation_lines_skipped += 1
                 out.append("{{trans-bottom}}\n")
@@ -206,7 +231,7 @@ class _PageMaker:
 
     def _en_translation_line(self, title, code, name) -> str:
         rng = self.rng
-        words = rng.sample(self.vocab[code], rng.randint(1, 2))
+        words = rng.sample(self.vocab[code], self.pick("en.line_words", (1, 2)))
         for w in words:
             self._translation(title, code, w)
         if code in ("ko", "ja", "zh"):
@@ -214,7 +239,7 @@ class _PageMaker:
             return f"* {name}: " + ", ".join(f"[[{w}]] ({w[:3]})" for w in words) + "\n"
         rendered = ", ".join(
             f"{{{{{rng.choice(('t', 't+', 't-'))}|{code}|{w}"
-            + (f"|tr={w[:4]}" if rng.random() < 0.2 else "") + "}}"
+            + (f"|tr={w[:4]}" if self.chance("en.tr", 1, 5) else "") + "}}"
             for w in words)
         return f"* {name}: {rendered}\n"
 
@@ -223,10 +248,10 @@ class _PageMaker:
     def ru_page(self, title: str) -> str:
         rng = self.rng
         parts = []
-        codes = ["ru"] + rng.sample(RU_SECTION_CODES[1:], rng.randint(0, 1))
+        codes = ["ru"] + rng.sample(RU_SECTION_CODES[1:], self.pick("ru.langs", (0, 1)))
         for code in codes:
             parts.append(f"= {{{{-{code}-}}}} =\n\n")
-            homonyms = rng.choice((0, 0, 0, 2))
+            homonyms = self.pick("ru.homonyms", (0, 0, 0, 2))
             if homonyms:
                 for k in range(1, homonyms + 1):
                     parts.append(f"== {{{{заголовок|{k}}}}} ==\n")
@@ -241,37 +266,39 @@ class _PageMaker:
         self._lang_pos(title)
         out = [f"=== Морфологические и синтаксические свойства ===\n{{{{{pos}}}}}\n\n",
                "=== Семантические свойства ===\n\n==== Значение ====\n"]
-        n_mean = rng.randint(1, 3)
+        n_mean = self.pick("ru.meanings", (1, 2, 3))
         for k in range(n_mean):
             out.append(f"# {{{{разг.|{code}}}}} [[{rng.choice(self.plain_words)}]] "
                        f"для {title} ({k}).\n")
             self.oracle.tables["meaning"] += 1
         out.append("\n")
-        for rel in rng.sample(RU_RELATIONS, rng.randint(1, 3)):
+        for rel in rng.sample(RU_RELATIONS, self.pick("ru.relations", (1, 2, 3))):
             out.append(f"==== {rel} ====\n")
-            for _ in range(rng.randint(1, n_mean)):
-                if rng.random() < 0.25:
+            for _ in range(self.pick(f"ru.relation_lines{n_mean}",
+                                     range(1, n_mean + 1))):
+                if self.chance("ru.empty_line", 1, 4):
                     out.append("# -\n")
                     continue
-                n = rng.randint(1, 3)
+                n = self.pick("ru.links", (1, 2, 3))
                 out.append("# " + ", ".join(f"[[{w}]]" for w in
                                              rng.sample(self.plain_words, n)) + "\n")
                 self.oracle.tables["relation"] += n
             out.append("\n")
         if code == "ru":
             out.append("=== Перевод ===\n")
-            for k in range(rng.randint(1, 2)):
+            for k in range(self.pick("ru.boxes", (1, 2))):
                 out.append(f"{{{{перев-блок|{rng.choice(self.plain_words)}\n")
                 self.oracle.tables["translation"] += 1
                 lo, hi = self.spec.langs_per_block
-                for lcode, _ in rng.sample(TRANSLATION_LANGS[:-1], rng.randint(lo, hi)):
+                for lcode, _ in rng.sample(TRANSLATION_LANGS[:-1],
+                                           self.pick("ru.box_params", range(lo, hi + 1))):
                     if lcode == "ru":
                         continue
-                    words = rng.sample(self.vocab[lcode], rng.randint(1, 3))
+                    words = rng.sample(self.vocab[lcode], self.pick("ru.param_words", (1, 2, 3)))
                     for w in words:
                         self._translation(title, lcode, w)
                     out.append(f"|{lcode}=" + ", ".join(f"[[{w}]]" for w in words) + "\n")
-                if rng.random() < 0.2:
+                if self.chance("ru.unregistered", 1, 5):
                     out.append(f"|{UNREGISTERED_CODE}=[[{title}]]\n")
                     self.oracle.translation_lines_skipped += 1
                 out.append("}}\n")

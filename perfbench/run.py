@@ -56,6 +56,10 @@ sys.path.insert(0, str(BENCH))
 import gen  # noqa: E402
 
 MIN_ROUNDS = 4           # rounds per run at least, whatever --seconds says
+# Distinct requests of a query pass: every pass sends the same lists, and the
+# reported tail percentiles (p99, p95) have ten requests beyond them.
+LOOKUPS = 1000
+REVERSES = 200
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,6 @@ class Workload:
     workers: int
     query_en: gen.DumpSpec         # the store pair the query passes read
     query_ru: gen.DumpSpec
-    lookups: int                   # requests per query pass
-    reverses: int
 
 
 _SMALL_EN = gen.DumpSpec("en", 200, vocab=300, langs_per_block=(3, 8), seed_salt="q")
@@ -76,17 +78,14 @@ _SMALL_RU = gen.DumpSpec("ru", 150, vocab=200, langs_per_block=(10, 20), seed_sa
 WORKLOADS = {
     "parse_en": Workload(
         main=gen.DumpSpec("en", 700, vocab=2000, langs_per_block=(3, 8)),
-        compress=True, workers=1, query_en=_SMALL_EN, query_ru=_SMALL_RU,
-        lookups=400, reverses=50),
+        compress=True, workers=1, query_en=_SMALL_EN, query_ru=_SMALL_RU),
     "parse_ru_workers": Workload(
         main=gen.DumpSpec("ru", 1000, vocab=300, langs_per_block=(15, 30)),
-        compress=False, workers=2, query_en=_SMALL_EN, query_ru=_SMALL_RU,
-        lookups=400, reverses=50),
+        compress=False, workers=2, query_en=_SMALL_EN, query_ru=_SMALL_RU),
     "query": Workload(
         main=None, compress=False, workers=1,
         query_en=gen.DumpSpec("en", 400, vocab=600, langs_per_block=(3, 8), seed_salt="q"),
-        query_ru=gen.DumpSpec("ru", 250, vocab=300, langs_per_block=(10, 20), seed_salt="q"),
-        lookups=500, reverses=60),
+        query_ru=gen.DumpSpec("ru", 250, vocab=300, langs_per_block=(10, 20), seed_salt="q")),
 }
 
 
@@ -164,10 +163,10 @@ def run_parse(dump: Dump, store: Path, workers: int, work: Path, tag: str,
     return run_proc(cmd, work, tag)
 
 
-def run_query(work: Path, en: Path, ru: Path, wl: Workload, en_oracle: gen.Oracle,
+def run_query(work: Path, en: Path, ru: Path, en_oracle: gen.Oracle,
               seed: int, tag: str, trace: bool = False) -> tuple[ProcResult, dict]:
     """One pass of the query client over the store pair."""
-    lookups, reverses = gen.query_samples(en_oracle, seed, wl.lookups, wl.reverses)
+    lookups, reverses = gen.query_samples(en_oracle, seed, LOOKUPS, REVERSES)
     qdir = work / tag
     shutil.rmtree(qdir, ignore_errors=True)
     qdir.mkdir()
@@ -277,19 +276,28 @@ def store_bytes(path: Path) -> int:
                if os.path.exists(f"{path}{s}"))
 
 
+def upper_decile(values: list[float]) -> float:
+    """The time a run reports for a repeated operation (see Run.end_to_end)."""
+    return percentile(values, 0.9)
+
+
+def request_latencies(results: list[dict], key: str) -> list[float]:
+    """One latency per request: the upper decile of its repeats in all passes."""
+    return [upper_decile([ms for repeats in per_pass for ms in repeats])
+            for per_pass in zip(*(p[key] for p in results))]
+
+
 def query_metrics(results: list[dict]) -> dict[str, float]:
-    """Tail latencies over every request of the run; median latencies and
-    operation times as means over the run's passes and calls, because a
-    pass's requests all fall in one speed state (see Run.end_to_end)."""
-    pooled = {key: [v for r in results for v in r[key]]
-              for key in ("lookup_ms", "reverse_ms", "stats_s", "compare_s",
-                          "export_s", "import_s")}
+    """Percentiles over the requests, so that the tails measure the costly
+    requests rather than the moments the host was busy."""
+    lookups = request_latencies(results, "lookup_ms")
+    reverses = request_latencies(results, "reverse_ms")
     return {
-        "lookup_p50_ms": statistics.fmean(statistics.median(r["lookup_ms"]) for r in results),
-        "lookup_p99_ms": percentile(pooled["lookup_ms"], 0.99),
-        "reverse_p50_ms": statistics.fmean(statistics.median(r["reverse_ms"]) for r in results),
-        "reverse_p95_ms": percentile(pooled["reverse_ms"], 0.95),
-        **{key: statistics.fmean(pooled[key])
+        "lookup_p50_ms": percentile(lookups, 0.5),
+        "lookup_p99_ms": percentile(lookups, 0.99),
+        "reverse_p50_ms": percentile(reverses, 0.5),
+        "reverse_p95_ms": percentile(reverses, 0.95),
+        **{key: upper_decile([v for p in results for v in p[key]])
            for key in ("stats_s", "compare_s", "export_s", "import_s")},
     }
 
@@ -396,7 +404,7 @@ class Run:
         return proc
 
     def query(self, en: Path, ru: Path, tag: str, trace: bool = False) -> dict:
-        proc, result = run_query(self.work, en, ru, self.wl, self.dumps["query_en"].oracle,
+        proc, result = run_query(self.work, en, ru, self.dumps["query_en"].oracle,
                                  self.seed, tag, trace)
         self.max_rss_mb = max(self.max_rss_mb, proc.max_rss_mb)
         problems = check_query(result, self.dumps["query_en"].oracle, self.work / tag)
@@ -424,13 +432,15 @@ class Run:
         """Rounds of (query pass, set-up, main parse, query pass) until
         --seconds have passed.
 
-        This machine's speed flips between a fast and a slow state about
-        every second, in shares that drift over tens of seconds. A median
-        of samples jumps from one state to the other as the shares move,
-        while a mean moves only with them; so throughput and operation times
-        are means over the run (total work over total time), and a run
-        samples the states in many short rounds rather than a few long ones.
-        Set-up is the median.
+        The cores of a shared host switch between a fast state and one
+        about 1.5x slower, for a second or a few at a time, and the share of
+        the fast state differs from run to run (from none to most of a run)
+        by more than the bounds. A mean or a median of a run's short samples
+        moves with that share; their upper decile stays with the slow state,
+        which every run measured so far included. So the times of short repeated operations
+        (requests, stats, compare, export, import; 16 or more samples each)
+        are upper deciles over the run. A parse spans many switches, so its
+        wall time is already a mix; parse times and set-up are medians.
         """
         setup, walls, queries = [], [], []
         if self.wl.main is not None:
@@ -457,7 +467,7 @@ class Run:
         t0 = time.perf_counter()
         while len(walls) < MIN_ROUNDS or time.perf_counter() - t0 < self.seconds:
             one_round(len(walls))
-        wall = statistics.fmean(walls)
+        wall = statistics.median(walls)
         metrics = {
             "setup_s": statistics.median(setup),
             "pages_per_s": main.oracle.pages_seen / wall,
@@ -467,8 +477,9 @@ class Run:
         }
         metrics.update(query_metrics(queries))
         self.details = {"rounds": len(walls), "setup_s": setup, "parse_walls_s": walls,
-                        "lookup_samples": sum(len(r["lookup_ms"]) for r in queries),
-                        "reverse_samples": sum(len(r["reverse_ms"]) for r in queries),
+                        **{f"{key}_samples": sum(len(repeats) for r in queries
+                                                 for repeats in r[f"{key}_ms"])
+                           for key in ("lookup", "reverse")},
                         **{key: [r[key] for r in queries] for key in
                            ("stats_s", "compare_s", "export_s", "import_s")}}
         return metrics

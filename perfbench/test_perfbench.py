@@ -25,6 +25,17 @@ def test_same_seed_gives_byte_identical_dumps(tmp_path):
     assert gen.make_dump(SMALL_EN, 8)[0] != gen.make_dump(SMALL_EN, 7)[0]
 
 
+@pytest.mark.parametrize("spec", [
+    gen.DumpSpec("en", 400, vocab=600, langs_per_block=(3, 8)),
+    gen.DumpSpec("ru", 250, vocab=300, langs_per_block=(10, 20)),
+])
+def test_seeds_give_dumps_of_the_same_make_up(spec):
+    tables = [gen.make_dump(spec, seed)[1].tables for seed in range(6)]
+    for table in ("lang_pos", "meaning", "relation", "translation_entry"):
+        counts = [t[table] for t in tables]
+        assert max(counts) <= 1.05 * min(counts), (table, counts)
+
+
 @pytest.fixture(scope="module")
 def parsed(tmp_path_factory):
     work = tmp_path_factory.mktemp("parsed")
