@@ -33,8 +33,10 @@ def synthetic_page(rng, i):
     for k in range(rng.randint(1, 5)):
         parts.append(f"* {{{{sense|thing {k}}}}} [[syn{k}]], [[syn{k}x]]\n")
     parts.append("\n====Translations====\n{{trans-top|the thing}}\n")
-    for code, word in (("fi", "sana"), ("ru", "слово"), ("ko", "수풀")):
-        parts.append(f"* X: {{{{t+|{code}|{word}{i % 19}}}}}\n")
+    # registered language names, or every translation line would be skipped
+    for code, name, word in (("fi", "Finnish", "sana"), ("ru", "Russian", "слово"),
+                             ("ko", "Korean", "수풀")):
+        parts.append(f"* {name}: {{{{t+|{code}|{word}{i % 19}}}}}\n")
     parts.append("{{trans-bottom}}\n")
     return "".join(parts)
 
@@ -80,6 +82,7 @@ def time_analysis(kernel, pages, repeat):
     try:
         best = float("inf")
         for _ in range(repeat):
+            entries = skipped = 0
             t0 = time.perf_counter()
             for n, text in enumerate(pages):
                 page = entry.Page(title=f"p{n}", raw_text=text)
@@ -88,9 +91,11 @@ def time_analysis(kernel, pages, repeat):
                     for ps in entry.split_pos_sections(sec, cfg, registry):
                         meanings = entry.extract_definitions(ps, cfg, registry)
                         relations.extract_relations(ps, meanings, cfg, registry)
-                        translations.extract_translations_en(ps, registry)
+                        boxes, sk = translations.extract_translations_en(ps, registry)
+                        entries += sum(len(e) for _, e in boxes)
+                        skipped += len(sk)
             best = min(best, time.perf_counter() - t0)
-        return len(pages) / best
+        return len(pages) / best, entries, skipped
     finally:
         wt._kernel = previous
 
@@ -131,8 +136,9 @@ def main():
     print("\nfull page analysis:")
     rates = {}
     for name, kernel in lanes:
-        rates[name] = time_analysis(kernel, pages, args.repeat)
-        print(f"  {name:>8}: {rates[name]:>8.0f} pages/s")
+        rates[name], entries, skipped = time_analysis(kernel, pages, args.repeat)
+        print(f"  {name:>8}: {rates[name]:>8.0f} pages/s "
+              f"({entries} translation entries, {skipped} lines skipped)")
     if len(lanes) == 2:
         print(f"   speedup: {rates['compiled'] / rates['python']:.2f}x")
 

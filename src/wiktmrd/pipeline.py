@@ -23,18 +23,7 @@ from dataclasses import dataclass
 from . import entry, relations, translations
 from . import wikitext as wt
 from .registry import Registry, builtin_registry, load_registry
-from .store import (
-    Checkpoint,
-    ChecksumMismatch,
-    LangPosBundle,
-    MeaningRow,
-    MrdStore,
-    RelationRow,
-    SoftRedirectRow,
-    TranslationEntryRow,
-    TranslationRow,
-    WordBundle,
-)
+from .store import Checkpoint, ChecksumMismatch, MrdStore, WordBundle
 
 # test seam: abort the process abruptly (no cleanup, like kill -9) after this
 # many pages have been saved; exercises crash recovery end to end
@@ -105,13 +94,20 @@ def open_dump(path):
 
 
 def dump_identity(path) -> str:
-    """Fingerprint of the dump: hash of the first 64 KiB of XML."""
+    """Fingerprint of the dump: hash of the first 64 KiB of XML, the file's
+    size and its last 64 KiB as stored, so dumps sharing a head differ."""
+    digest = hashlib.sha256()
     f = open_dump(path)
     try:
-        head = f.read(65536)
+        digest.update(f.read(65536))
     finally:
         f.close()
-    return hashlib.sha256(head).hexdigest()
+    with open(path, "rb") as raw:
+        size = raw.seek(0, os.SEEK_END)
+        raw.seek(max(0, size - 65536))
+        digest.update(b"%d\n" % size)
+        digest.update(raw.read())
+    return digest.hexdigest()
 
 
 def _localname(tag) -> str:
@@ -232,32 +228,20 @@ def analyze_page(page: entry.Page, dialect_cfg, registry: Registry) -> AnalyzedP
                 if ordinal in taken:
                     ordinal = max(taken) + 1
                 taken.add(ordinal)
-                lp = LangPosBundle(
-                    lang_code=ps.language.code,
-                    pos_name=ps.pos.canonical_name,
-                    etymology_ordinal=ordinal,
-                    soft_redirect=(SoftRedirectRow(form_kind=soft.form_kind,
-                                                   lemma_title=soft.lemma_title)
-                                   if soft else None),
-                )
-                for m in meanings:
-                    lp.meanings.append(MeaningRow(
-                        ordinal=m.ordinal, wikitext=m.definition_wikitext,
-                        ref_words=[l.target for l in wt.scan_wikilinks(m.definition_wikitext)]))
-                for r in records:
-                    lp.relations.append(RelationRow(
-                        type_name=r.relation_type.canonical_name,
-                        target_word=r.target_word, target_wikitext=r.target_wikitext,
-                        meaning_ordinal=r.meaning.ordinal if r.meaning else None))
-                for box, entries in boxes:
-                    lp.translations.append(TranslationRow(
-                        gloss_wikitext=box.gloss,
-                        gloss_refs=[],
-                        entries=[TranslationEntryRow(lang_code=e.language.code,
-                                                     word=e.target_word,
-                                                     wikitext=e.target_wikitext)
-                                 for e in entries]))
-                bundle.lang_pos.append(lp)
+                bundle.lang_pos.append((
+                    ps.language.code, ps.pos.canonical_name, ordinal,
+                    [(m.ordinal, m.definition_wikitext,
+                      list(dict.fromkeys(l.target for l in
+                                         wt.scan_wikilinks(m.definition_wikitext))))
+                     for m in meanings],
+                    [(r.relation_type.canonical_name, r.target_word, r.target_wikitext,
+                      r.meaning.ordinal if r.meaning else None)
+                     for r in records],
+                    [(box.gloss, [(e.language.code, e.target_word, e.target_wikitext)
+                                  for e in entries])
+                     for box, entries in boxes],
+                    (soft.form_kind, soft.lemma_title) if soft else None,
+                ))
         return AnalyzedPage(page.record_id, page.title, "parsed", bundle=bundle,
                             skipped_sections=len(skipped), skipped_lines=skipped_lines)
     except Exception as exc:  # robustness contract: one page never kills a run

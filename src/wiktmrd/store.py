@@ -9,6 +9,22 @@ format, not the engine.
 Writes happen through a single writer. save_word is atomic per page and
 idempotent per title. Checkpoints commit in the same transaction as the data
 they describe, so a killed process always restarts from a consistent point.
+
+A page reaches save_word as a WordBundle whose content is plain tuples, the
+cheapest form to pickle out of an analysis worker. Each entry of
+WordBundle.lang_pos is
+
+    (lang_code, pos_name, etymology_ordinal,
+     meanings, relations, translations, soft_redirect)
+
+    meanings       list of (ordinal, wikitext, ref_words)
+    relations      list of (type_name, target_word, target_wikitext,
+                            meaning_ordinal or None)
+    translations   list of (gloss_wikitext, entries), each entry a tuple
+                   (lang_code, word, wikitext)
+    soft_redirect  (form_kind, lemma_title) or None
+
+ref_words are the page titles a text links to; they fill wiki_text_words.
 """
 
 from __future__ import annotations
@@ -22,6 +38,9 @@ from dataclasses import dataclass, field
 from .registry import CODE_RE, RELATION_TYPE_NAMES
 
 MAX_WIKI_TEXT_BYTES = 65535
+_WIKI_TEXT_CACHE_SIZE = 200_000  # texts whose id and written words the writer keeps
+
+_RELATION_TYPE_IDS = {name: i for i, name in enumerate(RELATION_TYPE_NAMES, start=1)}
 
 TABLE_COLUMNS = {
     "page": ("id", "title", "record_id", "is_soft_redirect", "redirect_target"),
@@ -119,61 +138,12 @@ class Checkpoint:
     counters: dict[str, int] = field(default_factory=dict)
 
 
-# ---------------------------------------------------------------------------
-# Parsed-page bundle: what one fully analyzed page hands to save_word.
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MeaningRow:
-    ordinal: int
-    wikitext: str
-    ref_words: list[str] = field(default_factory=list)
-
-
-@dataclass
-class RelationRow:
-    type_name: str
-    target_word: str
-    target_wikitext: str
-    meaning_ordinal: int | None = None
-
-
-@dataclass
-class TranslationEntryRow:
-    lang_code: str
-    word: str
-    wikitext: str
-
-
-@dataclass
-class TranslationRow:
-    gloss_wikitext: str
-    gloss_refs: list[str] = field(default_factory=list)
-    entries: list[TranslationEntryRow] = field(default_factory=list)
-
-
-@dataclass
-class SoftRedirectRow:
-    form_kind: str
-    lemma_title: str
-
-
-@dataclass
-class LangPosBundle:
-    lang_code: str
-    pos_name: str
-    etymology_ordinal: int
-    meanings: list[MeaningRow] = field(default_factory=list)
-    relations: list[RelationRow] = field(default_factory=list)
-    translations: list[TranslationRow] = field(default_factory=list)
-    soft_redirect: SoftRedirectRow | None = None
-
-
 @dataclass
 class WordBundle:
+    """One analyzed page; lang_pos holds the row tuples of the module docstring."""
     title: str
     record_id: int
-    lang_pos: list[LangPosBundle] = field(default_factory=list)
+    lang_pos: list[tuple] = field(default_factory=list)
 
 
 def _translate_error(exc: sqlite3.Error) -> StoreError:
@@ -197,7 +167,10 @@ class MrdStore:
         except sqlite3.Error as exc:
             raise _translate_error(exc) from exc
         self.counters: dict[str, int] = {}
-        self._wiki_text_cache: dict[str, int] = {}
+        self._committed_counters: dict[str, int] = {}
+        # text -> (id, words already in wiki_text_words); capped, see _wiki_text_id
+        self._wiki_text_cache: dict[str, tuple[int, tuple[str, ...]]] = {}
+        self._interned: dict[tuple[str, str], int] = {}  # (table, value) -> id
         self._init_fixed_rows()
         if native_code is not None:
             self._set_meta("native_code", native_code)
@@ -252,32 +225,48 @@ class MrdStore:
                 self._conn.commit()
         except sqlite3.Error as exc:
             raise _translate_error(exc) from exc
+        self._committed_counters = dict(self.counters)
 
     def rollback(self):
+        """Undo the open transaction and forget everything it taught the store:
+        cached ids may name rows that no longer exist, and counters go back to
+        their values at the last commit."""
         if self._conn.in_transaction:
             self._conn.rollback()
+        self._clear_caches()
+        self.counters = dict(self._committed_counters)
+
+    def _clear_caches(self):
         self._wiki_text_cache.clear()
+        self._interned.clear()
 
     # -- shared row helpers ---------------------------------------------------
 
     def _lang_id(self, code: str) -> int:
-        if not CODE_RE.match(code):
-            raise CorruptStore(f"invalid language code for storage: {code!r}")
-        return self._intern("lang", "code", code)
+        lang_id = self._interned.get(("lang", code))
+        if lang_id is None:
+            if not CODE_RE.match(code):
+                raise CorruptStore(f"invalid language code for storage: {code!r}")
+            lang_id = self._intern("lang", "code", code)
+        return lang_id
 
     def _pos_id(self, name: str) -> int:
         return self._intern("pos", "name", name)
 
     def _intern(self, table, column, value) -> int:
-        row = self._conn.execute(
-            f"SELECT id FROM {table} WHERE {column}=?", (value,)).fetchone()
-        if row:
-            return row[0]
-        cur = self._conn.execute(
-            f"INSERT INTO {table}({column}) VALUES (?)", (value,))
-        return cur.lastrowid
+        key = (table, value)
+        row_id = self._interned.get(key)
+        if row_id is None:
+            row = self._conn.execute(
+                f"SELECT id FROM {table} WHERE {column}=?", (value,)).fetchone()
+            row_id = row[0] if row else self._conn.execute(
+                f"INSERT INTO {table}({column}) VALUES (?)", (value,)).lastrowid
+            self._interned[key] = row_id
+        return row_id
 
     def _truncate(self, text: str) -> str:
+        if len(text) <= MAX_WIKI_TEXT_BYTES // 4:  # a code point takes at most 4 bytes
+            return text
         data = text.encode("utf-8", "surrogatepass")
         if len(data) <= MAX_WIKI_TEXT_BYTES:
             return text
@@ -287,24 +276,29 @@ class MrdStore:
         self.counters["wiki_text_truncated"] = self.counters.get("wiki_text_truncated", 0) + 1
         return data[:cut].decode("utf-8", "surrogatepass")
 
-    def _wiki_text_id(self, text: str, ref_words=()) -> int:
+    def _wiki_text_id(self, text: str, ref_words, word_rows: list) -> int:
+        """Id of `text`, inserted if new. Appends to word_rows the (id, word)
+        pairs not yet written for it; a cached text remembers its written
+        words, so each pair is written once per run."""
         text = self._truncate(text)
-        wid = self._wiki_text_cache.get(text)
-        if wid is None:
+        cache = self._wiki_text_cache
+        cached = cache.get(text)
+        if cached is None:
             row = self._conn.execute(
                 "SELECT id FROM wiki_text WHERE text=?", (text,)).fetchone()
-            if row:
-                wid = row[0]
-            else:
-                wid = self._conn.execute(
-                    "INSERT INTO wiki_text(text) VALUES (?)", (text,)).lastrowid
-            if len(self._wiki_text_cache) < 200_000:
-                self._wiki_text_cache[text] = wid
-        for word in ref_words:
-            if word:
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO wiki_text_words(wiki_text_id, page_ref_title) "
-                    "VALUES (?, ?)", (wid, word))
+            wid = row[0] if row else self._conn.execute(
+                "INSERT INTO wiki_text(text) VALUES (?)", (text,)).lastrowid
+            written = ()
+        else:
+            wid, written = cached
+        # a set keeps a text with thousands of links from costing n * m tests
+        known = written if len(written) <= 16 else set(written)
+        fresh = [word for word in ref_words if word and word not in known]
+        if fresh:
+            word_rows.extend([(wid, word) for word in fresh])
+            written += tuple(fresh)
+        if cached is not None or len(cache) < _WIKI_TEXT_CACHE_SIZE:
+            cache[text] = (wid, written)
         return wid
 
     # -- saving ---------------------------------------------------------------
@@ -317,74 +311,83 @@ class MrdStore:
                 self._conn.execute("BEGIN")
             page_id = self._save_word_rows(bundle)
             if own_txn:
-                self._conn.commit()
+                self.commit()
             return page_id
         except sqlite3.Error as exc:
-            if self._conn.in_transaction:
-                self._conn.rollback()
-            self._wiki_text_cache.clear()
+            self.rollback()
             raise _translate_error(exc) from exc
         except Exception:
-            if own_txn and self._conn.in_transaction:
-                self._conn.rollback()
-                self._wiki_text_cache.clear()
+            if own_txn:
+                self.rollback()
+            else:  # the cache may name word rows this page never wrote
+                self._clear_caches()
             raise
 
     def _save_word_rows(self, bundle: WordBundle) -> int:
         conn = self._conn
+        text_id = self._wiki_text_id
         existing = conn.execute(
             "SELECT id FROM page WHERE title=?", (bundle.title,)).fetchone()
         if existing:
             self._delete_page_rows(existing[0])
-        soft = next((lp.soft_redirect for lp in bundle.lang_pos
-                     if lp.soft_redirect is not None), None)
+        soft = next((lp[6] for lp in bundle.lang_pos if lp[6] is not None), None)
         page_id = conn.execute(
             "INSERT INTO page(title, record_id, is_soft_redirect, redirect_target) "
             "VALUES (?, ?, ?, ?)",
             (bundle.title, bundle.record_id, 1 if soft else 0,
-             soft.lemma_title if soft else None)).lastrowid
+             soft[1] if soft else None)).lastrowid
 
-        for lp in bundle.lang_pos:
+        # Parent rows go in one by one for their ids; leaf rows wait for one
+        # executemany per table. Each table still receives its rows in page
+        # order, so ids match those of row-by-row insertion.
+        word_rows: list[tuple[int, str]] = []
+        relation_rows = []
+        entry_rows = []
+        inflection_rows = []
+        for (lang_code, pos_name, etymology_ordinal,
+             meanings, relations, translations, soft_redirect) in bundle.lang_pos:
             lang_pos_id = conn.execute(
                 "INSERT INTO lang_pos(page_id, lang_id, pos_id, etymology_ordinal) "
                 "VALUES (?, ?, ?, ?)",
-                (page_id, self._lang_id(lp.lang_code), self._pos_id(lp.pos_name),
-                 lp.etymology_ordinal)).lastrowid
+                (page_id, self._lang_id(lang_code), self._pos_id(pos_name),
+                 etymology_ordinal)).lastrowid
 
             meaning_ids: dict[int, int] = {}
-            for m in lp.meanings:
-                wid = self._wiki_text_id(m.wikitext, m.ref_words)
-                meaning_ids[m.ordinal] = conn.execute(
+            for ordinal, wikitext, ref_words in meanings:
+                wid = text_id(wikitext, ref_words, word_rows)
+                meaning_ids[ordinal] = conn.execute(
                     "INSERT INTO meaning(lang_pos_id, ordinal, wiki_text_id) "
-                    "VALUES (?, ?, ?)", (lang_pos_id, m.ordinal, wid)).lastrowid
+                    "VALUES (?, ?, ?)", (lang_pos_id, ordinal, wid)).lastrowid
 
-            type_ids = {name: i for i, name in enumerate(RELATION_TYPE_NAMES, start=1)}
-            for r in lp.relations:
-                wid = self._wiki_text_id(r.target_wikitext, [r.target_word])
-                conn.execute(
-                    "INSERT INTO relation(meaning_id, lang_pos_id, relation_type_id, "
-                    "wiki_text_id) VALUES (?, ?, ?, ?)",
-                    (meaning_ids.get(r.meaning_ordinal), lang_pos_id,
-                     type_ids[r.type_name], wid))
+            for type_name, word, wikitext, meaning_ordinal in relations:
+                wid = text_id(wikitext, (word,), word_rows)
+                relation_rows.append((meaning_ids.get(meaning_ordinal), lang_pos_id,
+                                      _RELATION_TYPE_IDS[type_name], wid))
 
-            for tr in lp.translations:
-                gloss_id = (self._wiki_text_id(tr.gloss_wikitext, tr.gloss_refs)
-                            if tr.gloss_wikitext else None)
+            for gloss, entries in translations:
+                gloss_id = text_id(gloss, (), word_rows) if gloss else None
                 translation_id = conn.execute(
                     "INSERT INTO translation(lang_pos_id, gloss_wiki_text_id) "
                     "VALUES (?, ?)", (lang_pos_id, gloss_id)).lastrowid
-                for te in tr.entries:
-                    wid = self._wiki_text_id(te.wikitext, [te.word])
-                    conn.execute(
-                        "INSERT INTO translation_entry(translation_id, lang_id, "
-                        "wiki_text_id) VALUES (?, ?, ?)",
-                        (translation_id, self._lang_id(te.lang_code), wid))
+                for entry_lang, word, wikitext in entries:
+                    wid = text_id(wikitext, (word,), word_rows)
+                    entry_rows.append((translation_id, self._lang_id(entry_lang), wid))
 
-            if lp.soft_redirect is not None:
-                conn.execute(
-                    "INSERT INTO inflection(lang_pos_id, form_kind, lemma_title) "
-                    "VALUES (?, ?, ?)",
-                    (lang_pos_id, lp.soft_redirect.form_kind, lp.soft_redirect.lemma_title))
+            if soft_redirect is not None:
+                inflection_rows.append((lang_pos_id, *soft_redirect))
+
+        conn.executemany(
+            "INSERT OR IGNORE INTO wiki_text_words(wiki_text_id, page_ref_title) "
+            "VALUES (?, ?)", word_rows)
+        conn.executemany(
+            "INSERT INTO relation(meaning_id, lang_pos_id, relation_type_id, "
+            "wiki_text_id) VALUES (?, ?, ?, ?)", relation_rows)
+        conn.executemany(
+            "INSERT INTO translation_entry(translation_id, lang_id, wiki_text_id) "
+            "VALUES (?, ?, ?)", entry_rows)
+        conn.executemany(
+            "INSERT INTO inflection(lang_pos_id, form_kind, lemma_title) "
+            "VALUES (?, ?, ?)", inflection_rows)
         return page_id
 
     def _delete_page_rows(self, page_id: int):
@@ -609,7 +612,7 @@ class MrdStore:
                 self._conn.execute(f'DROP TABLE "{table}"')
             for table in reversed(list(TABLE_COLUMNS)):
                 self._conn.execute(f"DELETE FROM {table}")
-            self._wiki_text_cache.clear()
+            self._clear_caches()
             for table, columns in TABLE_COLUMNS.items():
                 path = os.path.join(directory, f"{table}.tsv")
                 if os.path.exists(path):

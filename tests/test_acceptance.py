@@ -19,7 +19,7 @@ from conftest import DATA_DIR, fixture_dump_pages, write_dump
 from wiktmrd import stats
 from wiktmrd.pipeline import ParseConfig, run_parse
 from wiktmrd.registry import RELATION_TYPE_NAMES, builtin_registry
-from wiktmrd.store import LangPosBundle, MeaningRow, MrdStore, RelationRow, WordBundle
+from wiktmrd.store import MrdStore, WordBundle
 
 REGEN = bool(os.environ.get("WIKTMRD_REGEN_GOLDEN"))
 
@@ -151,12 +151,11 @@ def _store_from_description(description):
     store = MrdStore(":memory:", native_code="en", dialect="en")
     store.begin()
     for i, (title, lang, types) in enumerate(description):
-        store.save_word(WordBundle(title=title, record_id=i, lang_pos=[
-            LangPosBundle(lang_code=lang, pos_name="noun", etymology_ordinal=0,
-                          meanings=[MeaningRow(ordinal=1, wikitext=f"def {title}")],
-                          relations=[RelationRow(type_name=t, target_word=f"t{k}",
-                                                 target_wikitext=f"[[t{k}]]")
-                                     for k, t in enumerate(types)])]))
+        store.save_word(WordBundle(title=title, record_id=i, lang_pos=[(
+            lang, "noun", 0,
+            [(1, f"def {title}", [])],
+            [(t, f"t{k}", f"[[t{k}]]", None) for k, t in enumerate(types)],
+            [], None)]))
     store.commit()
     return store
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import fixture_dump_pages, write_dump
+from conftest import build_dump_xml, fixture_dump_pages, write_dump
 from wiktmrd import pipeline
 from wiktmrd.pipeline import MalformedDump, ParseConfig, iterate_dump, run_parse
 from wiktmrd.store import ChecksumMismatch, MrdStore
@@ -58,6 +58,20 @@ def test_dump_identity_distinguishes_dumps(tmp_path):
     b = write_dump(tmp_path / "b.xml", [("a", "y")])
     assert pipeline.dump_identity(a) != pipeline.dump_identity(b)
     assert pipeline.dump_identity(a) == pipeline.dump_identity(str(a))
+
+
+@pytest.mark.parametrize("compression", [None, "bz2"])
+def test_resume_against_dump_sharing_its_head_rejected(tmp_path, compression):
+    pages = [(f"w{i:03d}", "==English==\n===Noun===\n# " + "word " * 100 + "\n")
+             for i in range(200)]
+    a = write_dump(tmp_path / "a.xml", pages, compression)
+    b = write_dump(tmp_path / "b.xml", pages + [("extra", "==English==\nx\n")],
+                   compression)
+    assert len(build_dump_xml(pages)) > 2 * 65536  # the first 64 KiB of XML agree
+    store_path = tmp_path / "s.db"
+    run_parse(ParseConfig(dialect="en", dump_path=a, store_path=store_path))
+    with pytest.raises(ChecksumMismatch):
+        run_parse(ParseConfig(dialect="en", dump_path=b, store_path=store_path))
 
 
 def parse_fixture_corpus(tmp_path, dialect, **kwargs):

@@ -8,22 +8,18 @@ import pytest
 
 from wiktmrd import stats
 from wiktmrd.registry import RELATION_TYPE_NAMES
-from wiktmrd.store import LangPosBundle, MeaningRow, MrdStore, RelationRow, WordBundle
+from wiktmrd.store import MrdStore, WordBundle
 
 
 def make_store(path, description, native="en"):
     """description: list of (title, lang_code, [relation type names])."""
     store = MrdStore(path, native_code=native, dialect=native)
     for i, (title, lang, types) in enumerate(description):
-        store.save_word(WordBundle(title=title, record_id=i, lang_pos=[
-            LangPosBundle(
-                lang_code=lang, pos_name="noun", etymology_ordinal=0,
-                meanings=[MeaningRow(ordinal=1, wikitext=f"def of {title}")],
-                relations=[
-                    RelationRow(type_name=t, target_word=f"t{k}",
-                                target_wikitext=f"[[t{k}]]", meaning_ordinal=1)
-                    for k, t in enumerate(types)],
-            )]))
+        store.save_word(WordBundle(title=title, record_id=i, lang_pos=[(
+            lang, "noun", 0,
+            [(1, f"def of {title}", [])],
+            [(t, f"t{k}", f"[[t{k}]]", 1) for k, t in enumerate(types)],
+            [], None)]))
     return store
 
 
@@ -99,13 +95,11 @@ def test_native_native_requires_target_resolution(tmp_path):
         # target "t0" is not a native entry
         assert stats.compute_native_stats(store).native_native_relations == 0
         store.save_word(WordBundle(title="t0", record_id=9, lang_pos=[
-            LangPosBundle(lang_code="en", pos_name="noun", etymology_ordinal=0)]))
+            ("en", "noun", 0, [], [], [], None)]))
         assert stats.compute_native_stats(store).native_native_relations == 1
         # foreign-owned relations never count as native-to-native
         store.save_word(WordBundle(title="kuuma", record_id=10, lang_pos=[
-            LangPosBundle(lang_code="fi", pos_name="noun", etymology_ordinal=0,
-                          relations=[RelationRow(type_name="synonym", target_word="t0",
-                                                 target_wikitext="[[t0]]")])]))
+            ("fi", "noun", 0, [], [("synonym", "t0", "[[t0]]", None)], [], None)]))
         assert stats.compute_native_stats(store).native_native_relations == 1
 
 

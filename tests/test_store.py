@@ -1,21 +1,17 @@
 """Store behavior: atomic idempotent saves, sizes, indexes, checkpoints, TSV."""
 
 import os
+import re
 import sqlite3
+from collections import Counter
 
 import pytest
 
 from wiktmrd.store import (
     Checkpoint,
     CorruptStore,
-    LangPosBundle,
     MalformedRow,
-    MeaningRow,
     MrdStore,
-    RelationRow,
-    SoftRedirectRow,
-    TranslationEntryRow,
-    TranslationRow,
     WordBundle,
     MAX_WIKI_TEXT_BYTES,
 )
@@ -24,21 +20,19 @@ from wiktmrd.store import (
 def simple_bundle(title="toe", record_id=0, relations=7):
     types = ["synonym", "antonym", "hyponym", "holonym", "meronym",
              "coordinate_term", "synonym", "hypernym", "troponym"]
-    return WordBundle(title=title, record_id=record_id, lang_pos=[
-        LangPosBundle(
-            lang_code="en", pos_name="noun", etymology_ordinal=0,
-            meanings=[MeaningRow(ordinal=1, wikitext="A [[thing]].", ref_words=["thing"])],
-            relations=[
-                RelationRow(type_name=types[i % len(types)], target_word=f"w{i}",
-                            target_wikitext=f"[[w{i}]]", meaning_ordinal=1)
-                for i in range(relations)
-            ],
-            translations=[TranslationRow(
-                gloss_wikitext="a thing", entries=[
-                    TranslationEntryRow(lang_code="fi", word="juttu",
-                                        wikitext="{{t|fi|juttu}}")])],
-        )
-    ])
+    return WordBundle(title=title, record_id=record_id, lang_pos=[(
+        "en", "noun", 0,
+        [(1, "A [[thing]].", ["thing"])],
+        [(types[i % len(types)], f"w{i}", f"[[w{i}]]", 1) for i in range(relations)],
+        [("a thing", [("fi", "juttu", "{{t|fi|juttu}}")])],
+        None,
+    )])
+
+
+def noun(lang_code="en", meanings=(), relations=(), translations=(), soft_redirect=None):
+    """One lang_pos row tuple with etymology ordinal 0."""
+    return (lang_code, "noun", 0, list(meanings), list(relations), list(translations),
+            soft_redirect)
 
 
 @pytest.fixture
@@ -78,9 +72,7 @@ def test_resave_is_idempotent(store):
 def test_meaning_counts_multiply(store):
     for n in range(10):
         bundle = WordBundle(title=f"w{n}", record_id=n, lang_pos=[
-            LangPosBundle(lang_code="en", pos_name="noun", etymology_ordinal=0,
-                          meanings=[MeaningRow(ordinal=k + 1, wikitext=f"def {n}.{k}")
-                                    for k in range(3)])])
+            noun(meanings=[(k + 1, f"def {n}.{k}", []) for k in range(3)])])
         store.save_word(bundle)
     assert store.table_sizes()["meaning"] == 30
 
@@ -94,10 +86,8 @@ def test_wiki_text_deduplicated(store):
 
 def test_soft_redirect_stored(store):
     bundle = WordBundle(title="dogs", record_id=1, lang_pos=[
-        LangPosBundle(lang_code="en", pos_name="noun", etymology_ordinal=0,
-                      meanings=[MeaningRow(ordinal=1, wikitext="{{plural of|dog}}")],
-                      soft_redirect=SoftRedirectRow(form_kind="plural of",
-                                                    lemma_title="dog"))])
+        noun(meanings=[(1, "{{plural of|dog}}", [])],
+             soft_redirect=("plural of", "dog"))])
     store.save_word(bundle)
     rows = store.query("SELECT is_soft_redirect, redirect_target FROM page WHERE title='dogs'")
     assert rows == [(1, "dog")]
@@ -106,8 +96,7 @@ def test_soft_redirect_stored(store):
 
 def test_long_wiki_text_truncated(store):
     bundle = WordBundle(title="long", record_id=0, lang_pos=[
-        LangPosBundle(lang_code="en", pos_name="noun", etymology_ordinal=0,
-                      meanings=[MeaningRow(ordinal=1, wikitext="щ" * 70000)])])
+        noun(meanings=[(1, "щ" * 70000, [])])])
     store.save_word(bundle)
     (stored,) = store.query("SELECT text FROM wiki_text")[0]
     assert len(stored.encode("utf-8")) <= MAX_WIKI_TEXT_BYTES
@@ -141,6 +130,89 @@ def test_rollback_drops_partial_page(tmp_path):
     writer.close()
 
 
+def test_rollback_forgets_truncation_count(tmp_path):
+    with MrdStore(tmp_path / "mrd.db", native_code="en", dialect="en") as writer:
+        writer.begin()
+        writer.save_word(WordBundle(title="kept", record_id=0, lang_pos=[
+            noun(meanings=[(1, "щ" * 70000, [])])]))
+        writer.commit()
+        writer.begin()
+        writer.save_word(WordBundle(title="long", record_id=1, lang_pos=[
+            noun(meanings=[(1, "ж" * 70000, [])])]))
+        assert writer.counters["wiki_text_truncated"] == 2
+        writer.rollback()
+        assert writer.counters["wiki_text_truncated"] == 1  # the committed one
+
+
+def test_rolled_back_page_leaves_truncation_count_at_zero(store):
+    store.begin()
+    store.save_word(WordBundle(title="long", record_id=0, lang_pos=[
+        noun(meanings=[(1, "щ" * 70000, [])])]))
+    store.rollback()
+    assert store.counters.get("wiki_text_truncated", 0) == 0
+
+
+def test_language_interned_in_rolled_back_batch_gets_valid_id(store):
+    def page(title, record_id):
+        return WordBundle(title=title, record_id=record_id, lang_pos=[
+            noun("sq", translations=[("gloss", [("fi", "sana", "[[sana]]")])])])
+
+    store.save_word(page("first", 0))
+    store.begin()
+    store.save_word(WordBundle(title="new", record_id=1, lang_pos=[
+        noun("ka", translations=[("", [("ja", "kotoba", "[[kotoba]]")])])]))
+    store.rollback()
+    store.save_word(WordBundle(title="new", record_id=1, lang_pos=[
+        noun("ka", translations=[("", [("ja", "kotoba", "[[kotoba]]")])])]))
+    store.save_word(page("again", 2))
+    store.check_referential_integrity()
+    assert store.reverse_lookup("kotoba") == [("new", "ja")]
+    assert store.lookup_word("new")[0]["lang_code"] == "ka"
+
+
+class _BatchCounter:
+    """A connection stand-in that counts executemany calls per table."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.batches = Counter()
+
+    def executemany(self, sql, rows):
+        self.batches[re.search(r"INTO (\w+)", sql).group(1)] += 1
+        return self._conn.executemany(sql, rows)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def test_save_word_statements(store):
+    # pages whose translation entries share languages and texts
+    def page(n):
+        entries = [(code, word, f"[[{word}]]")
+                   for code, word in (("fi", "sana"), ("ru", "слово"), ("de", "Wort"))]
+        return WordBundle(title=f"p{n}", record_id=n, lang_pos=[
+            noun(meanings=[(1, "A [[word]] or [[term]].", ["word", "term"])],
+                 relations=[("synonym", "term", "[[term]]", 1)],
+                 translations=[("a word", entries), ("", entries[:2])],
+                 soft_redirect=("plural of", "word") if n == 2 else None),
+            noun("fi", relations=[("antonym", "sana", "[[sana]]", None)])])
+
+    statements = []
+    store._conn.set_trace_callback(statements.append)
+    store._conn = counter = _BatchCounter(store._conn)
+    pages = 4
+    for n in range(pages):
+        store.save_word(page(n))
+
+    lang_selects = Counter(s for s in statements if s.startswith("SELECT id FROM lang"))
+    assert lang_selects and max(lang_selects.values()) == 1
+    word_inserts = Counter(s for s in statements if "INTO wiki_text_words" in s)
+    assert max(word_inserts.values()) == 1
+    assert sum(word_inserts.values()) == store.table_sizes()["wiki_text_words"] == 6
+    assert counter.batches == {table: pages for table in (
+        "wiki_text_words", "relation", "translation_entry", "inflection")}
+
+
 # -- index tables ---------------------------------------------------------------
 
 def test_index_tables_native_only(store):
@@ -162,8 +234,7 @@ def test_index_tables_ignore_translation_languages(store):
 def test_index_tables_match_group_by_oracle(store):
     langs = ["en", "fi", "sq", "en", "fi", "en"]
     for i, code in enumerate(langs):
-        store.save_word(WordBundle(title=f"w{i}", record_id=i, lang_pos=[
-            LangPosBundle(lang_code=code, pos_name="noun", etymology_ordinal=0)]))
+        store.save_word(WordBundle(title=f"w{i}", record_id=i, lang_pos=[noun(code)]))
     counts = store.build_index_tables()
     oracle = {}
     for code in langs:
@@ -265,8 +336,7 @@ def test_import_rejects_bad_arity(store, tmp_path):
 def test_escaping_round_trips_nasty_titles(store, tmp_path):
     nasty = "tab\there\nand\\slash"
     store.save_word(WordBundle(title=nasty, record_id=0, lang_pos=[
-        LangPosBundle(lang_code="en", pos_name="noun", etymology_ordinal=0,
-                      meanings=[MeaningRow(ordinal=1, wikitext=nasty)])]))
+        noun(meanings=[(1, nasty, [])])]))
     out = tmp_path / "export"
     store.export_tsv(out)
     for line in (out / "page.tsv").read_text("utf-8").splitlines()[1:]:
