@@ -287,19 +287,23 @@ def _resolve_start(config, store, identity) -> tuple[int, dict]:
     cp = store.load_checkpoint()
     if config.start_record is None:
         if cp.last_record_id > 0:
-            if cp.dump_identity != identity:
-                raise ChecksumMismatch(
-                    f"checkpoint belongs to dump {cp.dump_identity[:12]}…, "
-                    f"current dump is {identity[:12]}…")
+            _check_identity(cp, identity)
             return cp.last_record_id, dict(cp.counters)
         return 0, {}
     if config.start_record > 0:
-        if cp.dump_identity and cp.dump_identity != identity:
-            raise ChecksumMismatch(
-                f"checkpoint belongs to dump {cp.dump_identity[:12]}…, "
-                f"current dump is {identity[:12]}…")
+        if cp.dump_identity:
+            _check_identity(cp, identity)
         return config.start_record, dict(cp.counters)
     return 0, {}
+
+
+def _check_identity(cp, identity):
+    if cp.dump_identity != identity:
+        raise ChecksumMismatch(
+            f"checkpoint belongs to dump {cp.dump_identity[:12]}…, "
+            f"current dump is {identity[:12]}… (the identity covers the dump file "
+            f"as stored, compression included, and checkpoints from earlier versions "
+            f"never match; to reparse, pass --start-record 0 or use a fresh store)")
 
 
 def _run_parse_inner(config, store, dialect_cfg, registry, identity) -> ParseReport:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from .registry import CODE_RE, RELATION_TYPE_NAMES
 
 MAX_WIKI_TEXT_BYTES = 65535
-_WIKI_TEXT_CACHE_SIZE = 200_000  # texts whose id and written words the writer keeps
+_WIKI_TEXT_CACHE_SIZE = 200_000  # texts plus written words the writer keeps
 
 _RELATION_TYPE_IDS = {name: i for i, name in enumerate(RELATION_TYPE_NAMES, start=1)}
 
@@ -146,6 +146,11 @@ class WordBundle:
     lang_pos: list[tuple] = field(default_factory=list)
 
 
+def _check_lang_code(code: str):
+    if not CODE_RE.match(code):
+        raise CorruptStore(f"invalid language code for storage: {code!r}")
+
+
 def _translate_error(exc: sqlite3.Error) -> StoreError:
     msg = str(exc).lower()
     if "full" in msg:
@@ -170,6 +175,7 @@ class MrdStore:
         self._committed_counters: dict[str, int] = {}
         # text -> (id, words already in wiki_text_words); capped, see _wiki_text_id
         self._wiki_text_cache: dict[str, tuple[int, tuple[str, ...]]] = {}
+        self._wiki_text_cache_strings = 0  # texts plus words held in that cache
         self._interned: dict[tuple[str, str], int] = {}  # (table, value) -> id
         self._init_fixed_rows()
         if native_code is not None:
@@ -238,25 +244,25 @@ class MrdStore:
 
     def _clear_caches(self):
         self._wiki_text_cache.clear()
+        self._wiki_text_cache_strings = 0
         self._interned.clear()
 
     # -- shared row helpers ---------------------------------------------------
 
     def _lang_id(self, code: str) -> int:
-        lang_id = self._interned.get(("lang", code))
-        if lang_id is None:
-            if not CODE_RE.match(code):
-                raise CorruptStore(f"invalid language code for storage: {code!r}")
-            lang_id = self._intern("lang", "code", code)
-        return lang_id
+        return self._intern("lang", "code", code, _check_lang_code)
 
     def _pos_id(self, name: str) -> int:
         return self._intern("pos", "name", name)
 
-    def _intern(self, table, column, value) -> int:
+    def _intern(self, table, column, value, check=None) -> int:
+        """Id of `value` in `table`, inserted if new; `check` vets a value the
+        store has not cached yet."""
         key = (table, value)
         row_id = self._interned.get(key)
         if row_id is None:
+            if check is not None:
+                check(value)
             row = self._conn.execute(
                 f"SELECT id FROM {table} WHERE {column}=?", (value,)).fetchone()
             row_id = row[0] if row else self._conn.execute(
@@ -279,10 +285,12 @@ class MrdStore:
     def _wiki_text_id(self, text: str, ref_words, word_rows: list) -> int:
         """Id of `text`, inserted if new. Appends to word_rows the (id, word)
         pairs not yet written for it; a cached text remembers its written
-        words, so each pair is written once per run."""
+        words, so a pair is written again only for a text the cache could
+        not keep. The cache holds at most _WIKI_TEXT_CACHE_SIZE strings,
+        texts and words together, so memory stays bounded whatever the
+        number of words per text."""
         text = self._truncate(text)
-        cache = self._wiki_text_cache
-        cached = cache.get(text)
+        cached = self._wiki_text_cache.get(text)
         if cached is None:
             row = self._conn.execute(
                 "SELECT id FROM wiki_text WHERE text=?", (text,)).fetchone()
@@ -291,14 +299,12 @@ class MrdStore:
             written = ()
         else:
             wid, written = cached
-        # a set keeps a text with thousands of links from costing n * m tests
-        known = written if len(written) <= 16 else set(written)
-        fresh = [word for word in ref_words if word and word not in known]
-        if fresh:
-            word_rows.extend([(wid, word) for word in fresh])
-            written += tuple(fresh)
-        if cached is not None or len(cache) < _WIKI_TEXT_CACHE_SIZE:
-            cache[text] = (wid, written)
+        fresh = [word for word in ref_words if word and word not in written]
+        word_rows.extend([(wid, word) for word in fresh])
+        kept = len(fresh) + (cached is None)
+        if kept and self._wiki_text_cache_strings + kept <= _WIKI_TEXT_CACHE_SIZE:
+            self._wiki_text_cache[text] = (wid, written + tuple(fresh))
+            self._wiki_text_cache_strings += kept
         return wid
 
     # -- saving ---------------------------------------------------------------

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from wiktmrd import store as store_module
 from wiktmrd.store import (
     Checkpoint,
     CorruptStore,
@@ -211,6 +212,19 @@ def test_save_word_statements(store):
     assert sum(word_inserts.values()) == store.table_sizes()["wiki_text_words"] == 6
     assert counter.batches == {table: pages for table in (
         "wiki_text_words", "relation", "translation_entry", "inflection")}
+
+
+def test_wiki_text_cache_cap_counts_words(store, monkeypatch):
+    monkeypatch.setattr(store_module, "_WIKI_TEXT_CACHE_SIZE", 10)
+    for n in range(6):
+        words = [f"w{n}.{k}" for k in range(3)]
+        store.save_word(WordBundle(title=f"p{n}", record_id=n, lang_pos=[
+            noun(meanings=[(1, " ".join(f"[[{w}]]" for w in words), words),
+                           (2, "shared [[x]]", ["x"])])]))
+    kept = sum(1 + len(words) for _, words in store._wiki_text_cache.values())
+    assert 0 < kept <= 10  # texts and words together stay within the cap
+    # texts past the cap still get their words
+    assert store.table_sizes()["wiki_text_words"] == 6 * 3 + 1
 
 
 # -- index tables ---------------------------------------------------------------
