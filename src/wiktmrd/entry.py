@@ -11,7 +11,8 @@ template block. Anything unresolvable is skipped and recorded, never fatal.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import wikitext as wt
 from .registry import (
@@ -48,26 +49,90 @@ class SkippedSection:
     reason: str
 
 
+class PageOutline:
+    """A page's UTF-8 bytes and headings, encoded and scanned once. Sections
+    of the page are byte ranges of it, so no stage rescans its own text."""
+
+    def __init__(self, text: str):
+        self.data = wt.encode(text)
+        self.headings = wt.scan_headings(self.data)
+
+    def headings_in(self, start: int, end: int) -> list[wt.Heading]:
+        """The headings whose line starts in [start, end)."""
+        return [h for h in self.headings if start <= h.source_span[0] < end]
+
+    def text(self, start: int, end: int) -> str:
+        return wt.decode(self.data[start:end])
+
+    def body_range(self, heads: list[wt.Heading], i: int, end: int,
+                   level: int = 6) -> tuple[int, int]:
+        """Byte range of the text under heads[i]: from the line after it up
+        to the next heading in `heads` of level at most `level` (by default
+        any), else up to `end`."""
+        start = heads[i].source_span[1]
+        if start < len(self.data) and self.data[start] == 0x0A:
+            start += 1
+        for nxt in heads[i + 1:]:
+            if nxt.level <= level:
+                return start, nxt.source_span[0]
+        return start, end
+
+
 @dataclass
 class LanguageSection:
     language: LanguageCode
     body: str
     span: tuple[int, int]  # byte offsets of the body within the page text
+    outline: PageOutline = field(repr=False, compare=False)
 
 
 @dataclass
 class PosSection:
+    """One (etymology, POS) part of a page. `span` is its body's byte range
+    in `outline`; a section made from a body alone outlines that body."""
+
     language: LanguageCode
     etymology_ordinal: int
     pos: PartOfSpeech
     body: str
+    outline: PageOutline | None = field(default=None, repr=False, compare=False)
+    span: tuple[int, int] = (0, 0)
+
+    def __post_init__(self):
+        if self.outline is None:
+            self.outline = PageOutline(self.body)
+            self.span = (0, len(self.outline.data))
+
+    @cached_property
+    def templates(self) -> list[wt.Template]:
+        """The body's top-level templates, scanned once for every stage."""
+        return wt.scan_templates(self.body)
+
+    def headings(self) -> list[wt.Heading]:
+        return self.outline.headings_in(*self.span)
+
+    def subsection(self, heads: list[wt.Heading], i: int) -> str:
+        """Text under heads[i] up to the next heading of its level or above."""
+        return self.outline.text(
+            *self.outline.body_range(heads, i, self.span[1], heads[i].level))
+
+    def named_subsection(self, name: str) -> str | None:
+        """Text under the first heading whose trimmed, casefolded text is `name`."""
+        heads = self.headings()
+        for i, head in enumerate(heads):
+            if head.inner_text.strip().casefold() == name:
+                return self.subsection(heads, i)
+        return None
 
 
 @dataclass
 class Meaning:
     ordinal: int
     definition_wikitext: str
-    definition_plain: str
+
+    @cached_property
+    def definition_plain(self) -> str:
+        return wt.strip_markup(self.definition_wikitext)
 
 
 @dataclass
@@ -85,16 +150,12 @@ def split_language_sections(
     Unresolvable headings produce SkippedSection records; the text under them
     is not parsed further.
     """
-    data = wt.encode(page.raw_text)
+    outline = PageOutline(page.raw_text)
     level = 2 if dialect.dialect == "en" else 1
-    heads = [h for h in wt.scan_headings(page.raw_text) if h.level == level]
+    heads = [h for h in outline.headings if h.level == level]
     sections: list[LanguageSection] = []
     skipped: list[SkippedSection] = []
     for i, head in enumerate(heads):
-        body_start = head.source_span[1]
-        if body_start < len(data) and data[body_start] == 0x0A:
-            body_start += 1
-        body_end = heads[i + 1].source_span[0] if i + 1 < len(heads) else len(data)
         if dialect.dialect == "en":
             language, reason = _resolve_language_en(head.inner_text, registry)
         else:
@@ -102,11 +163,9 @@ def split_language_sections(
         if language is None:
             skipped.append(SkippedSection(heading=head.inner_text.strip(), reason=reason))
             continue
-        sections.append(LanguageSection(
-            language=language,
-            body=wt.decode(data[body_start:body_end]),
-            span=(body_start, body_end),
-        ))
+        start, end = outline.body_range(heads, i, len(outline.data))
+        sections.append(LanguageSection(language=language, body=outline.text(start, end),
+                                        span=(start, end), outline=outline))
     return sections, skipped
 
 
@@ -145,14 +204,15 @@ def split_pos_sections(
         out = _split_pos_ru(section, registry)
     if not out:
         out = [PosSection(language=section.language, etymology_ordinal=0,
-                          pos=registry.unknown_pos(), body=section.body)]
+                          pos=registry.unknown_pos(), body=section.body,
+                          outline=section.outline, span=section.span)]
     return out
 
 
 def _split_pos_en(section: LanguageSection, registry: Registry) -> list[PosSection]:
-    data = wt.encode(section.body)
+    outline, section_end = section.outline, section.span[1]
     marks = []  # (heading, kind, payload)
-    for head in wt.scan_headings(section.body):
+    for head in outline.headings_in(*section.span):
         inner = head.inner_text.strip()
         m = _ETYMOLOGY_RE.match(inner)
         if m:
@@ -163,46 +223,36 @@ def _split_pos_en(section: LanguageSection, registry: Registry) -> list[PosSecti
             pos = registry.unknown_pos()
         if pos is not None:
             marks.append((head, "pos", pos))
+    heads = [head for head, _, _ in marks]
     out = []
     etym = 0
     for i, (head, kind, payload) in enumerate(marks):
         if kind == "etym":
             etym = payload
             continue
-        start = head.source_span[1]
-        if start < len(data) and data[start] == 0x0A:
-            start += 1
-        end = marks[i + 1][0].source_span[0] if i + 1 < len(marks) else len(data)
+        start, end = outline.body_range(heads, i, section_end)
         out.append(PosSection(language=section.language, etymology_ordinal=etym,
-                              pos=payload, body=wt.decode(data[start:end])))
+                              pos=payload, body=outline.text(start, end),
+                              outline=outline, span=(start, end)))
     return out
 
 
 def _split_pos_ru(section: LanguageSection, registry: Registry) -> list[PosSection]:
-    data = wt.encode(section.body)
-    homonym_heads = [h for h in wt.scan_headings(section.body) if h.level == 2]
-    blocks: list[tuple[int, int, int]] = []  # (ordinal, start, end)
-    if not homonym_heads:
-        blocks.append((0, 0, len(data)))
-    else:
-        for i, head in enumerate(homonym_heads):
-            start = head.source_span[1]
-            if start < len(data) and data[start] == 0x0A:
-                start += 1
-            end = (homonym_heads[i + 1].source_span[0]
-                   if i + 1 < len(homonym_heads) else len(data))
-            blocks.append((i + 1, start, end))
+    outline, section_end = section.outline, section.span[1]
+    homonym_heads = [h for h in outline.headings_in(*section.span) if h.level == 2]
+    blocks = [(i + 1, *outline.body_range(homonym_heads, i, section_end))
+              for i in range(len(homonym_heads))] or [(0, *section.span)]
     out = []
     for ordinal, start, end in blocks:
-        body = wt.decode(data[start:end])
-        pos = registry.unknown_pos()
-        for tpl in wt.scan_templates(body):
+        ps = PosSection(language=section.language, etymology_ordinal=ordinal,
+                        pos=registry.unknown_pos(), body=outline.text(start, end),
+                        outline=outline, span=(start, end))
+        for tpl in ps.templates:
             found = registry.pos_for_ru_template(tpl.name)
             if found is not None:
-                pos = found
+                ps.pos = found
                 break
-        out.append(PosSection(language=section.language, etymology_ordinal=ordinal,
-                              pos=pos, body=body))
+        out.append(ps)
     return out
 
 
@@ -218,38 +268,15 @@ def extract_definitions(
     if dialect.dialect == "en":
         region = pos_section.body
     else:
-        region = _ru_subsection(pos_section.body, RU_DEFINITIONS_HEADING)
+        region = pos_section.named_subsection(RU_DEFINITIONS_HEADING)
         if region is None:
             return []
     meanings = []
     for line in region.splitlines():
         if is_definition_line(line):
             wikitext = line[1:].strip()
-            meanings.append(Meaning(
-                ordinal=len(meanings) + 1,
-                definition_wikitext=wikitext,
-                definition_plain=wt.strip_markup(wikitext),
-            ))
+            meanings.append(Meaning(ordinal=len(meanings) + 1, definition_wikitext=wikitext))
     return meanings
-
-
-def _ru_subsection(body: str, heading_name: str) -> str | None:
-    """Body of the first subsection whose heading matches `heading_name`."""
-    heads = wt.scan_headings(body)
-    data = wt.encode(body)
-    for i, head in enumerate(heads):
-        if head.inner_text.strip().casefold() != heading_name:
-            continue
-        start = head.source_span[1]
-        if start < len(data) and data[start] == 0x0A:
-            start += 1
-        end = len(data)
-        for nxt in heads[i + 1:]:
-            if nxt.level <= head.level:
-                end = nxt.source_span[0]
-                break
-        return wt.decode(data[start:end])
-    return None
 
 
 def classify_soft_redirect(

@@ -16,6 +16,7 @@ import hashlib
 import multiprocessing
 import os
 import sys
+import threading
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -28,6 +29,11 @@ from .store import Checkpoint, ChecksumMismatch, MrdStore, WordBundle
 # test seam: abort the process abruptly (no cleanup, like kill -9) after this
 # many pages have been saved; exercises crash recovery end to end
 _CRASH_ENV = "WIKTMRD_CRASH_AFTER_PAGES"
+
+_SKIP_EXAMPLES = 5  # titles named per skip reason in the end-of-run summary
+# pages handed to pool workers and not yet taken back; at least the imap
+# chunksize (8), or the feeder could wait forever on an unfinished chunk
+_MAX_IN_FLIGHT = 64
 
 
 class MalformedDump(Exception):
@@ -322,10 +328,25 @@ def _run_parse_inner(config, store, dialect_cfg, registry, identity) -> ParseRep
             for page in pages():
                 yield analyze_page(page, dialect_cfg, registry)
         else:
+            # Pool.imap reads its input as fast as it can and keeps every
+            # result until it is taken; workers faster than the writer would
+            # grow memory with the dump, so they stay _MAX_IN_FLIGHT ahead.
+            in_flight = threading.Semaphore(_MAX_IN_FLIGHT)
+
+            def fed_pages():
+                for page in pages():
+                    in_flight.acquire()
+                    yield page
+
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(config.worker_count, initializer=_pool_init,
                           initargs=(config.dialect, config.registry_path)) as pool:
-                yield from pool.imap(_pool_analyze, pages(), chunksize=8)
+                try:
+                    for result in pool.imap(_pool_analyze, fed_pages(), chunksize=8):
+                        in_flight.release()
+                        yield result
+                finally:  # a feeder left waiting would keep the pool from closing
+                    in_flight.release(_MAX_IN_FLIGHT)
 
     def checkpoint_counters():
         merged = dict(base_counters)
@@ -344,16 +365,17 @@ def _run_parse_inner(config, store, dialect_cfg, registry, identity) -> ParseRep
     next_record = start
     saved = 0
     in_batch = 0
+    skip_examples: dict[str, list[str]] = {"redirect": [], "namespace": []}
     store.begin()
     for result in results():
         report.pages_seen += 1
         next_record = result.record_id + 1
+        if result.kind in skip_examples and len(skip_examples[result.kind]) < _SKIP_EXAMPLES:
+            skip_examples[result.kind].append(result.title)
         if result.kind == "redirect":
             report.pages_skipped_redirect += 1
-            print(f"skip redirect: {result.title}", file=sys.stderr)
         elif result.kind == "namespace":
             report.pages_skipped_namespace += 1
-            print(f"skip namespace: {result.title}", file=sys.stderr)
         elif result.kind == "failed":
             report.pages_failed += 1
             print(f"failed page: {result.title}: {result.error}", file=sys.stderr)
@@ -374,4 +396,10 @@ def _run_parse_inner(config, store, dialect_cfg, registry, identity) -> ParseRep
     store.save_checkpoint(Checkpoint(next_record, identity, checkpoint_counters()))
     store.commit()
     store.build_index_tables()
+    for kind, count in (("redirect", report.pages_skipped_redirect),
+                        ("namespace", report.pages_skipped_namespace)):
+        if count:
+            more = ", ..." if count > len(skip_examples[kind]) else ""
+            print(f"skipped {kind} pages: {count} ({', '.join(skip_examples[kind])}{more})",
+                  file=sys.stderr)
     return report

@@ -43,60 +43,28 @@ def extract_relations(
     Empty relation subsections are legal and contribute nothing.
     """
     records: list[RelationRecord] = []
-    for rel_type, subsection in _relation_subsections(pos_section.body, dialect, registry):
-        if dialect.dialect == "en":
-            _extract_en(rel_type, subsection, meanings, records)
-        else:
-            _extract_ru(rel_type, subsection, meanings, records)
-    return records
-
-
-def _relation_subsections(body: str, dialect: DialectConfig, registry: Registry):
-    heads = wt.scan_headings(body)
-    data = wt.encode(body)
+    heads = pos_section.headings()
     for i, head in enumerate(heads):
         rel_type = registry.find_relation_heading(head.inner_text, dialect.dialect)
         if rel_type is None:
             continue
-        start = head.source_span[1]
-        if start < len(data) and data[start] == 0x0A:
-            start += 1
-        end = len(data)
-        for nxt in heads[i + 1:]:
-            if nxt.level <= head.level:
-                end = nxt.source_span[0]
-                break
-        yield rel_type, wt.decode(data[start:end])
-
-
-def _extract_en(rel_type, subsection, meanings, records):
-    for line in subsection.splitlines():
-        m = _LIST_LINE_RE.match(line)
-        if not m:
-            continue
-        content = m.group(2).strip()
-        if content in _PLACEHOLDERS:
-            continue
-        gloss, meaning, content = _take_sense_gloss(content, meanings)
-        _records_from_line(rel_type, content, gloss, meaning, records)
-
-
-def _extract_ru(rel_type, subsection, meanings, records):
-    index = 0
-    for line in subsection.splitlines():
-        m = _LIST_LINE_RE.match(line)
-        if not m:
-            continue
-        index += 1
-        content = m.group(2).strip()
-        if content in _PLACEHOLDERS:
-            continue
-        meaning = meanings[index - 1] if index <= len(meanings) else None
-        _records_from_line(rel_type, content, "", meaning, records)
+        lines = pos_section.subsection(heads, i).splitlines()
+        items = [m.group(2).strip() for m in map(_LIST_LINE_RE.match, lines) if m]
+        for index, content in enumerate(items):
+            if content in _PLACEHOLDERS:
+                continue
+            if dialect.dialect == "en":
+                gloss, meaning, content = _take_sense_gloss(content, meanings)
+            else:  # the i-th list line belongs to meaning i
+                gloss, meaning = "", (meanings[index] if index < len(meanings) else None)
+            _records_from_line(rel_type, content, gloss, meaning, records)
+    return records
 
 
 def _take_sense_gloss(content: str, meanings: list[Meaning]):
     """Split off a leading {{sense|...}} template; align it to a meaning."""
+    if not content.startswith("{{"):
+        return "", None, content
     templates = wt.scan_templates(content)
     if not templates or templates[0].source_span[0] != 0:
         return "", None, content
@@ -117,40 +85,35 @@ def _take_sense_gloss(content: str, meanings: list[Meaning]):
 
 def _records_from_line(rel_type, content, gloss, meaning, records):
     data = wt.encode(content)
-    spans = _link_like_spans(content)
+    spans = _link_like_spans(content, data)
     if spans:
-        for s, e in spans:
-            piece = wt.decode(data[s:e])
-            if piece.startswith("{{"):
-                tpl = wt.scan_templates(piece)[0]
-                wikitext = (tpl.positional_params[1]
-                            if len(tpl.positional_params) > 1 else "").strip()
-            else:
-                wikitext = piece
-            word = wt.strip_markup(wikitext)
-            if word:
-                records.append(RelationRecord(
-                    relation_type=rel_type, target_word=word,
-                    target_wikitext=wikitext, sense_gloss=gloss, meaning=meaning))
-        return
-    # no links on the line: comma/semicolon-separated bare words
-    for token in re.split(r"[,;]", content):
-        token = token.strip()
-        if token in _PLACEHOLDERS:
-            continue
-        word = wt.strip_markup(token)
+        pieces = [_link_wikitext(wt.decode(data[s:e])) for s, e in spans]
+    else:  # no links on the line: comma/semicolon-separated bare words
+        pieces = [token.strip() for token in re.split(r"[,;]", content)
+                  if token.strip() not in _PLACEHOLDERS]
+    for wikitext in pieces:
+        word = wt.strip_markup(wikitext)
         if word:
             records.append(RelationRecord(
                 relation_type=rel_type, target_word=word,
-                target_wikitext=token, sense_gloss=gloss, meaning=meaning))
+                target_wikitext=wikitext, sense_gloss=gloss, meaning=meaning))
 
 
-def _link_like_spans(content: str):
-    """Byte spans of wikilinks and {{l|...}} link templates, in source order.
+def _link_wikitext(piece: str) -> str:
+    """The word's wikitext in a wikilink, or in a {{l|lang|word}} template."""
+    if not piece.startswith("{{"):
+        return piece
+    params = wt.scan_templates(piece)[0].positional_params
+    return (params[1] if len(params) > 1 else "").strip()
+
+
+def _link_like_spans(content: str, data: bytes):
+    """Byte spans of wikilinks and {{l|...}} link templates in `data`, the
+    encoded `content`, in source order.
 
     Overlaps (a link inside a link template) keep the earlier-starting span.
     """
-    spans = list(wt._kernel.wikilink_spans(wt.encode(content)))
+    spans = list(wt._kernel.wikilink_spans(data))
     for tpl in wt.scan_templates(content):
         if tpl.name.strip().casefold() in _LINK_TEMPLATES:
             spans.append(tpl.source_span)

@@ -292,10 +292,12 @@ class MrdStore:
         text = self._truncate(text)
         cached = self._wiki_text_cache.get(text)
         if cached is None:
-            row = self._conn.execute(
-                "SELECT id FROM wiki_text WHERE text=?", (text,)).fetchone()
-            wid = row[0] if row else self._conn.execute(
-                "INSERT INTO wiki_text(text) VALUES (?)", (text,)).lastrowid
+            # a conflicting insert takes no rowid, so ids stay sequential
+            cur = self._conn.execute(
+                "INSERT INTO wiki_text(text) VALUES (?) ON CONFLICT(text) DO NOTHING",
+                (text,))
+            wid = cur.lastrowid if cur.rowcount else self._conn.execute(
+                "SELECT id FROM wiki_text WHERE text=?", (text,)).fetchone()[0]
             written = ()
         else:
             wid, written = cached
@@ -310,24 +312,32 @@ class MrdStore:
     # -- saving ---------------------------------------------------------------
 
     def save_word(self, bundle: WordBundle) -> int:
-        """Write one parsed page atomically; re-saving a title replaces it."""
-        own_txn = not self._conn.in_transaction
+        """Write one parsed page atomically; re-saving a title replaces it.
+
+        The page is a savepoint: inside a caller's transaction an error
+        leaves that transaction as it was before the call."""
+        conn = self._conn
+        own_txn = not conn.in_transaction
+        counters = dict(self.counters)
         try:
-            if own_txn:
-                self._conn.execute("BEGIN")
+            conn.execute("SAVEPOINT page")
             page_id = self._save_word_rows(bundle)
-            if own_txn:
-                self.commit()
-            return page_id
-        except sqlite3.Error as exc:
-            self.rollback()
-            raise _translate_error(exc) from exc
-        except Exception:
-            if own_txn:
-                self.rollback()
-            else:  # the cache may name word rows this page never wrote
+            conn.execute("RELEASE page")  # commits when it began the transaction
+        except Exception as exc:
+            if conn.in_transaction:
+                conn.execute("ROLLBACK TO page")
+                conn.execute("RELEASE page")
+                # cached ids and written words may name rows the page never kept
                 self._clear_caches()
+                self.counters = counters
+            else:  # the error ended the whole transaction
+                self.rollback()
+            if isinstance(exc, sqlite3.Error):
+                raise _translate_error(exc) from exc
             raise
+        if own_txn:
+            self._committed_counters = dict(self.counters)
+        return page_id
 
     def _save_word_rows(self, bundle: WordBundle) -> int:
         conn = self._conn

@@ -25,7 +25,6 @@ _TRAILING_PAREN_RE = re.compile(r"^\s*\(([^)]*)\)")
 @dataclass
 class TranslationBox:
     gloss: str
-    source_span: tuple[int, int] = (0, 0)
 
 
 @dataclass
@@ -45,23 +44,21 @@ class SkippedLine:
 def extract_translations_en(
     pos_section: PosSection, registry: Registry
 ) -> tuple[list[tuple[TranslationBox, list[TranslationEntry]]], list[SkippedLine]]:
-    body = pos_section.body
-    data = wt.encode(body)
     skipped: list[SkippedLine] = []
-    regions = _en_box_regions(body, data)
     boxes = []
-    for gloss_wikitext, span, start, end in regions:
-        box = TranslationBox(gloss=wt.strip_markup(gloss_wikitext), source_span=span)
-        entries = _entries_from_en_lines(wt.decode(data[start:end]), registry, skipped)
-        boxes.append((box, entries))
+    for gloss_wikitext, region in _en_box_regions(pos_section):
+        box = TranslationBox(gloss=wt.strip_markup(gloss_wikitext))
+        boxes.append((box, _entries_from_en_lines(region, registry, skipped)))
     return boxes, skipped
 
 
-def _en_box_regions(body: str, data: bytes):
-    """(gloss wikitext, box span, content start, content end) per box."""
+def _en_box_regions(pos_section: PosSection):
+    """(gloss wikitext, content text) per box."""
+    outline = pos_section.outline
+    offset, section_end = pos_section.span
     openers = []
     closers = []
-    for tpl in wt.scan_templates(body):
+    for tpl in pos_section.templates:
         name = tpl.name.strip().casefold()
         if name == _TRANS_TOP:
             openers.append(tpl)
@@ -71,30 +68,18 @@ def _en_box_regions(body: str, data: bytes):
     for i, tpl in enumerate(openers):
         start = tpl.source_span[1]
         next_open = (openers[i + 1].source_span[0]
-                     if i + 1 < len(openers) else len(data))
+                     if i + 1 < len(openers) else section_end - offset)
         end = next_open
         for c in closers:
             if start <= c < next_open:
                 end = c
                 break
-        regions.append((tpl.first_param(), tpl.source_span, start, end))
+        regions.append((tpl.first_param(), outline.text(offset + start, offset + end)))
     if regions:
         return regions
     # bare "Translations" heading with no trans-top: one box, empty gloss
-    heads = wt.scan_headings(body)
-    for i, head in enumerate(heads):
-        if head.inner_text.strip().casefold() != _TRANSLATIONS_HEADING:
-            continue
-        start = head.source_span[1]
-        if start < len(data) and data[start] == 0x0A:
-            start += 1
-        end = len(data)
-        for nxt in heads[i + 1:]:
-            if nxt.level <= head.level:
-                end = nxt.source_span[0]
-                break
-        return [("", head.source_span, start, end)]
-    return []
+    region = pos_section.named_subsection(_TRANSLATIONS_HEADING)
+    return [] if region is None else [("", region)]
 
 
 def _entries_from_en_lines(region: str, registry: Registry, skipped: list[SkippedLine]):
@@ -148,17 +133,20 @@ def _entries_from_en_payload(payload, line_lang, registry, entries, skipped, lin
                 target_wikitext=wt.decode(data[s:e]),
                 transliteration=tpl.named_params.get("tr", "")))
         return
+    _link_entries(data, line_lang, entries)
+
+
+def _link_entries(data: bytes, lang: LanguageCode, entries: list[TranslationEntry]):
+    """One entry per wikilink in `data`, with a "(...)" right after the link
+    as its transliteration."""
     for s, e in wt._kernel.wikilink_spans(data):
         link = wt._build_wikilink(data, s, e)
         if link is None:
             continue
-        translit = ""
         m = _TRAILING_PAREN_RE.match(wt.decode(data[e:]))
-        if m:
-            translit = m.group(1).strip()
         entries.append(TranslationEntry(
-            language=line_lang, target_word=link.target,
-            target_wikitext=wt.decode(data[s:e]), transliteration=translit))
+            language=lang, target_word=link.target, target_wikitext=wt.decode(data[s:e]),
+            transliteration=m.group(1).strip() if m else ""))
 
 
 def extract_translations_ru(
@@ -166,11 +154,10 @@ def extract_translations_ru(
 ) -> tuple[list[tuple[TranslationBox, list[TranslationEntry]]], list[SkippedLine]]:
     boxes = []
     skipped: list[SkippedLine] = []
-    for tpl in wt.scan_templates(pos_section.body):
+    for tpl in pos_section.templates:
         if tpl.name.strip().casefold() != TRANSLATION_BLOCK_RU:
             continue
-        box = TranslationBox(gloss=wt.strip_markup(tpl.first_param()),
-                             source_span=tpl.source_span)
+        box = TranslationBox(gloss=wt.strip_markup(tpl.first_param()))
         entries: list[TranslationEntry] = []
         for key, value in tpl.named_params.items():
             if key == "1":
@@ -180,17 +167,6 @@ def extract_translations_ru(
                 skipped.append(SkippedLine(
                     line=f"{key}={value}", reason=f"unknown language code: {key!r}"))
                 continue
-            data = wt.encode(value)
-            for s, e in wt._kernel.wikilink_spans(data):
-                link = wt._build_wikilink(data, s, e)
-                if link is None:
-                    continue
-                translit = ""
-                m = _TRAILING_PAREN_RE.match(wt.decode(data[e:]))
-                if m:
-                    translit = m.group(1).strip()
-                entries.append(TranslationEntry(
-                    language=lang, target_word=link.target,
-                    target_wikitext=wt.decode(data[s:e]), transliteration=translit))
+            _link_entries(wt.encode(value), lang, entries)
         boxes.append((box, entries))
     return boxes, skipped

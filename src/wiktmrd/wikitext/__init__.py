@@ -3,6 +3,8 @@
 Scanning never fails on malformed input; broken markup just yields fewer
 results. All source spans are byte offsets into the UTF-8 encoding of the
 scanned string, so `text.encode()[start:end]` recovers the source slice.
+A scanned template splits its parameters out of the source bytes on first
+access, so a caller that only reads template names never pays for them.
 
 The byte-level kernel has two interchangeable implementations: a compiled
 Cython module and a pure-Python fallback. The compiled one is used when
@@ -40,12 +42,24 @@ def kernel_name() -> str:
 @dataclass
 class Template:
     """One {{...}} occurrence. Positional params are verbatim, named params
-    are whitespace-trimmed (MediaWiki convention); both keep source order."""
+    are whitespace-trimmed (MediaWiki convention); both keep source order.
+
+    A template from scan_templates splits its params on first access to
+    either of them; until then it holds its name, span and source bytes.
+    """
 
     name: str
     positional_params: list[str] = field(default_factory=list)
     named_params: dict[str, str] = field(default_factory=dict)
     source_span: tuple[int, int] = (0, 0)
+
+    def __getattr__(self, attr):
+        # reached only while a scanned template's params are still unsplit
+        source = self.__dict__.pop("_source", None)
+        if source is None:
+            raise AttributeError(attr)
+        self.positional_params, self.named_params = _split_params(*source)
+        return getattr(self, attr)
 
     def first_param(self) -> str:
         """First positional param, falling back to the "1" named param."""
@@ -102,22 +116,56 @@ def _collect_templates(data: bytes, spans, shift: int, out: list[Template]) -> N
 
 def _build_template(data: bytes, s: int, e: int, shift: int = 0) -> Template | None:
     bs, be = s + 2, e - 2
-    pipes = _kernel.top_level_marks(data, bs, be, _PIPE)
-    name_end = pipes[0] if pipes else be
+    name_end = _first_mark(data, bs, be, _PIPE)
     name = decode(data[bs:name_end]).strip()
     if not name:
         return None
-    tpl = Template(name=name, source_span=(shift + s, shift + e))
-    starts = [p + 1 for p in pipes]
-    ends = pipes[1:] + [be]
-    for seg_start, seg_end in zip(starts, ends):
-        eqs = _kernel.top_level_marks(data, seg_start, seg_end, _EQ)
-        key = decode(data[seg_start:eqs[0]]).strip() if eqs else ""
-        if key:
-            tpl.named_params[key] = decode(data[eqs[0] + 1:seg_end]).strip()
-        else:
-            tpl.positional_params.append(decode(data[seg_start:seg_end]))
+    tpl = Template.__new__(Template)
+    tpl.name = name
+    tpl.source_span = (shift + s, shift + e)
+    tpl._source = (data, name_end, be)
     return tpl
+
+
+def _first_mark(data: bytes, start: int, end: int, needle: int) -> int:
+    """Position of the first `needle` byte at bracket depth 0 in [start, end),
+    else `end`. Only a "{{" or "[[" before the first `needle` byte can raise
+    the depth there, so the bracket scan runs only when one comes first."""
+    pos = data.find(needle, start, end)
+    if pos == -1:
+        return end
+    if data.find(b"{{", start, pos) == -1 and data.find(b"[[", start, pos) == -1:
+        return pos
+    marks = _kernel.top_level_marks(data, start, end, needle)
+    return marks[0] if marks else end
+
+
+def _split_params(data: bytes, pipe: int, end: int) -> tuple[list[str], dict[str, str]]:
+    """Positional and named params of the template body that ends at `end`
+    and whose name ends at `pipe`, its first top-level "|" (or `end`)."""
+    positional: list[str] = []
+    named: dict[str, str] = {}
+    if pipe == end:
+        return positional, named
+    if data.find(b"{{", pipe, end) == -1 and data.find(b"[[", pipe, end) == -1:
+        # no brackets: every "|" and "=" is at depth 0
+        for segment in decode(data[pipe + 1:end]).split("|"):
+            key, eq, value = segment.partition("=")
+            key = key.strip()
+            if eq and key:
+                named[key] = value.strip()
+            else:
+                positional.append(segment)
+        return positional, named
+    pipes = _kernel.top_level_marks(data, pipe, end, _PIPE)
+    for seg_start, seg_end in zip([p + 1 for p in pipes], pipes[1:] + [end]):
+        eq = _first_mark(data, seg_start, seg_end, _EQ)
+        key = decode(data[seg_start:eq]).strip() if eq < seg_end else ""
+        if key:
+            named[key] = decode(data[eq + 1:seg_end]).strip()
+        else:
+            positional.append(decode(data[seg_start:seg_end]))
+    return positional, named
 
 
 def scan_wikilinks(text: str) -> list[WikiLink]:
@@ -149,13 +197,13 @@ def _build_wikilink(data: bytes, s: int, e: int) -> WikiLink | None:
     return WikiLink(target=target, label=label, source_span=(s, e))
 
 
-def scan_headings(text: str) -> list[Heading]:
+def scan_headings(text: str | bytes) -> list[Heading]:
     """One Heading per "=...=" line; level = min of the marker runs, max 6.
 
     The span covers the whole line without its newline; inner text is kept
-    untrimmed.
+    untrimmed. A caller that already holds the UTF-8 bytes may pass them.
     """
-    data = encode(text)
+    data = text if isinstance(text, bytes) else encode(text)
     return [
         Heading(level=lvl, inner_text=decode(data[is_:ie]), source_span=(ls, le))
         for ls, le, lvl, is_, ie in _kernel.heading_spans(data)
@@ -167,11 +215,14 @@ def strip_markup(text: str) -> str:
     ('' and ''') are dropped, whitespace collapses to single spaces."""
     s = text
     for _ in range(4):
+        if "{{" not in s and "[[" not in s:
+            break  # no template or link left to remove
         t = _strip_once(s)
         if t == s:
             break
         s = t
-    s = _QUOTE_RUN.sub("", s)
+    if "''" in s:
+        s = _QUOTE_RUN.sub("", s)
     return " ".join(s.split())
 
 

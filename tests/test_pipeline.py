@@ -125,6 +125,22 @@ def test_run_parse_counts_redirects_and_namespaces(tmp_path):
         assert store.query("SELECT title FROM page") == [("dog",)]
 
 
+def test_skipped_pages_summarized_once_per_reason(tmp_path, capsys):
+    dump = write_dump(tmp_path / "d.xml", [
+        ("dog", "==English==\n===Noun===\n# An animal.\n"),
+        ("hound", "#REDIRECT [[dog]]", 0, "dog"),
+        ("pup", "#REDIRECT [[dog]]", 0, "dog"),
+        ("cur", "#REDIRECT [[dog]]", 0, "dog"),
+        ("Wikisaurus:dog", "==English==\nnot parsed\n"),
+    ])
+    run_parse(ParseConfig(dialect="en", dump_path=dump, store_path=tmp_path / "s.db"))
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "redirect" in line] == [
+        "skipped redirect pages: 3 (hound, pup, cur)"]
+    assert [line for line in err if "namespace" in line] == [
+        "skipped namespace pages: 1 (Wikisaurus:dog)"]
+
+
 def test_failing_page_never_halts_run(tmp_path, monkeypatch):
     real = pipeline.entry.split_language_sections
 
@@ -185,6 +201,44 @@ def test_worker_pool_determinism(tmp_path):
             store.export_tsv(out)
         exports.append(out)
     assert_export_dirs_equal(*exports)
+
+
+def test_workers_stay_a_bounded_number_of_pages_ahead(tmp_path, monkeypatch):
+    pages = [(f"w{i:03d}", f"==English==\n===Noun===\n# Word {i}.\n") for i in range(120)]
+    dump = write_dump(tmp_path / "d.xml", pages)
+    monkeypatch.setattr(pipeline, "_MAX_IN_FLIGHT", 8)
+    saved = []
+    save_word = MrdStore.save_word
+
+    def counting_save(self, bundle):
+        saved.append(bundle.title)
+        return save_word(self, bundle)
+
+    ahead = []
+    read = pipeline.iterate_dump
+
+    def counting_read(path):
+        for n, page in enumerate(read(path)):
+            ahead.append(n - len(saved))  # pages read but not yet saved
+            yield page
+
+    monkeypatch.setattr(MrdStore, "save_word", counting_save)
+    monkeypatch.setattr(pipeline, "iterate_dump", counting_read)
+    report = run_parse(ParseConfig(dialect="en", dump_path=dump,
+                                   store_path=tmp_path / "s.db", worker_count=2))
+    assert report.pages_parsed == len(pages) == len(saved)
+    assert max(ahead) <= 8 + 1  # the writer may hold one result it has not saved yet
+
+    def failing_save(self, bundle):
+        if len(saved) == len(pages) + 20:
+            raise RuntimeError("writer failed")
+        return counting_save(self, bundle)
+
+    # a writer error ends the run even while the feeder waits for room
+    monkeypatch.setattr(MrdStore, "save_word", failing_save)
+    with pytest.raises(RuntimeError, match="writer failed"):
+        run_parse(ParseConfig(dialect="en", dump_path=dump,
+                              store_path=tmp_path / "t.db", worker_count=2))
 
 
 def assert_export_dirs_equal(dir_a, dir_b):

@@ -171,6 +171,26 @@ def test_language_interned_in_rolled_back_batch_gets_valid_id(store):
     assert store.lookup_word("new")[0]["lang_code"] == "ka"
 
 
+def test_failed_page_inside_transaction_leaves_batch_unchanged(store):
+    store.begin()
+    store.save_word(simple_bundle(title="kept"))
+    sizes = store.table_sizes()
+    counters = dict(store.counters)
+    broken = WordBundle(title="broken", record_id=1, lang_pos=[
+        noun(meanings=[(1, "щ" * 70000, [])],
+             translations=[("gloss", [("fi", "sana", "[[sana]]"),
+                                      ("Not A Code", "x", "[[x]]")])])])
+    with pytest.raises(CorruptStore):
+        store.save_word(broken)
+    assert store.table_sizes() == sizes
+    assert store.counters == counters  # the page's truncation is forgotten
+    store.save_word(simple_bundle(title="after", record_id=2))
+    store.commit()
+    assert [r[0] for r in store.query("SELECT title FROM page ORDER BY id")] == [
+        "kept", "after"]
+    store.check_referential_integrity()
+
+
 class _BatchCounter:
     """A connection stand-in that counts executemany calls per table."""
 
@@ -212,6 +232,16 @@ def test_save_word_statements(store):
     assert sum(word_inserts.values()) == store.table_sizes()["wiki_text_words"] == 6
     assert counter.batches == {table: pages for table in (
         "wiki_text_words", "relation", "translation_entry", "inflection")}
+    # a new text is inserted without a lookup first
+    assert not [s for s in statements if s.startswith("SELECT id FROM wiki_text")]
+
+    # a text already in the store, but no longer cached, keeps its id
+    texts_before = store.query("SELECT id, text FROM wiki_text ORDER BY id")
+    store._clear_caches()
+    store.save_word(page(pages))
+    assert store.query("SELECT id, text FROM wiki_text ORDER BY id") == texts_before
+    assert [s for s in statements if s.startswith("SELECT id FROM wiki_text")]
+    store.check_referential_integrity()
 
 
 def test_wiki_text_cache_cap_counts_words(store, monkeypatch):

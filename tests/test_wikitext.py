@@ -1,7 +1,9 @@
 """Scanner tests: worked examples, reference-oracle equivalence, properties."""
 
+import re
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wiktmrd import wikitext as wt
 from wiktmrd.wikitext import _kernel_py
@@ -90,6 +92,55 @@ def _ref_build(data, start, end, segments):
     return tpl
 
 
+def ref_split_template(data, s, e):
+    """(name, positional, named) of the template at data[s:e], every "|" and
+    "=" found by a full bracket-depth scan of its segment."""
+    bs, be = s + 2, e - 2
+    pipes = _kernel_py.top_level_marks(data, bs, be, 0x7C)
+    name = data[bs:pipes[0] if pipes else be].decode("utf-8", "surrogatepass").strip()
+    positional, named = [], {}
+    for seg_start, seg_end in zip([p + 1 for p in pipes], pipes[1:] + [be]):
+        eqs = _kernel_py.top_level_marks(data, seg_start, seg_end, 0x3D)
+        key = data[seg_start:eqs[0]].decode("utf-8", "surrogatepass").strip() if eqs else ""
+        if key:
+            named[key] = data[eqs[0] + 1:seg_end].decode("utf-8", "surrogatepass").strip()
+        else:
+            positional.append(data[seg_start:seg_end].decode("utf-8", "surrogatepass"))
+    return name, positional, named
+
+
+def ref_strip_markup(text):
+    """strip_markup without its shortcuts: strip templates and links until
+    nothing changes (at most 4 passes), drop quote runs, collapse spaces."""
+    s = text
+    for _ in range(4):
+        t = _ref_strip_once(s)
+        if t == s:
+            break
+        s = t
+    return " ".join(re.sub(r"''+", "", s).split())
+
+
+def _ref_strip_once(text):
+    data = text.encode("utf-8", "surrogatepass")
+    events = [(s, e, False) for s, e in _kernel_py.template_spans(data)]
+    events += [(s, e, True) for s, e in _kernel_py.wikilink_spans(data)]
+    events.sort()
+    parts = []
+    pos = 0
+    for s, e, is_link in events:
+        if s < pos:
+            continue
+        parts.append(data[pos:s].decode("utf-8", "surrogatepass"))
+        if is_link:
+            inner = data[s + 2:e - 2].decode("utf-8", "surrogatepass")
+            target, pipe, label = inner.partition("|")
+            parts.append(label.strip() if pipe and label.strip() else target.strip())
+        pos = e
+    parts.append(data[pos:].decode("utf-8", "surrogatepass"))
+    return "".join(parts)
+
+
 # ---------------------------------------------------------------------------
 # Worked examples
 # ---------------------------------------------------------------------------
@@ -174,6 +225,10 @@ def test_strip_markup_whitespace_collapse():
 markup_text = st.text(
     alphabet=st.sampled_from(list("{}[]|=#*:'\n abcxyzщ수")), max_size=120)
 any_text = st.one_of(markup_text, st.text(max_size=80))
+# mostly brackets, pipes and quotes: near misses of every markup shortcut
+bracket_text = st.lists(st.sampled_from(
+    ["{{", "}}", "[[", "]]", "{", "]", "|", "=", "''", "'", " ", "\t", "a", "b"]),
+    max_size=30).map("".join)
 
 
 @st.composite
@@ -207,6 +262,32 @@ def balanced_doc(draw, depth=0):
 @settings(max_examples=300)
 def test_reference_oracle_agreement(text):
     assert wt.scan_templates(text) == ref_scan_templates(text)
+    # params split lazily, after the whole body was scanned for names only
+    expected = ref_scan_templates(text)
+    got = wt.scan_templates(text)
+    assert [(t.name, t.source_span) for t in got] == [
+        (t.name, t.source_span) for t in expected]
+    for tpl, ref in reversed(list(zip(got, expected))):
+        assert tpl.named_params == ref.named_params
+        assert tpl.positional_params == ref.positional_params
+        assert tpl.first_param() == ref.first_param()
+
+
+@given(st.one_of(any_text, bracket_text, bracket_text.map(lambda t: "{{a" + t + "}}")))
+@example("{{a[[b|c]]|d}}")  # a "|" inside a link in the name
+@example("{{a|[[b=c]]=d|{{e|f=g}}}}")  # an "=" inside a link in a param
+@settings(max_examples=500)
+def test_template_params_match_full_depth_scan(text):
+    data = wt.encode(text)
+    for tpl in wt.scan_templates(text):
+        assert ((tpl.name, tpl.positional_params, tpl.named_params)
+                == ref_split_template(data, *tpl.source_span))
+
+
+@given(st.one_of(any_text, bracket_text))
+@settings(max_examples=500)
+def test_strip_markup_matches_reference(text):
+    assert wt.strip_markup(text) == ref_strip_markup(text)
 
 
 @given(any_text)
