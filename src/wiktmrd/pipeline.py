@@ -40,6 +40,10 @@ class MalformedDump(Exception):
     def __init__(self, byte_offset: int, detail: str):
         super().__init__(f"malformed dump at byte offset {byte_offset}: {detail}")
         self.byte_offset = byte_offset
+        self.detail = detail
+
+    def __reduce__(self):  # a pool worker re-raises it, so it must unpickle
+        return MalformedDump, (self.byte_offset, self.detail)
 
 
 @dataclass

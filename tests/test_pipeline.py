@@ -47,6 +47,20 @@ def test_iterate_dump_truncated_raises_with_offset(tmp_path):
     assert seen == ["a"]  # pages before the damage still stream out
 
 
+def test_truncated_dump_with_workers_fails_without_hanging(tmp_path):
+    pages = [(f"w{i:03d}", f"==English==\n===Noun===\n# Word {i}.\n") for i in range(400)]
+    data = open(write_dump(tmp_path / "full.xml", pages), "rb").read()
+    cut = tmp_path / "cut.xml"
+    cut.write_bytes(data[:len(data) * 2 // 3])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wiktmrd.cli", "parse", "--dialect", "en", "--dump", str(cut),
+         "--store", str(tmp_path / "s.db"), "--workers", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "malformed dump at byte offset" in proc.stderr
+
+
 @pytest.mark.parametrize("compression", [None, "gz", "bz2"])
 def test_iterate_dump_compression(tmp_path, compression):
     dump = write_dump(tmp_path / "d.bin", [("word", "text")], compression)
