@@ -11,6 +11,7 @@ Pages may be analyzed in parallel worker processes; commits stay ordered.
 from __future__ import annotations
 
 import bz2
+import contextlib
 import gzip
 import hashlib
 import multiprocessing
@@ -336,10 +337,13 @@ def _run_parse_inner(config, store, dialect_cfg, registry, identity) -> ParseRep
             # result until it is taken; workers faster than the writer would
             # grow memory with the dump, so they stay _MAX_IN_FLIGHT ahead.
             in_flight = threading.Semaphore(_MAX_IN_FLIGHT)
+            stopped = threading.Event()
 
             def fed_pages():
                 for page in pages():
                     in_flight.acquire()
+                    if stopped.is_set():
+                        return
                     yield page
 
             ctx = multiprocessing.get_context("fork")
@@ -349,8 +353,9 @@ def _run_parse_inner(config, store, dialect_cfg, registry, identity) -> ParseRep
                     for result in pool.imap(_pool_analyze, fed_pages(), chunksize=8):
                         in_flight.release()
                         yield result
-                finally:  # a feeder left waiting would keep the pool from closing
-                    in_flight.release(_MAX_IN_FLIGHT)
+                finally:  # a feeder still waiting for room would keep the pool open
+                    stopped.set()
+                    in_flight.release()
 
     def checkpoint_counters():
         merged = dict(base_counters)
@@ -371,32 +376,36 @@ def _run_parse_inner(config, store, dialect_cfg, registry, identity) -> ParseRep
     in_batch = 0
     skip_examples: dict[str, list[str]] = {"redirect": [], "namespace": []}
     store.begin()
-    for result in results():
-        report.pages_seen += 1
-        next_record = result.record_id + 1
-        if result.kind in skip_examples and len(skip_examples[result.kind]) < _SKIP_EXAMPLES:
-            skip_examples[result.kind].append(result.title)
-        if result.kind == "redirect":
-            report.pages_skipped_redirect += 1
-        elif result.kind == "namespace":
-            report.pages_skipped_namespace += 1
-        elif result.kind == "failed":
-            report.pages_failed += 1
-            print(f"failed page: {result.title}: {result.error}", file=sys.stderr)
-        else:
-            store.save_word(result.bundle)
-            report.pages_parsed += 1
-            report.sections_skipped_unknown_language += result.skipped_sections
-            report.translation_lines_skipped += result.skipped_lines
-            saved += 1
-            if crash_after and saved >= crash_after:
-                os._exit(86)  # abrupt death: no commit, no cleanup
-        in_batch += 1
-        if in_batch >= config.checkpoint_interval:
-            store.save_checkpoint(Checkpoint(next_record, identity, checkpoint_counters()))
-            store.commit()
-            store.begin()
-            in_batch = 0
+    # an error in the loop closes the results at once, which lets a pool
+    # whose feeder waits for room shut down
+    with contextlib.closing(results()) as analysed:
+        for result in analysed:
+            report.pages_seen += 1
+            next_record = result.record_id + 1
+            examples = skip_examples.get(result.kind)
+            if examples is not None and len(examples) < _SKIP_EXAMPLES:
+                examples.append(result.title)
+            if result.kind == "redirect":
+                report.pages_skipped_redirect += 1
+            elif result.kind == "namespace":
+                report.pages_skipped_namespace += 1
+            elif result.kind == "failed":
+                report.pages_failed += 1
+                print(f"failed page: {result.title}: {result.error}", file=sys.stderr)
+            else:
+                store.save_word(result.bundle)
+                report.pages_parsed += 1
+                report.sections_skipped_unknown_language += result.skipped_sections
+                report.translation_lines_skipped += result.skipped_lines
+                saved += 1
+                if crash_after and saved >= crash_after:
+                    os._exit(86)  # abrupt death: no commit, no cleanup
+            in_batch += 1
+            if in_batch >= config.checkpoint_interval:
+                store.save_checkpoint(Checkpoint(next_record, identity, checkpoint_counters()))
+                store.commit()
+                store.begin()
+                in_batch = 0
     store.save_checkpoint(Checkpoint(next_record, identity, checkpoint_counters()))
     store.commit()
     store.build_index_tables()
