@@ -36,11 +36,7 @@ POS_NAMES = (
 
 
 class UnknownLanguage(LookupError):
-    """The code or name is not in the registry; callers skip and count."""
-
-
-class NotARelationHeading(LookupError):
-    """The heading does not open a semantic-relation subsection."""
+    """The code is not in the registry; callers skip and count."""
 
 
 class MalformedRegistryFile(ValueError):
@@ -120,7 +116,6 @@ FORM_OF_TEMPLATES = frozenset({
 TRANSLATION_TEMPLATES_EN = frozenset({"t", "t+", "t-", "tø"})
 TRANSLATION_BLOCK_RU = "перев-блок"
 RU_DEFINITIONS_HEADING = "значение"
-RU_SEMANTICS_HEADING = "семантические свойства"
 
 
 class Registry:
@@ -173,22 +168,10 @@ class Registry:
         code = self._by_english.get(name.strip().casefold())
         return self.languages[code] if code else None
 
-    def lookup_english_name(self, name: str) -> LanguageCode:
-        lang = self.find_english_name(name)
-        if lang is None:
-            raise UnknownLanguage(f"unknown language name: {name!r}")
-        return lang
-
     # -- relation headings ---------------------------------------------------
 
     def find_relation_heading(self, inner: str, dialect: str) -> RelationType | None:
         return self._relation_by_heading[dialect].get(inner.strip().casefold())
-
-    def classify_relation_heading(self, inner: str, dialect: str) -> RelationType:
-        rt = self.find_relation_heading(inner, dialect)
-        if rt is None:
-            raise NotARelationHeading(inner)
-        return rt
 
     # -- parts of speech ------------------------------------------------------
 

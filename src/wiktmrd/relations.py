@@ -123,10 +123,3 @@ def _link_like_spans(content: str, data: bytes):
         if not out or span[0] >= out[-1][1]:
             out.append(span)
     return out
-
-
-def count_relations_per_word(records) -> tuple[int, int]:
-    """(record count, distinct relation-type count) for one PosSection group."""
-    records = list(records)
-    types = {r.relation_type.canonical_name for r in records}
-    return len(records), len(types)

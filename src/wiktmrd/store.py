@@ -481,17 +481,6 @@ class MrdStore:
             self.rollback()
             raise _translate_error(exc) from exc
 
-    def prefix_search(self, prefix: str, lang_code: str | None = None) -> list[str]:
-        """Words starting with `prefix` in one language's index (None = native)."""
-        table = "index_native" if lang_code is None else f"index_{lang_code}"
-        if table not in self.index_tables():
-            return []
-        escaped = prefix.replace("\\", "\\\\").replace("%", r"\%").replace("_", r"\_")
-        rows = self._conn.execute(
-            f'SELECT DISTINCT word FROM "{table}" WHERE word LIKE ? ESCAPE \'\\\' '
-            "ORDER BY word", (escaped + "%",)).fetchall()
-        return [r[0] for r in rows]
-
     # -- statistics hooks ---------------------------------------------------------
 
     def table_sizes(self) -> dict[str, int]:

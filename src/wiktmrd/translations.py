@@ -19,7 +19,6 @@ _TRANSLATIONS_HEADING = "translations"
 _TRANS_TOP = "trans-top"
 _TRANS_BOTTOM = "trans-bottom"
 _LINE_RE = re.compile(r"^([*#:]+)\s*(.*)$")
-_TRAILING_PAREN_RE = re.compile(r"^\s*\(([^)]*)\)")
 
 
 @dataclass
@@ -32,7 +31,6 @@ class TranslationEntry:
     language: LanguageCode
     target_word: str
     target_wikitext: str
-    transliteration: str = ""
 
 
 @dataclass
@@ -129,24 +127,18 @@ def _entries_from_en_payload(payload, line_lang, registry, entries, skipped, lin
                 skipped.append(SkippedLine(line=line, reason="code–name conflict"))
             s, e = tpl.source_span
             entries.append(TranslationEntry(
-                language=lang, target_word=word,
-                target_wikitext=wt.decode(data[s:e]),
-                transliteration=tpl.named_params.get("tr", "")))
+                language=lang, target_word=word, target_wikitext=wt.decode(data[s:e])))
         return
     _link_entries(data, line_lang, entries)
 
 
 def _link_entries(data: bytes, lang: LanguageCode, entries: list[TranslationEntry]):
-    """One entry per wikilink in `data`, with a "(...)" right after the link
-    as its transliteration."""
+    """One entry per wikilink in `data`."""
     for s, e in wt._kernel.wikilink_spans(data):
         link = wt._build_wikilink(data, s, e)
-        if link is None:
-            continue
-        m = _TRAILING_PAREN_RE.match(wt.decode(data[e:]))
-        entries.append(TranslationEntry(
-            language=lang, target_word=link.target, target_wikitext=wt.decode(data[s:e]),
-            transliteration=m.group(1).strip() if m else ""))
+        if link is not None:
+            entries.append(TranslationEntry(
+                language=lang, target_word=link.target, target_wikitext=wt.decode(data[s:e])))
 
 
 def extract_translations_ru(

@@ -6,28 +6,18 @@ scanned string, so `text.encode()[start:end]` recovers the source slice.
 A scanned template splits its parameters out of the source bytes on first
 access, so a caller that only reads template names never pays for them.
 
-The byte-level kernel has two interchangeable implementations: a compiled
-Cython module and a pure-Python fallback. The compiled one is used when
-importable unless WIKTMRD_KERNEL=python is set in the environment.
+The byte-level scanning primitives live in the pure-Python `_kernel`
+module; this module builds the public objects from their spans.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, field
 
-from . import _kernel_py
+from . import _kernel
 
-if os.environ.get("WIKTMRD_KERNEL", "").lower() == "python":
-    _kernel = _kernel_py
-else:
-    try:
-        from . import _kernel_cy as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        _kernel = _kernel_py
-
-MAX_TEMPLATE_DEPTH = _kernel_py.MAX_TEMPLATE_DEPTH
+MAX_TEMPLATE_DEPTH = _kernel.MAX_TEMPLATE_DEPTH
 
 _PIPE = 0x7C
 _EQ = 0x3D
@@ -35,8 +25,9 @@ _QUOTE_RUN = re.compile(r"''+")
 
 
 def kernel_name() -> str:
-    """Which kernel implementation is active: "compiled" or "python"."""
-    return "python" if _kernel is _kernel_py else "compiled"
+    """The scanning kernel in use: always "python", the only one there is.
+    Kept because perfbench/run.py records it with every benchmark result."""
+    return "python"
 
 
 @dataclass

@@ -3,8 +3,7 @@
 All functions take UTF-8 bytes and return byte offsets. The scan is a token
 automaton over two-byte tokens ("{{", "}}", "[[", "]]"): a recognized token
 consumes two bytes whether or not it binds, anything else consumes one.
-The compiled twin (_kernel_cy) implements the identical semantics; the
-equivalence is enforced by fuzz tests.
+Fuzz tests check it against an independent recursive-descent scanner.
 """
 
 from __future__ import annotations

@@ -327,6 +327,6 @@ def test_criterion_7_registry_completeness():
         assert registry.lookup_code(code).code == code
     for name in ("English", "Russian", "Finnish", "Korean", "Albanian",
                  "Spanish", "Estonian", "Chinese"):
-        registry.lookup_english_name(name)
+        assert registry.find_english_name(name) is not None, name
     print(f"\nACCEPTANCE 7 PASS: {len(registry.languages)} built-in codes; "
           "all fixture languages resolve")

@@ -16,6 +16,10 @@ def pos_sections_for(page, dialect, registry):
     return out
 
 
+def relation_types(records):
+    return {r.relation_type.canonical_name for r in records}
+
+
 def count_wikilinks_under_relation_headings(body, dialect, registry):
     """Brute-force oracle: wikilinks below relation headings."""
     total = 0
@@ -36,12 +40,11 @@ def count_wikilinks_under_relation_headings(body, dialect, registry):
 def test_toe_has_seven_relations_in_six_types(en, registry):
     [(ps, meanings)] = pos_sections_for(fixture_page("en", "toe"), en, registry)
     records = relations.extract_relations(ps, meanings, en, registry)
-    count, types = relations.count_relations_per_word(records)
-    assert (count, types) == (7, 6)
+    assert len(records) == 7
     assert {r.relation_type.canonical_name for r in records} == {
         "synonym", "antonym", "hyponym", "holonym", "meronym", "coordinate_term"}
     oracle = count_wikilinks_under_relation_headings(ps.body, en, registry)
-    assert count == oracle
+    assert len(records) == oracle
 
 
 def test_paw_homonyms_counted_separately(en, registry):
@@ -49,15 +52,14 @@ def test_paw_homonyms_counted_separately(en, registry):
     assert len(groups) == 2
     first = relations.extract_relations(*groups[0], en, registry)
     second = relations.extract_relations(*groups[1], en, registry)
-    assert relations.count_relations_per_word(first) == (12, 4)
-    assert relations.count_relations_per_word(second) == (7, 5)
+    assert (len(first), len(relation_types(first))) == (12, 4)
+    assert (len(second), len(relation_types(second))) == (7, 5)
 
 
 def test_iron_has_six_distinct_types(en, registry):
     [(ps, meanings)] = pos_sections_for(fixture_page("en", "iron"), en, registry)
     records = relations.extract_relations(ps, meanings, en, registry)
-    _, types = relations.count_relations_per_word(records)
-    assert types == 6
+    assert len(relation_types(records)) == 6
 
 
 def test_empty_relation_header_yields_nothing(en, registry):
@@ -147,10 +149,6 @@ def test_target_word_is_stripped_wikitext(en, registry):
                 assert rec.target_word
 
 
-def test_count_relations_empty():
-    assert relations.count_relations_per_word([]) == (0, 0)
-
-
 @given(st.text(alphabet=st.sampled_from(list("=*#[]{}|,;-—' \nabcdцеф")), max_size=300))
 @settings(max_examples=150)
 def test_relation_extraction_never_raises(registry, body):
@@ -160,7 +158,6 @@ def test_relation_extraction_never_raises(registry, body):
                               pos=registry.parts_of_speech["noun"], body=body)
         meanings = entry.extract_definitions(ps, cfg, registry)
         records = relations.extract_relations(ps, meanings, cfg, registry)
-        count, types = relations.count_relations_per_word(records)
-        assert types <= min(count, 9) if count else types == 0
+        assert len(relation_types(records)) <= min(len(records), 9)
         for rec in records:
             assert rec.target_word

@@ -264,7 +264,7 @@ def test_index_tables_native_only(store):
     store.save_word(simple_bundle(title="beta"))
     counts = store.build_index_tables()
     assert counts == {"index_native": 2}
-    assert store.prefix_search("al") == ["alpha"]
+    assert store.query("SELECT word FROM index_native ORDER BY word") == [("alpha",), ("beta",)]
 
 
 def test_index_tables_ignore_translation_languages(store):

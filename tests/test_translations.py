@@ -22,8 +22,8 @@ def test_bush_translations(en, registry):
     assert len(boxes) == 1
     box, entries = boxes[0]
     assert box.gloss == "woody plant"
-    assert [(e.language.code, e.target_word, e.transliteration) for e in entries] == [
-        ("fi", "pensas", ""), ("ko", "수풀", "supul")]
+    assert [(e.language.code, e.target_word) for e in entries] == [
+        ("fi", "pensas"), ("ko", "수풀")]
     assert entries[0].target_wikitext == "{{t+|fi|pensas}}"
     assert entries[1].target_wikitext == "[[수풀]]"
 
@@ -75,14 +75,6 @@ def test_nested_subline_attaches_to_parent_language(en, registry):
     boxes, skipped = translations.extract_translations_en(ps, registry)
     entries = boxes[0][1]
     assert [(e.language.code, e.target_word) for e in entries] == [("zh", "狗"), ("fi", "koira")]
-
-
-def test_translit_from_named_param(en, registry):
-    ps = entry.PosSection(language=registry.lookup_code("en"), etymology_ordinal=0,
-                          pos=registry.parts_of_speech["noun"],
-                          body="{{trans-top|x}}\n* Russian: {{t+|ru|собака|tr=sobaka}}\n{{trans-bottom}}\n")
-    boxes, _ = translations.extract_translations_en(ps, registry)
-    assert boxes[0][1][0].transliteration == "sobaka"
 
 
 def test_ru_translation_block(ru, registry):
