@@ -125,8 +125,16 @@ def _metric_lines(store: MrdStore):
         yield "empty_store", 1, None, None
 
 
+def _existing_store(path) -> MrdStore:
+    """Open a store a read-only command reads; a missing one is an error,
+    not a new empty store."""
+    if not os.path.exists(path):
+        raise StoreError(f"no store at {path}")
+    return MrdStore(path)
+
+
 def _cmd_stats(args) -> int:
-    with MrdStore(args.store) as store:
+    with _existing_store(args.store) as store:
         if args.json:
             for name, value, num, den in _metric_lines(store):
                 print(json.dumps({"name": name, "value": value,
@@ -142,7 +150,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_lookup(args) -> int:
-    with MrdStore(args.store) as store:
+    with _existing_store(args.store) as store:
         if args.reverse:
             hits = store.reverse_lookup(args.word)
             if not hits:
@@ -183,7 +191,7 @@ def _print_section(sec: dict):
 
 
 def _cmd_compare(args) -> int:
-    with MrdStore(args.store_a) as a, MrdStore(args.store_b) as b:
+    with _existing_store(args.store_a) as a, _existing_store(args.store_b) as b:
         try:
             ratios = stats_mod.ratio_report(
                 {k: v for k, v in a.table_sizes().items() if not k.startswith("index_")},

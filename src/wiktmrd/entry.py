@@ -43,12 +43,6 @@ class Page:
     record_id: int = 0
 
 
-@dataclass
-class SkippedSection:
-    heading: str
-    reason: str
-
-
 class PageOutline:
     """A page's UTF-8 bytes and headings, encoded and scanned once. Sections
     of the page are byte ranges of it, so no stage rescans its own text."""
@@ -135,33 +129,26 @@ class Meaning:
         return wt.strip_markup(self.definition_wikitext)
 
 
-@dataclass
-class SoftRedirect:
-    form_title: str
-    lemma_title: str
-    form_kind: str
-
-
 def split_language_sections(
     page: Page, dialect: DialectConfig, registry: Registry
-) -> tuple[list[LanguageSection], list[SkippedSection]]:
+) -> tuple[list[LanguageSection], list[str]]:
     """Partition the page body at language headings.
 
-    Unresolvable headings produce SkippedSection records; the text under them
-    is not parsed further.
+    Unresolvable headings produce a skip reason each; the text under them is
+    not parsed further.
     """
     outline = PageOutline(page.raw_text)
     level = 2 if dialect.dialect == "en" else 1
     heads = [h for h in outline.headings if h.level == level]
     sections: list[LanguageSection] = []
-    skipped: list[SkippedSection] = []
+    skipped: list[str] = []
     for i, head in enumerate(heads):
         if dialect.dialect == "en":
             language, reason = _resolve_language_en(head.inner_text, registry)
         else:
             language, reason = _resolve_language_ru(head.inner_text, registry)
         if language is None:
-            skipped.append(SkippedSection(heading=head.inner_text.strip(), reason=reason))
+            skipped.append(reason)
             continue
         start, end = outline.body_range(heads, i, len(outline.data))
         sections.append(LanguageSection(language=language, body=outline.text(start, end),
@@ -281,8 +268,9 @@ def extract_definitions(
 
 def classify_soft_redirect(
     page: Page, pos_section: PosSection, meanings: list[Meaning], registry: Registry
-) -> SoftRedirect | None:
-    """A word-form entry: exactly one meaning made of a single form-of template."""
+) -> tuple[str, str] | None:
+    """A word-form entry, exactly one meaning made of a single form-of
+    template, as the store's (form_kind, lemma_title) row."""
     if len(meanings) != 1:
         return None
     text = meanings[0].definition_wikitext.strip()
@@ -297,4 +285,4 @@ def classify_soft_redirect(
     lemma = wt.strip_markup(tpl.first_param()).strip()
     if not lemma or lemma == page.title:
         return None
-    return SoftRedirect(form_title=page.title, lemma_title=lemma, form_kind=tpl.name.strip())
+    return tpl.name.strip(), lemma

@@ -245,13 +245,7 @@ def analyze_page(page: entry.Page, dialect_cfg, registry: Registry) -> AnalyzedP
                       list(dict.fromkeys(l.target for l in
                                          wt.scan_wikilinks(m.definition_wikitext))))
                      for m in meanings],
-                    [(r.relation_type.canonical_name, r.target_word, r.target_wikitext,
-                      r.meaning.ordinal if r.meaning else None)
-                     for r in records],
-                    [(box.gloss, [(e.language.code, e.target_word, e.target_wikitext)
-                                  for e in entries])
-                     for box, entries in boxes],
-                    (soft.form_kind, soft.lemma_title) if soft else None,
+                    records, boxes, soft,
                 ))
         return AnalyzedPage(page.record_id, page.title, "parsed", bundle=bundle,
                             skipped_sections=len(skipped), skipped_lines=skipped_lines)

@@ -3,17 +3,17 @@
 en dialect: each relation subsection lists "* [[word]]" lines; a leading
 {{sense|...}} template aligns the line to the meaning whose text contains
 the gloss. ru dialect: the i-th list line belongs to meaning ordinal i, and
-"-"/"—" placeholder lines hold the position without contributing records.
+"-"/"—" placeholder lines hold the position without contributing rows.
+Rows are the store's relation tuples (see store.py).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import wikitext as wt
 from .entry import Meaning, PosSection
-from .registry import DialectConfig, Registry, RelationType
+from .registry import DialectConfig, Registry
 
 _LIST_LINE_RE = re.compile(r"^([*#:]+)\s*(.*)$")
 _PLACEHOLDERS = ("", "-", "—")
@@ -23,26 +23,18 @@ _LINK_TEMPLATES = frozenset({"l", "link"})
 _SENSE_TEMPLATE = "sense"
 
 
-@dataclass
-class RelationRecord:
-    relation_type: RelationType
-    target_word: str
-    target_wikitext: str
-    sense_gloss: str = ""
-    meaning: Meaning | None = None
-
-
 def extract_relations(
     pos_section: PosSection,
     meanings: list[Meaning],
     dialect: DialectConfig,
     registry: Registry,
-) -> list[RelationRecord]:
-    """All relation records of one PosSection, in source order.
+) -> list[tuple[str, str, str, int | None]]:
+    """All relations of one PosSection, in source order, as
+    (type_name, target_word, target_wikitext, meaning_ordinal or None) rows.
 
     Empty relation subsections are legal and contribute nothing.
     """
-    records: list[RelationRecord] = []
+    rows: list[tuple[str, str, str, int | None]] = []
     heads = pos_section.headings()
     for i, head in enumerate(heads):
         rel_type = registry.find_relation_heading(head.inner_text, dialect.dialect)
@@ -54,36 +46,37 @@ def extract_relations(
             if content in _PLACEHOLDERS:
                 continue
             if dialect.dialect == "en":
-                gloss, meaning, content = _take_sense_gloss(content, meanings)
+                ordinal, content = _take_sense_gloss(content, meanings)
             else:  # the i-th list line belongs to meaning i
-                gloss, meaning = "", (meanings[index] if index < len(meanings) else None)
-            _records_from_line(rel_type, content, gloss, meaning, records)
-    return records
+                ordinal = meanings[index].ordinal if index < len(meanings) else None
+            _rows_from_line(rel_type.canonical_name, content, ordinal, rows)
+    return rows
 
 
 def _take_sense_gloss(content: str, meanings: list[Meaning]):
-    """Split off a leading {{sense|...}} template; align it to a meaning."""
+    """Split off a leading {{sense|...}} template; return the ordinal of the
+    meaning its gloss aligns to (or None) and the rest of the line."""
     if not content.startswith("{{"):
-        return "", None, content
+        return None, content
     templates = wt.scan_templates(content)
     if not templates or templates[0].source_span[0] != 0:
-        return "", None, content
+        return None, content
     tpl = templates[0]
     if tpl.name.strip().casefold() != _SENSE_TEMPLATE:
-        return "", None, content
+        return None, content
     gloss = wt.strip_markup(", ".join(tpl.positional_params))
-    meaning = None
+    ordinal = None
     if gloss:
         needle = gloss.casefold()
         for cand in meanings:
             if needle in cand.definition_plain.casefold():
-                meaning = cand
+                ordinal = cand.ordinal
                 break
     rest = wt.decode(wt.encode(content)[tpl.source_span[1]:]).strip()
-    return gloss, meaning, rest
+    return ordinal, rest
 
 
-def _records_from_line(rel_type, content, gloss, meaning, records):
+def _rows_from_line(type_name, content, ordinal, rows):
     data = wt.encode(content)
     spans = _link_like_spans(content, data)
     if spans:
@@ -94,9 +87,7 @@ def _records_from_line(rel_type, content, gloss, meaning, records):
     for wikitext in pieces:
         word = wt.strip_markup(wikitext)
         if word:
-            records.append(RelationRecord(
-                relation_type=rel_type, target_word=word,
-                target_wikitext=wikitext, sense_gloss=gloss, meaning=meaning))
+            rows.append((type_name, word, wikitext, ordinal))
 
 
 def _link_wikitext(piece: str) -> str:

@@ -51,7 +51,6 @@ class RelationHistogram:
     buckets[13] collects 13 and more."""
 
     buckets: list[int] = field(default_factory=lambda: [0] * 14)
-    total_groups: int = 0
 
     OVERFLOW = 13
 
@@ -93,7 +92,6 @@ def relation_histogram(store: MrdStore) -> RelationHistogram:
     grouped = store.query(
         "SELECT lang_pos_id, COUNT(*) FROM relation GROUP BY lang_pos_id")
     total_lang_pos = store.query("SELECT COUNT(*) FROM lang_pos")[0][0]
-    hist.total_groups = total_lang_pos
     hist.buckets[0] = total_lang_pos - len(grouped)
     for _, count in grouped:
         hist.buckets[min(count, RelationHistogram.OVERFLOW)] += 1
@@ -147,10 +145,6 @@ class CoverageReport:
     red_list_b: list[str]
     better_in_a: list[str]  # ordered by meaning advantage, then relations
     better_in_b: list[str]
-
-    @property
-    def red_list(self) -> list[str]:
-        return sorted(self.red_list_a + self.red_list_b)
 
 
 def _words_by_language(store: MrdStore) -> dict[str, set[str]]:

@@ -11,7 +11,10 @@ idempotent per title. Checkpoints commit in the same transaction as the data
 they describe, so a killed process always restarts from a consistent point.
 
 A page reaches save_word as a WordBundle whose content is plain tuples, the
-cheapest form to pickle out of an analysis worker. Each entry of
+cheapest form to pickle out of an analysis worker. The analysis produces
+these rows directly: relations.extract_relations returns the relation rows,
+translations.extract_translations_en/ru the translation boxes and
+entry.classify_soft_redirect the soft_redirect pair. Each entry of
 WordBundle.lang_pos is
 
     (lang_code, pos_name, etymology_ordinal,

@@ -4,12 +4,15 @@ en dialect: {{trans-top|gloss}} ... {{trans-bottom}} blocks with
 "* Language: {{t+|code|word}}" lines (bare "[[word]] (translit)" accepted).
 ru dialect: one {{перев-блок}} template per translated sense whose named
 parameters are language codes holding wikilinked words.
+
+Both return (boxes, skipped): boxes are the store's translation tuples
+(gloss, [(lang_code, word, wikitext), ...]) (see store.py), skipped holds
+one reason string per skipped line.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import wikitext as wt
 from .entry import PosSection
@@ -21,32 +24,14 @@ _TRANS_BOTTOM = "trans-bottom"
 _LINE_RE = re.compile(r"^([*#:]+)\s*(.*)$")
 
 
-@dataclass
-class TranslationBox:
-    gloss: str
-
-
-@dataclass
-class TranslationEntry:
-    language: LanguageCode
-    target_word: str
-    target_wikitext: str
-
-
-@dataclass
-class SkippedLine:
-    line: str
-    reason: str
-
-
 def extract_translations_en(
     pos_section: PosSection, registry: Registry
-) -> tuple[list[tuple[TranslationBox, list[TranslationEntry]]], list[SkippedLine]]:
-    skipped: list[SkippedLine] = []
+) -> tuple[list[tuple[str, list[tuple[str, str, str]]]], list[str]]:
+    skipped: list[str] = []
     boxes = []
     for gloss_wikitext, region in _en_box_regions(pos_section):
-        box = TranslationBox(gloss=wt.strip_markup(gloss_wikitext))
-        boxes.append((box, _entries_from_en_lines(region, registry, skipped)))
+        boxes.append((wt.strip_markup(gloss_wikitext),
+                      _entries_from_en_lines(region, registry, skipped)))
     return boxes, skipped
 
 
@@ -80,8 +65,8 @@ def _en_box_regions(pos_section: PosSection):
     return [] if region is None else [("", region)]
 
 
-def _entries_from_en_lines(region: str, registry: Registry, skipped: list[SkippedLine]):
-    entries: list[TranslationEntry] = []
+def _entries_from_en_lines(region: str, registry: Registry, skipped: list[str]):
+    entries: list[tuple[str, str, str]] = []
     parent_lang: LanguageCode | None = None
     for line in region.splitlines():
         m = _LINE_RE.match(line)
@@ -98,15 +83,15 @@ def _entries_from_en_lines(region: str, registry: Registry, skipped: list[Skippe
             if is_sub_line and parent_lang is not None:
                 lang = parent_lang
             else:
-                skipped.append(SkippedLine(line=line, reason=f"unknown language name: {name!r}"))
+                skipped.append(f"unknown language name: {name!r}")
                 continue
         elif not is_sub_line:
             parent_lang = lang
-        _entries_from_en_payload(payload, lang, registry, entries, skipped, line)
+        _entries_from_en_payload(payload, lang, registry, entries, skipped)
     return entries
 
 
-def _entries_from_en_payload(payload, line_lang, registry, entries, skipped, line):
+def _entries_from_en_payload(payload, line_lang, registry, entries, skipped):
     data = wt.encode(payload)
     templates = [t for t in wt.scan_templates(payload)
                  if t.name.strip().casefold() in TRANSLATION_TEMPLATES_EN]
@@ -120,45 +105,41 @@ def _entries_from_en_payload(payload, line_lang, registry, entries, skipped, lin
                 continue
             lang = registry.find_code(code)
             if lang is None:
-                skipped.append(SkippedLine(line=line, reason=f"unknown language code: {code!r}"))
+                skipped.append(f"unknown language code: {code!r}")
                 continue
             if lang.code != line_lang.code:
                 # the template's code wins; the conflict is recorded
-                skipped.append(SkippedLine(line=line, reason="code–name conflict"))
+                skipped.append("code–name conflict")
             s, e = tpl.source_span
-            entries.append(TranslationEntry(
-                language=lang, target_word=word, target_wikitext=wt.decode(data[s:e])))
+            entries.append((lang.code, word, wt.decode(data[s:e])))
         return
     _link_entries(data, line_lang, entries)
 
 
-def _link_entries(data: bytes, lang: LanguageCode, entries: list[TranslationEntry]):
+def _link_entries(data: bytes, lang: LanguageCode, entries: list[tuple[str, str, str]]):
     """One entry per wikilink in `data`."""
     for s, e in wt._kernel.wikilink_spans(data):
         link = wt._build_wikilink(data, s, e)
         if link is not None:
-            entries.append(TranslationEntry(
-                language=lang, target_word=link.target, target_wikitext=wt.decode(data[s:e])))
+            entries.append((lang.code, link.target, wt.decode(data[s:e])))
 
 
 def extract_translations_ru(
     pos_section: PosSection, registry: Registry
-) -> tuple[list[tuple[TranslationBox, list[TranslationEntry]]], list[SkippedLine]]:
+) -> tuple[list[tuple[str, list[tuple[str, str, str]]]], list[str]]:
     boxes = []
-    skipped: list[SkippedLine] = []
+    skipped: list[str] = []
     for tpl in pos_section.templates:
         if tpl.name.strip().casefold() != TRANSLATION_BLOCK_RU:
             continue
-        box = TranslationBox(gloss=wt.strip_markup(tpl.first_param()))
-        entries: list[TranslationEntry] = []
+        entries: list[tuple[str, str, str]] = []
         for key, value in tpl.named_params.items():
             if key == "1":
                 continue  # the gloss slot
             lang = registry.find_code(key)
             if lang is None:
-                skipped.append(SkippedLine(
-                    line=f"{key}={value}", reason=f"unknown language code: {key!r}"))
+                skipped.append(f"unknown language code: {key!r}")
                 continue
             _link_entries(wt.encode(value), lang, entries)
-        boxes.append((box, entries))
+        boxes.append((wt.strip_markup(tpl.first_param()), entries))
     return boxes, skipped

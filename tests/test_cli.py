@@ -113,6 +113,20 @@ def test_compare_en_ru(parsed_store, parsed_ru_store, capsys):
     assert "relation" in out
 
 
+@pytest.mark.parametrize("command", [
+    ["stats", "--store", "{missing}"],
+    ["lookup", "--store", "{missing}", "dog"],
+    ["compare", "--store-a", "{present}", "--store-b", "{missing}"],
+    ["compare", "--store-a", "{missing}", "--store-b", "{present}"],
+])
+def test_read_commands_refuse_a_missing_store(parsed_store, tmp_path, capsys, command):
+    missing = tmp_path / "typo.db"
+    args = [arg.format(missing=missing, present=parsed_store) for arg in command]
+    assert main(args) == 2
+    assert capsys.readouterr().err.strip() == f"error: no store at {missing}"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_languages_count(capsys):
     assert main(["languages"]) == 0
     out = capsys.readouterr().out

@@ -36,7 +36,7 @@ def test_en_unknown_language_skipped(en, registry):
     page = Page(title="x", raw_text="==Qqzish==\nstuff\n")
     sections, skipped = entry.split_language_sections(page, en, registry)
     assert sections == []
-    assert len(skipped) == 1 and "Qqzish" in skipped[0].reason
+    assert len(skipped) == 1 and "Qqzish" in skipped[0]
 
 
 def test_partition_property_on_fixture(en, registry):
@@ -176,8 +176,7 @@ def test_soft_redirect_plural(en, registry):
     ps = make_pos_section(registry, "# {{plural of|dog}}\n")
     meanings = entry.extract_definitions(ps, en, registry)
     soft = entry.classify_soft_redirect(page, ps, meanings, registry)
-    assert soft == entry.SoftRedirect(form_title="dogs", lemma_title="dog",
-                                      form_kind="plural of")
+    assert soft == ("plural of", "dog")
 
 
 def test_soft_redirect_needs_single_meaning(en, registry):

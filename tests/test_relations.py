@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_page
 from wiktmrd import entry, relations, wikitext as wt
+from wiktmrd.registry import RELATION_TYPE_NAMES
 
 
 def pos_sections_for(page, dialect, registry):
@@ -16,8 +17,8 @@ def pos_sections_for(page, dialect, registry):
     return out
 
 
-def relation_types(records):
-    return {r.relation_type.canonical_name for r in records}
+def relation_types(rows):
+    return {type_name for type_name, _, _, _ in rows}
 
 
 def count_wikilinks_under_relation_headings(body, dialect, registry):
@@ -39,12 +40,12 @@ def count_wikilinks_under_relation_headings(body, dialect, registry):
 
 def test_toe_has_seven_relations_in_six_types(en, registry):
     [(ps, meanings)] = pos_sections_for(fixture_page("en", "toe"), en, registry)
-    records = relations.extract_relations(ps, meanings, en, registry)
-    assert len(records) == 7
-    assert {r.relation_type.canonical_name for r in records} == {
+    rows = relations.extract_relations(ps, meanings, en, registry)
+    assert len(rows) == 7
+    assert relation_types(rows) == {
         "synonym", "antonym", "hyponym", "holonym", "meronym", "coordinate_term"}
     oracle = count_wikilinks_under_relation_headings(ps.body, en, registry)
-    assert len(records) == oracle
+    assert len(rows) == oracle
 
 
 def test_paw_homonyms_counted_separately(en, registry):
@@ -58,8 +59,8 @@ def test_paw_homonyms_counted_separately(en, registry):
 
 def test_iron_has_six_distinct_types(en, registry):
     [(ps, meanings)] = pos_sections_for(fixture_page("en", "iron"), en, registry)
-    records = relations.extract_relations(ps, meanings, en, registry)
-    assert len(relation_types(records)) == 6
+    rows = relations.extract_relations(ps, meanings, en, registry)
+    assert len(relation_types(rows)) == 6
 
 
 def test_empty_relation_header_yields_nothing(en, registry):
@@ -74,82 +75,88 @@ def test_single_antonym_line(en, registry):
                           pos=registry.parts_of_speech["noun"],
                           body="# warm\n====Antonyms====\n* [[cold]]\n")
     meanings = entry.extract_definitions(ps, en, registry)
-    records = relations.extract_relations(ps, meanings, en, registry)
-    assert len(records) == 1
-    rec = records[0]
-    assert rec.relation_type.canonical_name == "antonym"
-    assert rec.target_word == "cold"
-    assert rec.target_wikitext == "[[cold]]"
+    rows = relations.extract_relations(ps, meanings, en, registry)
+    assert rows == [("antonym", "cold", "[[cold]]", None)]
 
 
 def test_sense_gloss_alignment(en, registry):
     [(ps, meanings)] = [g for g in pos_sections_for(fixture_page("en", "dog"), en, registry)
                         if g[0].pos.canonical_name == "noun"]
-    records = relations.extract_relations(ps, meanings, en, registry)
-    by_word = {r.target_word: r for r in records}
-    assert by_word["hound"].meaning is meanings[0]
-    assert by_word["hound"].sense_gloss == "animal"
-    assert by_word["canine"].meaning is meanings[0]
-    assert by_word["bounder"].meaning is meanings[1]
+    rows = relations.extract_relations(ps, meanings, en, registry)
+    ordinal_of = {word: ordinal for _, word, _, ordinal in rows}
+    # {{sense|animal}} aligns to the first meaning, whose text holds "animal"
+    assert ordinal_of["hound"] == meanings[0].ordinal
+    assert ordinal_of["canine"] == meanings[0].ordinal
+    assert ordinal_of["bounder"] == meanings[1].ordinal
     # hyponym lines carry no {{sense}}: alignment stays unresolved
-    assert by_word["puppy"].meaning is None
+    assert ordinal_of["puppy"] is None
 
 
 def test_unmatched_sense_gloss_maps_to_none(en, registry):
     [(ps, meanings)] = pos_sections_for(fixture_page("en", "toe"), en, registry)
-    records = relations.extract_relations(ps, meanings, en, registry)
-    digit = next(r for r in records if r.target_word == "digit")
-    assert digit.sense_gloss == "digit of the foot"
-    assert digit.meaning is None
+    rows = relations.extract_relations(ps, meanings, en, registry)
+    # its {{sense|digit of the foot}} is in no meaning's text
+    [digit_ordinal] = [ordinal for _, word, _, ordinal in rows if word == "digit"]
+    assert digit_ordinal is None
 
 
 def test_bare_word_lines_split_on_commas(en, registry):
     ps = entry.PosSection(language=registry.lookup_code("en"), etymology_ordinal=0,
                           pos=registry.parts_of_speech["noun"],
                           body="====Synonyms====\n* hound, cur; tyke\n")
-    records = relations.extract_relations(ps, [], en, registry)
-    assert [r.target_word for r in records] == ["hound", "cur", "tyke"]
-    assert all(r.target_wikitext == r.target_word for r in records)
+    rows = relations.extract_relations(ps, [], en, registry)
+    assert [word for _, word, _, _ in rows] == ["hound", "cur", "tyke"]
+    assert all(wikitext == word for _, word, wikitext, _ in rows)
 
 
 def test_link_template_acts_as_wikilink(en, registry):
     ps = entry.PosSection(language=registry.lookup_code("en"), etymology_ordinal=0,
                           pos=registry.parts_of_speech["noun"],
                           body="====Synonyms====\n* {{l|en|hound}}\n")
-    records = relations.extract_relations(ps, [], en, registry)
-    assert len(records) == 1
-    assert records[0].target_word == "hound"
+    rows = relations.extract_relations(ps, [], en, registry)
+    assert len(rows) == 1
+    assert rows[0][1] == "hound"
 
 
 def test_ru_lines_align_to_meaning_ordinals(ru, registry):
     [(ps, meanings)] = pos_sections_for(fixture_page("ru", "ангел"), ru, registry)
-    records = relations.extract_relations(ps, meanings, ru, registry)
-    synonyms = [r for r in records if r.relation_type.canonical_name == "synonym"]
-    assert [(r.target_word, r.meaning.ordinal) for r in synonyms] == [
+    rows = relations.extract_relations(ps, meanings, ru, registry)
+    assert [(word, ordinal) for t, word, _, ordinal in rows if t == "synonym"] == [
         ("вестник", 1), ("посланник", 1), ("добряк", 2)]
-    antonyms = [r for r in records if r.relation_type.canonical_name == "antonym"]
     # the second antonym line is the "-" placeholder: it consumes ordinal 2
-    assert [(r.target_word, r.meaning.ordinal) for r in antonyms] == [
+    assert [(word, ordinal) for t, word, _, ordinal in rows if t == "antonym"] == [
         ("демон", 1), ("чёрт", 1)]
 
 
 def test_ru_empty_headers_yield_zero_records(ru, registry):
     [(ps, meanings)] = pos_sections_for(fixture_page("ru", "собака"), ru, registry)
-    records = relations.extract_relations(ps, meanings, ru, registry)
-    assert [(r.relation_type.canonical_name, r.target_word) for r in records] == [
-        ("synonym", "пёс")]
+    rows = relations.extract_relations(ps, meanings, ru, registry)
+    assert [(type_name, word) for type_name, word, _, _ in rows] == [("synonym", "пёс")]
 
 
 def test_target_word_is_stripped_wikitext(en, registry):
     # the invariant target_word == strip_markup(target_wikitext)
     for name in ("toe", "paw", "iron", "dog"):
         for ps, meanings in pos_sections_for(fixture_page("en", name), en, registry):
-            for rec in relations.extract_relations(ps, meanings, en, registry):
-                assert rec.target_word == wt.strip_markup(rec.target_wikitext)
-                assert rec.target_word
+            for _, word, wikitext, _ in relations.extract_relations(
+                    ps, meanings, en, registry):
+                assert word == wt.strip_markup(wikitext)
+                assert word
 
 
-@given(st.text(alphabet=st.sampled_from(list("=*#[]{}|,;-—' \nabcdцеф")), max_size=300))
+# Bodies built from tokens, so relation headings, list lines, links and
+# {{sense}} glosses actually occur and the row invariants get exercised.
+_RELATION_TOKENS = (
+    "\n====Synonyms====\n", "\n====Antonyms====\n", "\n==== Синонимы ====\n",
+    "\n==== Антонимы ====\n", "\n=== Значение ===\n", "\n# an [[animal]]\n",
+    "\n# rogue\n", "\n* [[hound]], [[cur]]\n", "\n* {{sense|animal}} [[dog]]\n",
+    "\n* {{l|en|пёс}}\n", "\n* -\n", "\n* word; rogue\n",
+    "* [[", "]]", "* ", "{{sense|", "{{l|en|", "}}", "|", ", ", "; ", "-", "—",
+    "\n", "=", "'''", "word", "пёс", "animal", "rogue",
+)
+
+
+@given(st.lists(st.sampled_from(_RELATION_TOKENS), min_size=8, max_size=60).map("".join))
 @settings(max_examples=150)
 def test_relation_extraction_never_raises(registry, body):
     for dialect in ("en", "ru"):
@@ -157,7 +164,10 @@ def test_relation_extraction_never_raises(registry, body):
         ps = entry.PosSection(language=registry.lookup_code(dialect), etymology_ordinal=0,
                               pos=registry.parts_of_speech["noun"], body=body)
         meanings = entry.extract_definitions(ps, cfg, registry)
-        records = relations.extract_relations(ps, meanings, cfg, registry)
-        assert len(relation_types(records)) <= min(len(records), 9)
-        for rec in records:
-            assert rec.target_word
+        rows = relations.extract_relations(ps, meanings, cfg, registry)
+        assert len(relation_types(rows)) <= min(len(rows), 9)
+        for type_name, word, wikitext, ordinal in rows:
+            assert word
+            assert word == wt.strip_markup(wikitext)
+            assert type_name in RELATION_TYPE_NAMES
+            assert ordinal is None or 1 <= ordinal <= len(meanings)
