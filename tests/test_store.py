@@ -6,6 +6,7 @@ import sqlite3
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from wiktmrd import store as store_module
 from wiktmrd.store import (
@@ -398,3 +399,58 @@ def test_referential_integrity_enforced_on_export(store, tmp_path):
     store._conn.execute("PRAGMA foreign_keys=ON")
     with pytest.raises(CorruptStore):
         store.export_tsv(tmp_path / "export")
+
+
+def _failing_import_leaves_store_unchanged(store, out, expected_error):
+    before = store.table_sizes()
+    with pytest.raises(expected_error) as exc:
+        store.import_tsv(out)
+    assert store.table_sizes() == before
+    assert store.query("PRAGMA foreign_keys") == [(1,)]
+    return exc.value
+
+
+def test_import_reports_the_file_line_of_a_short_row(store, tmp_path):
+    store.save_word(simple_bundle())
+    store.build_index_tables()
+    out = tmp_path / "export"
+    store.export_tsv(out)
+    path = out / "relation.tsv"
+    lines = path.read_text("utf-8").splitlines(keepends=True)
+    lines.insert(4, "1\t2\n")  # header is line 1, so this is line 5
+    path.write_text("".join(lines), encoding="utf-8")
+    err = _failing_import_leaves_store_unchanged(store, out, MalformedRow)
+    assert (err.table, err.line_no) == ("relation", 5)
+
+
+def test_import_with_dangling_reference_rolls_back(store, tmp_path):
+    store.save_word(simple_bundle())
+    store.build_index_tables()
+    out = tmp_path / "export"
+    store.export_tsv(out)
+    path = out / "relation.tsv"
+    header, first, *rest = path.read_text("utf-8").splitlines(keepends=True)
+    fields = first.split("\t")
+    fields[2] = "999"  # lang_pos_id of a lang_pos that does not exist
+    path.write_text("".join([header, "\t".join(fields), *rest]), encoding="utf-8")
+    _failing_import_leaves_store_unchanged(store, out, CorruptStore)
+
+
+# -- TSV codec ------------------------------------------------------------------------
+
+@given(st.text(alphabet=st.sampled_from("\\\tNntaé\U0001f600\n")) | st.text())
+@example("\\N")
+@example("\\")
+@example("a\\")
+def test_tsv_codec_round_trips_any_text(s):
+    escaped = store_module._tsv_escape(s)
+    assert "\t" not in escaped and "\n" not in escaped
+    assert store_module._tsv_unescape(escaped) == s
+
+
+@pytest.mark.parametrize("field, value", [
+    ("a\\xb", "axb"), ("ab\\", "ab\\"), ("a\\N", "aN"), ("\\N", None),
+    ("\\t\\n\\\\", "\t\n\\"), ("", ""), ("plain", "plain"),
+])
+def test_tsv_unescape_cases(field, value):
+    assert store_module._tsv_unescape(field) == value
