@@ -597,29 +597,33 @@ class MrdStore:
                 f"{len(violations)} total")
 
     def export_tsv(self, directory):
-        """One sorted TSV per logical table; values escape tab/newline/backslash."""
+        """One sorted TSV per logical table; values escape tab/newline/backslash.
+        Rows are written as the cursor yields them."""
         self.check_referential_integrity()
         os.makedirs(directory, exist_ok=True)
         for table, columns in TABLE_COLUMNS.items():
-            rows = self._conn.execute(
-                f"SELECT {', '.join(columns)} FROM {table} ORDER BY id").fetchall()
-            _write_tsv(os.path.join(directory, f"{table}.tsv"), columns, rows)
+            _write_tsv(os.path.join(directory, f"{table}.tsv"), columns, self._conn.execute(
+                f"SELECT {', '.join(columns)} FROM {table} ORDER BY id"))
         for table in self.index_tables():
-            rows = self._conn.execute(
-                f'SELECT word, lang_pos_id FROM "{table}" '
-                "ORDER BY word, lang_pos_id").fetchall()
-            _write_tsv(os.path.join(directory, f"{table}.tsv"),
-                       ("word", "lang_pos_id"), rows)
+            _write_tsv(os.path.join(directory, f"{table}.tsv"), ("word", "lang_pos_id"),
+                       self._conn.execute(f'SELECT word, lang_pos_id FROM "{table}" '
+                                          "ORDER BY word, lang_pos_id"))
 
     def import_tsv(self, directory):
-        """Replace store content with a TSV export; ids are preserved."""
+        """Replace store content with a TSV export; ids are preserved.
+
+        Referential integrity is checked once, before the commit, so an import
+        that fails leaves the store as it was."""
+        conn = self._conn
         try:
-            self._conn.execute("BEGIN")
-            self._conn.execute("PRAGMA defer_foreign_keys=ON")
+            # foreign keys are checked once below, not on every insert; the
+            # setting cannot change inside a transaction
+            conn.execute("PRAGMA foreign_keys=OFF")
+            conn.execute("BEGIN")
             for table in self.index_tables():
-                self._conn.execute(f'DROP TABLE "{table}"')
+                conn.execute(f'DROP TABLE "{table}"')
             for table in reversed(list(TABLE_COLUMNS)):
-                self._conn.execute(f"DELETE FROM {table}")
+                conn.execute(f"DELETE FROM {table}")
             self._clear_caches()
             for table, columns in TABLE_COLUMNS.items():
                 path = os.path.join(directory, f"{table}.tsv")
@@ -633,31 +637,38 @@ class MrdStore:
                     self._ensure_index_table(table)
                     self._import_table(os.path.join(directory, name), table,
                                        ("word", "lang_pos_id"))
-            self._conn.commit()
             self.check_referential_integrity()
+            conn.commit()
         except sqlite3.Error as exc:
             self.rollback()
             raise _translate_error(exc) from exc
         except Exception:
             self.rollback()
             raise
+        finally:
+            conn.execute("PRAGMA foreign_keys=ON")
 
     def _import_table(self, path, table, columns):
         with open(path, encoding="utf-8", newline="\n") as f:
             header = f.readline().rstrip("\n")
             if header.split("\t") != list(columns):
                 raise MalformedRow(table, 1, f"unexpected header {header!r}")
-            ph = ",".join("?" * len(columns))
-            quoted = f'"{table}"' if table.startswith("index_") else table
-            for line_no, line in enumerate(f, start=2):
-                line = line.rstrip("\n")
-                fields = line.split("\t")
-                if len(fields) != len(columns):
-                    raise MalformedRow(table, line_no,
-                                       f"expected {len(columns)} fields, got {len(fields)}")
-                values = [_tsv_unescape(v) for v in fields]
-                self._conn.execute(
-                    f"INSERT INTO {quoted}({', '.join(columns)}) VALUES ({ph})", values)
+            self._conn.executemany(
+                f'INSERT INTO "{table}"({", ".join(columns)}) '
+                f'VALUES ({",".join("?" * len(columns))})', _read_rows(f, table, len(columns)))
+
+
+def _read_rows(lines, table, width):
+    """Decoded rows of a TSV body, its first line being line 2 of the file."""
+    for line_no, line in enumerate(lines, start=2):
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != width:
+            raise MalformedRow(table, line_no, f"expected {width} fields, got {len(fields)}")
+        yield [_tsv_unescape(v) for v in fields] if "\\" in line else fields
+
+
+_ESCAPE_RE = re.compile(r"\\(.)", re.S)
+_UNESCAPES = {"t": "\t", "n": "\n"}
 
 
 def _tsv_escape(value) -> str:
@@ -668,31 +679,16 @@ def _tsv_escape(value) -> str:
 
 
 def _tsv_unescape(fieldtext: str):
+    """Inverse of _tsv_escape; any other escaped character stands for itself
+    and a trailing lone backslash is kept."""
     if fieldtext == "\\N":
         return None
-    out = []
-    i = 0
-    while i < len(fieldtext):
-        c = fieldtext[i]
-        if c == "\\" and i + 1 < len(fieldtext):
-            nxt = fieldtext[i + 1]
-            if nxt == "t":
-                out.append("\t")
-            elif nxt == "n":
-                out.append("\n")
-            elif nxt == "\\":
-                out.append("\\")
-            else:
-                out.append(nxt)
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    if "\\" not in fieldtext:
+        return fieldtext
+    return _ESCAPE_RE.sub(lambda m: _UNESCAPES.get(m[1], m[1]), fieldtext)
 
 
 def _write_tsv(path, columns, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\t".join(columns) + "\n")
-        for row in rows:
-            f.write("\t".join(_tsv_escape(v) for v in row) + "\n")
+        f.writelines("\t".join(map(_tsv_escape, row)) + "\n" for row in rows)
