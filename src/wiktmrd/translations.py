@@ -7,7 +7,8 @@ parameters are language codes holding wikilinked words.
 
 Both return (boxes, skipped): boxes are the store's translation tuples
 (gloss, [(lang_code, word, wikitext), ...]) (see store.py), skipped holds
-one reason string per skipped line.
+one reason string per line that lost something: an unknown language name or
+code. A template code that disagrees with its line's language name is kept.
 """
 
 from __future__ import annotations
@@ -87,14 +88,19 @@ def _entries_from_en_lines(region: str, registry: Registry, skipped: list[str]):
                 continue
         elif not is_sub_line:
             parent_lang = lang
-        _entries_from_en_payload(payload, lang, registry, entries, skipped)
+        dropped = _entries_from_en_payload(payload, lang, registry, entries)
+        if dropped is not None:
+            skipped.append(dropped)
     return entries
 
 
-def _entries_from_en_payload(payload, line_lang, registry, entries, skipped):
+def _entries_from_en_payload(payload, line_lang, registry, entries):
+    """Append the entries of one line; return why one of its templates was
+    dropped, or None when nothing was."""
     data = wt.encode(payload)
     templates = [t for t in wt.scan_templates(payload)
                  if t.name.strip().casefold() in TRANSLATION_TEMPLATES_EN]
+    dropped = None
     if templates:
         for tpl in templates:
             params = tpl.positional_params
@@ -105,15 +111,14 @@ def _entries_from_en_payload(payload, line_lang, registry, entries, skipped):
                 continue
             lang = registry.find_code(code)
             if lang is None:
-                skipped.append(f"unknown language code: {code!r}")
+                dropped = dropped or f"unknown language code: {code!r}"
                 continue
-            if lang.code != line_lang.code:
-                # the template's code wins; the conflict is recorded
-                skipped.append("code–name conflict")
+            # the template's code wins over the line's language name
             s, e = tpl.source_span
             entries.append((lang.code, word, wt.decode(data[s:e])))
-        return
+        return dropped
     _link_entries(data, line_lang, entries)
+    return None
 
 
 def _link_entries(data: bytes, lang: LanguageCode, entries: list[tuple[str, str, str]]):

@@ -139,6 +139,21 @@ def test_run_parse_counts_redirects_and_namespaces(tmp_path):
         assert store.query("SELECT title FROM page") == [("dog",)]
 
 
+@pytest.mark.parametrize("line, skipped, entries", [
+    # the templates' code disagrees with the name: both entries are kept
+    ("* Estonian: {{t|es|arbusto}}, {{t|es|mata}}", 0, 2),
+    ("* Finnish: {{t|qqz|a}}, {{t|qqy|b}}", 1, 0),
+], ids=["code_name_conflict", "two_unknown_codes"])
+def test_translation_lines_skipped_counts_lines(tmp_path, line, skipped, entries):
+    text = f"==English==\n===Noun===\n# A bush.\n\n====Translations====\n{line}\n"
+    dump = write_dump(tmp_path / "d.xml", [("bush", text)])
+    report = run_parse(ParseConfig(dialect="en", dump_path=dump,
+                                   store_path=tmp_path / "s.db"))
+    assert report.translation_lines_skipped == skipped
+    with MrdStore(tmp_path / "s.db") as store:
+        assert store.table_sizes()["translation_entry"] == entries
+
+
 def test_skipped_pages_summarized_once_per_reason(tmp_path, capsys):
     dump = write_dump(tmp_path / "d.xml", [
         ("dog", "==English==\n===Noun===\n# An animal.\n"),

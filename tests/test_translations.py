@@ -48,7 +48,7 @@ def test_code_name_conflict_keeps_template_code(en, registry):
     boxes, skipped = translations.extract_translations_en(ps, registry)
     entries = boxes[0][1]
     assert [(code, word) for code, word, _ in entries] == [("es", "arbusto")]
-    assert skipped == ["code–name conflict"]
+    assert skipped == []
 
 
 def test_bare_translations_heading_is_one_empty_gloss_box(en, registry):
