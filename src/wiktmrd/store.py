@@ -602,28 +602,30 @@ class MrdStore:
         self.check_referential_integrity()
         os.makedirs(directory, exist_ok=True)
         for table, columns in TABLE_COLUMNS.items():
-            _write_tsv(os.path.join(directory, f"{table}.tsv"), columns, self._conn.execute(
-                f"SELECT {', '.join(columns)} FROM {table} ORDER BY id"))
+            rows = self._conn.execute(
+                f"SELECT {', '.join(columns)} FROM {table} ORDER BY id")
+            _write_tsv(os.path.join(directory, f"{table}.tsv"), columns, rows)
         for table in self.index_tables():
-            _write_tsv(os.path.join(directory, f"{table}.tsv"), ("word", "lang_pos_id"),
-                       self._conn.execute(f'SELECT word, lang_pos_id FROM "{table}" '
-                                          "ORDER BY word, lang_pos_id"))
+            rows = self._conn.execute(
+                f'SELECT word, lang_pos_id FROM "{table}" '
+                "ORDER BY word, lang_pos_id")
+            _write_tsv(os.path.join(directory, f"{table}.tsv"),
+                       ("word", "lang_pos_id"), rows)
 
     def import_tsv(self, directory):
         """Replace store content with a TSV export; ids are preserved.
 
         Referential integrity is checked once, before the commit, so an import
         that fails leaves the store as it was."""
-        conn = self._conn
         try:
             # foreign keys are checked once below, not on every insert; the
             # setting cannot change inside a transaction
-            conn.execute("PRAGMA foreign_keys=OFF")
-            conn.execute("BEGIN")
+            self._conn.execute("PRAGMA foreign_keys=OFF")
+            self._conn.execute("BEGIN")
             for table in self.index_tables():
-                conn.execute(f'DROP TABLE "{table}"')
+                self._conn.execute(f'DROP TABLE "{table}"')
             for table in reversed(list(TABLE_COLUMNS)):
-                conn.execute(f"DELETE FROM {table}")
+                self._conn.execute(f"DELETE FROM {table}")
             self._clear_caches()
             for table, columns in TABLE_COLUMNS.items():
                 path = os.path.join(directory, f"{table}.tsv")
@@ -638,7 +640,7 @@ class MrdStore:
                     self._import_table(os.path.join(directory, name), table,
                                        ("word", "lang_pos_id"))
             self.check_referential_integrity()
-            conn.commit()
+            self._conn.commit()
         except sqlite3.Error as exc:
             self.rollback()
             raise _translate_error(exc) from exc
@@ -646,7 +648,7 @@ class MrdStore:
             self.rollback()
             raise
         finally:
-            conn.execute("PRAGMA foreign_keys=ON")
+            self._conn.execute("PRAGMA foreign_keys=ON")
 
     def _import_table(self, path, table, columns):
         with open(path, encoding="utf-8", newline="\n") as f:
@@ -691,4 +693,5 @@ def _tsv_unescape(fieldtext: str):
 def _write_tsv(path, columns, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\t".join(columns) + "\n")
-        f.writelines("\t".join(map(_tsv_escape, row)) + "\n" for row in rows)
+        for row in rows:
+            f.write("\t".join(_tsv_escape(v) for v in row) + "\n")
