@@ -368,14 +368,41 @@ def test_import_handwritten_relation_rows(tmp_path):
 
 
 def test_import_rejects_bad_arity(store, tmp_path):
+    store.save_word(simple_bundle())
+    store.build_index_tables()
     out = tmp_path / "export"
     store.export_tsv(out)
     path = out / "relation.tsv"
-    path.write_text(path.read_text("utf-8") + "1\t2\n", encoding="utf-8")
-    with MrdStore(store.path + ".other", native_code="en", dialect="en") as other:
-        with pytest.raises(MalformedRow) as exc:
-            other.import_tsv(out)
-        assert exc.value.table == "relation"
+    lines = path.read_text("utf-8").splitlines(keepends=True)
+    lines.insert(4, "1\t2\n")  # header is line 1, so this is line 5
+    path.write_text("".join(lines), encoding="utf-8")
+    err = _failing_import_leaves_store_unchanged(store, out, MalformedRow)
+    assert (err.table, err.line_no) == ("relation", 5)
+
+
+def _failing_import_leaves_store_unchanged(store, out, expected_error):
+    def content():
+        return {table: store.query(f'SELECT * FROM "{table}"') for table in store.table_sizes()}
+
+    before = content()
+    with pytest.raises(expected_error) as exc:
+        store.import_tsv(out)
+    assert content() == before
+    assert store.query("PRAGMA foreign_keys") == [(1,)]
+    return exc.value
+
+
+def test_import_with_dangling_reference_rolls_back(store, tmp_path):
+    store.save_word(simple_bundle())
+    store.build_index_tables()
+    out = tmp_path / "export"
+    store.export_tsv(out)
+    path = out / "relation.tsv"
+    header, first, *rest = path.read_text("utf-8").splitlines(keepends=True)
+    fields = first.split("\t")
+    fields[2] = "999"  # lang_pos_id of a lang_pos that does not exist
+    path.write_text("".join([header, "\t".join(fields), *rest]), encoding="utf-8")
+    _failing_import_leaves_store_unchanged(store, out, CorruptStore)
 
 
 def test_escaping_round_trips_nasty_titles(store, tmp_path):
@@ -399,41 +426,6 @@ def test_referential_integrity_enforced_on_export(store, tmp_path):
     store._conn.execute("PRAGMA foreign_keys=ON")
     with pytest.raises(CorruptStore):
         store.export_tsv(tmp_path / "export")
-
-
-def _failing_import_leaves_store_unchanged(store, out, expected_error):
-    before = store.table_sizes()
-    with pytest.raises(expected_error) as exc:
-        store.import_tsv(out)
-    assert store.table_sizes() == before
-    assert store.query("PRAGMA foreign_keys") == [(1,)]
-    return exc.value
-
-
-def test_import_reports_the_file_line_of_a_short_row(store, tmp_path):
-    store.save_word(simple_bundle())
-    store.build_index_tables()
-    out = tmp_path / "export"
-    store.export_tsv(out)
-    path = out / "relation.tsv"
-    lines = path.read_text("utf-8").splitlines(keepends=True)
-    lines.insert(4, "1\t2\n")  # header is line 1, so this is line 5
-    path.write_text("".join(lines), encoding="utf-8")
-    err = _failing_import_leaves_store_unchanged(store, out, MalformedRow)
-    assert (err.table, err.line_no) == ("relation", 5)
-
-
-def test_import_with_dangling_reference_rolls_back(store, tmp_path):
-    store.save_word(simple_bundle())
-    store.build_index_tables()
-    out = tmp_path / "export"
-    store.export_tsv(out)
-    path = out / "relation.tsv"
-    header, first, *rest = path.read_text("utf-8").splitlines(keepends=True)
-    fields = first.split("\t")
-    fields[2] = "999"  # lang_pos_id of a lang_pos that does not exist
-    path.write_text("".join([header, "\t".join(fields), *rest]), encoding="utf-8")
-    _failing_import_leaves_store_unchanged(store, out, CorruptStore)
 
 
 # -- TSV codec ------------------------------------------------------------------------
