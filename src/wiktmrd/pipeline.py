@@ -370,6 +370,7 @@ def _run_parse_inner(config, store, dialect_cfg, registry, identity) -> ParseRep
     in_batch = 0
     skip_examples: dict[str, list[str]] = {"redirect": [], "namespace": []}
     store.begin()
+    store.prepare_load()
     # an error in the loop closes the results at once, which lets a pool
     # whose feeder waits for room shut down
     with contextlib.closing(results()) as analysed:

@@ -100,15 +100,23 @@ CREATE TABLE IF NOT EXISTS inflection(
 CREATE TABLE IF NOT EXISTS checkpoint(
     id INTEGER PRIMARY KEY CHECK (id = 1), last_record_id INTEGER NOT NULL,
     dump_identity TEXT NOT NULL, counters TEXT NOT NULL);
-CREATE INDEX IF NOT EXISTS idx_lang_pos_page ON lang_pos(page_id);
-CREATE INDEX IF NOT EXISTS idx_meaning_lang_pos ON meaning(lang_pos_id);
-CREATE INDEX IF NOT EXISTS idx_relation_lang_pos ON relation(lang_pos_id);
-CREATE INDEX IF NOT EXISTS idx_translation_lang_pos ON translation(lang_pos_id);
-CREATE INDEX IF NOT EXISTS idx_translation_entry_tr ON translation_entry(translation_id);
-CREATE INDEX IF NOT EXISTS idx_wtw_text ON wiki_text_words(wiki_text_id);
-CREATE INDEX IF NOT EXISTS idx_wtw_title ON wiki_text_words(page_ref_title);
-CREATE INDEX IF NOT EXISTS idx_inflection_lang_pos ON inflection(lang_pos_id);
 """
+
+# The non-unique indexes. A load into an empty store (a fresh parse, an
+# import) runs without them and builds each once, sorted, after the rows are
+# in; see MrdStore.prepare_load. Each index table adds its own word index.
+_SECONDARY_INDEXES = {
+    "idx_meaning_lang_pos": "meaning(lang_pos_id)",
+    "idx_relation_lang_pos": "relation(lang_pos_id)",
+    # deleting a meaning looks for the relations that still name it
+    "idx_relation_meaning": "relation(meaning_id) WHERE meaning_id IS NOT NULL",
+    "idx_translation_lang_pos": "translation(lang_pos_id)",
+    "idx_translation_entry_tr": "translation_entry(translation_id)",
+    "idx_wtw_title": "wiki_text_words(page_ref_title)",
+    "idx_inflection_lang_pos": "inflection(lang_pos_id)",
+}
+# left in older stores; each is a prefix of a UNIQUE constraint's index
+_OBSOLETE_INDEXES = ("idx_lang_pos_page", "idx_wtw_text")
 
 
 class StoreError(Exception):
@@ -171,7 +179,11 @@ class MrdStore:
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute("PRAGMA foreign_keys=ON")
-            self._conn.executescript(_SCHEMA)
+            # opening an existing store writes nothing: a reader may open a
+            # store another process is writing, indexes dropped or not
+            if self._conn.execute(
+                    "SELECT 1 FROM sqlite_master WHERE name='page'").fetchone() is None:
+                self._create_schema()
         except sqlite3.Error as exc:
             raise _translate_error(exc) from exc
         self.counters: dict[str, int] = {}
@@ -180,12 +192,10 @@ class MrdStore:
         self._wiki_text_cache: dict[str, tuple[int, tuple[str, ...]]] = {}
         self._wiki_text_cache_strings = 0  # texts plus words held in that cache
         self._interned: dict[tuple[str, str], int] = {}  # (table, value) -> id
-        self._init_fixed_rows()
         if native_code is not None:
             self._set_meta("native_code", native_code)
         if dialect is not None:
             self._set_meta("dialect", dialect)
-        self._ensure_index_table("index_native")
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -200,14 +210,16 @@ class MrdStore:
             self._conn.rollback()
         self.close()
 
-    def _init_fixed_rows(self):
-        cur = self._conn.execute("SELECT COUNT(*) FROM relation_type")
-        if cur.fetchone()[0] == 0:
-            self._conn.execute("BEGIN")
-            self._conn.executemany(
-                "INSERT INTO relation_type(id, name) VALUES (?, ?)",
-                list(enumerate(RELATION_TYPE_NAMES, start=1)))
-            self._conn.commit()
+    def _create_schema(self):
+        """Tables, fixed rows, index_native and every secondary index of a new
+        store, in one transaction; a store opened concurrently is left as is."""
+        self._conn.executescript("BEGIN IMMEDIATE;" + _SCHEMA)
+        self._conn.executemany(
+            "INSERT OR IGNORE INTO relation_type(id, name) VALUES (?, ?)",
+            enumerate(RELATION_TYPE_NAMES, start=1))
+        self._create_index_table("index_native")
+        self._create_secondary_indexes()
+        self._conn.commit()
 
     def _set_meta(self, key, value):
         self._conn.execute(
@@ -345,6 +357,12 @@ class MrdStore:
     def _save_word_rows(self, bundle: WordBundle) -> int:
         conn = self._conn
         text_id = self._wiki_text_id
+        # An entry or relation whose text is cached with its word written
+        # takes the id straight from the cache, as an entry's cached language
+        # does. Cache keys are truncated texts, so a text found there needs
+        # no truncation.
+        cache = self._wiki_text_cache
+        interned = self._interned
         existing = conn.execute(
             "SELECT id FROM page WHERE title=?", (bundle.title,)).fetchone()
         if existing:
@@ -379,7 +397,9 @@ class MrdStore:
                     "VALUES (?, ?, ?)", (lang_pos_id, ordinal, wid)).lastrowid
 
             for type_name, word, wikitext, meaning_ordinal in relations:
-                wid = text_id(wikitext, (word,), word_rows)
+                cached = cache.get(wikitext)
+                wid = (cached[0] if cached is not None and word in cached[1]
+                       else text_id(wikitext, (word,), word_rows))
                 relation_rows.append((meaning_ids.get(meaning_ordinal), lang_pos_id,
                                       _RELATION_TYPE_IDS[type_name], wid))
 
@@ -389,8 +409,13 @@ class MrdStore:
                     "INSERT INTO translation(lang_pos_id, gloss_wiki_text_id) "
                     "VALUES (?, ?)", (lang_pos_id, gloss_id)).lastrowid
                 for entry_lang, word, wikitext in entries:
-                    wid = text_id(wikitext, (word,), word_rows)
-                    entry_rows.append((translation_id, self._lang_id(entry_lang), wid))
+                    cached = cache.get(wikitext)
+                    wid = (cached[0] if cached is not None and word in cached[1]
+                           else text_id(wikitext, (word,), word_rows))
+                    entry_rows.append((translation_id,
+                                       interned.get(("lang", entry_lang))
+                                       or self._lang_id(entry_lang),
+                                       wid))
 
             if soft_redirect is not None:
                 inflection_rows.append((lang_pos_id, *soft_redirect))
@@ -436,47 +461,60 @@ class MrdStore:
             "ORDER BY name").fetchall()
         return [r[0] for r in rows]
 
-    def _ensure_index_table(self, table: str):
+    def _create_index_table(self, table: str):
+        """One row per lang_pos, keyed by it, so deleting a lang_pos finds
+        its row at once; the word index comes with the secondary indexes."""
         self._conn.execute(
-            f'CREATE TABLE IF NOT EXISTS "{table}"('
-            f"word TEXT NOT NULL, lang_pos_id INTEGER NOT NULL REFERENCES lang_pos(id))")
-        self._conn.execute(
-            f'CREATE INDEX IF NOT EXISTS "idx_{table}_word" ON "{table}"(word)')
+            f'CREATE TABLE IF NOT EXISTS "{table}"(word TEXT NOT NULL, '
+            "lang_pos_id INTEGER PRIMARY KEY REFERENCES lang_pos(id)) WITHOUT ROWID")
+
+    def prepare_load(self):
+        """Ready the open transaction for a run of saves. A store without
+        pages loads without its secondary indexes, which build_index_tables
+        (or import_tsv) then builds once, sorted. A store with pages keeps
+        them, or gets them back first, because re-saving a title deletes its
+        old rows through them."""
+        if self._conn.execute("SELECT 1 FROM page LIMIT 1").fetchone() is None:
+            for name in _SECONDARY_INDEXES:
+                self._conn.execute(f"DROP INDEX IF EXISTS {name}")
+        else:
+            self._create_secondary_indexes()
+
+    def _create_secondary_indexes(self):
+        """Create the secondary indexes missing, index tables' word indexes
+        included, and drop the obsolete ones."""
+        for name in _OBSOLETE_INDEXES:
+            self._conn.execute(f"DROP INDEX IF EXISTS {name}")
+        for name, target in _SECONDARY_INDEXES.items():
+            self._conn.execute(f"CREATE INDEX IF NOT EXISTS {name} ON {target}")
+        for table in self.index_tables():
+            self._conn.execute(
+                f'CREATE INDEX IF NOT EXISTS "idx_{table}_word" ON "{table}"(word)')
 
     def build_index_tables(self) -> dict[str, int]:
-        """(Re)build index_native and one index_XX per foreign entry language."""
+        """(Re)build index_native and one index_XX per foreign entry language,
+        then every secondary index a load left out."""
         own_txn = not self._conn.in_transaction
         try:
             if own_txn:
                 self._conn.execute("BEGIN")
             for table in self.index_tables():
-                if table != "index_native":
-                    self._conn.execute(f'DROP TABLE "{table}"')
-            self._conn.execute("DELETE FROM index_native")
+                self._conn.execute(f'DROP TABLE "{table}"')
             native = self.native_code
-            counts: dict[str, int] = {}
-            self._conn.execute(
-                "INSERT INTO index_native(word, lang_pos_id) "
-                "SELECT p.title, lp.id FROM lang_pos lp "
-                "JOIN page p ON p.id = lp.page_id "
-                "JOIN lang l ON l.id = lp.lang_id WHERE l.code=? ORDER BY lp.id",
-                (native,))
-            counts["index_native"] = self._conn.execute(
-                "SELECT COUNT(*) FROM index_native").fetchone()[0]
-            foreign = self._conn.execute(
+            codes = [native] + [code for (code,) in self._conn.execute(
                 "SELECT DISTINCT l.code FROM lang_pos lp JOIN lang l ON l.id=lp.lang_id "
-                "WHERE l.code != ? ORDER BY l.code", (native,)).fetchall()
-            for (code,) in foreign:
-                table = f"index_{code}"
-                self._ensure_index_table(table)
-                self._conn.execute(
+                "WHERE l.code != ? ORDER BY l.code", (native,))]
+            counts: dict[str, int] = {}
+            for code in codes:
+                table = "index_native" if code == native else f"index_{code}"
+                self._create_index_table(table)
+                counts[table] = self._conn.execute(
                     f'INSERT INTO "{table}"(word, lang_pos_id) '
                     "SELECT p.title, lp.id FROM lang_pos lp "
                     "JOIN page p ON p.id = lp.page_id "
                     "JOIN lang l ON l.id = lp.lang_id WHERE l.code=? ORDER BY lp.id",
-                    (code,))
-                counts[table] = self._conn.execute(
-                    f'SELECT COUNT(*) FROM "{table}"').fetchone()[0]
+                    (code,)).rowcount
+            self._create_secondary_indexes()
             if own_txn:
                 self._conn.commit()
             return counts
@@ -616,7 +654,11 @@ class MrdStore:
         """Replace store content with a TSV export; ids are preserved.
 
         Referential integrity is checked once, before the commit, so an import
-        that fails leaves the store as it was."""
+        that fails leaves the store as it was. It needs a store with no open
+        transaction: the caller's uncommitted rows would be replaced too."""
+        if self._conn.in_transaction:
+            raise StoreError("import_tsv called inside an open transaction; "
+                             "commit or roll back first")
         try:
             # foreign keys are checked once below, not on every insert; the
             # setting cannot change inside a transaction
@@ -627,6 +669,7 @@ class MrdStore:
             for table in reversed(list(TABLE_COLUMNS)):
                 self._conn.execute(f"DELETE FROM {table}")
             self._clear_caches()
+            self.prepare_load()
             for table, columns in TABLE_COLUMNS.items():
                 path = os.path.join(directory, f"{table}.tsv")
                 if os.path.exists(path):
@@ -636,9 +679,10 @@ class MrdStore:
                     table = name[:-4]
                     if not re.fullmatch(r"index_(native|[a-z0-9][a-z0-9-]{1,10})", table):
                         raise MalformedRow(table, 0, "bad index table name")
-                    self._ensure_index_table(table)
+                    self._create_index_table(table)
                     self._import_table(os.path.join(directory, name), table,
                                        ("word", "lang_pos_id"))
+            self._create_secondary_indexes()
             self.check_referential_integrity()
             self._conn.commit()
         except sqlite3.Error as exc:

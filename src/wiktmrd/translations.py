@@ -122,11 +122,12 @@ def _entries_from_en_payload(payload, line_lang, registry, entries):
 
 
 def _link_entries(data: bytes, lang: LanguageCode, entries: list[tuple[str, str, str]]):
-    """One entry per wikilink in `data`."""
+    """One entry per wikilink in `data`, built from its span alone."""
+    code = lang.code
     for s, e in wt._kernel.wikilink_spans(data):
-        link = wt._build_wikilink(data, s, e)
-        if link is not None:
-            entries.append((lang.code, link.target, wt.decode(data[s:e])))
+        target = wt._link_target(data, s, e)
+        if target:
+            entries.append((code, target, wt.decode(data[s:e])))
 
 
 def extract_translations_ru(

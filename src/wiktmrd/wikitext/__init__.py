@@ -175,17 +175,19 @@ def scan_wikilinks(text: str) -> list[WikiLink]:
 
 
 def _build_wikilink(data: bytes, s: int, e: int) -> WikiLink | None:
-    inner = data[s + 2:e - 2]
-    pipe = inner.find(b"|")
-    if pipe == -1:
-        target = decode(inner).strip()
-        label = target
-    else:
-        target = decode(inner[:pipe]).strip()
-        label = decode(inner[pipe + 1:]).strip() or target
+    target = _link_target(data, s, e)
     if not target:
         return None
-    return WikiLink(target=target, label=label, source_span=(s, e))
+    pipe = data.find(b"|", s + 2, e - 2)
+    label = decode(data[pipe + 1:e - 2]).strip() if pipe != -1 else ""
+    return WikiLink(target=target, label=label or target, source_span=(s, e))
+
+
+def _link_target(data: bytes, s: int, e: int) -> str:
+    """Target of the link at data[s:e]: its text up to the first "|",
+    trimmed; empty for a link that is no link."""
+    pipe = data.find(b"|", s + 2, e - 2)
+    return decode(data[s + 2:e - 2 if pipe == -1 else pipe]).strip()
 
 
 def scan_headings(text: str | bytes) -> list[Heading]:

@@ -81,3 +81,15 @@ def en(registry):
 @pytest.fixture(scope="session")
 def ru(registry):
     return registry.dialect_config("ru")
+
+
+def assert_full_index_set(store):
+    """The store has exactly its secondary indexes: the fixed list plus one
+    word index per index table, nothing obsolete and nothing missing."""
+    from wiktmrd.store import _SECONDARY_INDEXES
+
+    names = {name for (name,) in store.query(
+        "SELECT name FROM sqlite_master WHERE type='index' "
+        "AND name NOT LIKE 'sqlite_autoindex_%'")}
+    assert names == set(_SECONDARY_INDEXES) | {
+        f"idx_{table}_word" for table in store.index_tables()}

@@ -1,15 +1,16 @@
 """Dump iteration, the parse run, resume/crash behavior, worker determinism."""
 
 import os
+import sqlite3
 import subprocess
 import sys
 
 import pytest
 
-from conftest import build_dump_xml, fixture_dump_pages, write_dump
+from conftest import assert_full_index_set, build_dump_xml, fixture_dump_pages, write_dump
 from wiktmrd import pipeline
 from wiktmrd.pipeline import MalformedDump, ParseConfig, iterate_dump, run_parse
-from wiktmrd.store import ChecksumMismatch, MrdStore
+from wiktmrd.store import _SECONDARY_INDEXES, ChecksumMismatch, MrdStore
 
 
 def test_iterate_dump_three_pages(tmp_path):
@@ -112,6 +113,21 @@ def test_run_parse_en_fixture_corpus(tmp_path):
         assert store.table_sizes()["index_native"] > 0
         sq = store.query("SELECT COUNT(*) FROM index_sq")
         assert sq == [(1,)]  # the Albanian entry
+
+
+def test_completed_parse_leaves_exactly_the_store_indexes(tmp_path):
+    _, store_path = parse_fixture_corpus(tmp_path, "en")
+    with MrdStore(store_path) as store:
+        assert_full_index_set(store)
+        # an older store's index that duplicates a UNIQUE constraint's prefix
+        store.query("CREATE INDEX idx_wtw_text ON wiki_text_words(wiki_text_id)")
+    with MrdStore(store_path) as store:  # opening leaves it alone
+        assert store.query("SELECT name FROM sqlite_master WHERE name='idx_wtw_text'")
+    # a reparse into the filled store keeps its indexes and drops the old one
+    run_parse(ParseConfig(dialect="en", dump_path=tmp_path / "en.xml",
+                          store_path=store_path, start_record=0))
+    with MrdStore(store_path) as store:
+        assert_full_index_set(store)
 
 
 def test_run_parse_ru_fixture_corpus(tmp_path):
@@ -292,7 +308,9 @@ def test_crash_and_resume_matches_uninterrupted(tmp_path):
     for i in range(60):
         pages.append((f"word{i:03d}",
                       f"==English==\n===Noun===\n# Sense [[w{i}]].\n"
-                      f"====Synonyms====\n* [[s{i}]]\n"))
+                      f"====Synonyms====\n* [[s{i}]]\n"
+                      f"====Translations====\n{{{{trans-top|sense}}}}\n"
+                      f"* Finnish: {{{{t|fi|f{i % 7}}}}}\n{{{{trans-bottom}}}}\n"))
     dump = write_dump(tmp_path / "d.xml", pages)
 
     base_args = ["parse", "--dialect", "en", "--dump", str(dump),
@@ -305,8 +323,31 @@ def test_crash_and_resume_matches_uninterrupted(tmp_path):
     crashed = run_cli([*base_args, "--store", str(tmp_path / "crash.db")],
                       env_extra={"WIKTMRD_CRASH_AFTER_PAGES": "23"})
     assert crashed.returncode == 86
+
+    # The killed fresh parse committed 20 pages, loaded without secondary
+    # indexes. Opening it writes nothing, so it answers queries while
+    # another connection holds the write lock.
+    writer = sqlite3.connect(tmp_path / "crash.db", isolation_level=None)
+    try:
+        writer.execute("BEGIN IMMEDIATE")
+        with MrdStore(tmp_path / "crash.db") as store, \
+                MrdStore(tmp_path / "clean.db") as clean:
+            indexes = {name for (name,) in store.query(
+                "SELECT name FROM sqlite_master WHERE type='index'")}
+            assert not indexes & set(_SECONDARY_INDEXES)
+            assert store.table_sizes()["page"] == 20
+            for title in ("word000", "word013", "word019"):
+                assert store.lookup_word(title) == clean.lookup_word(title) != []
+            for word in ("f0", "f3", "f6"):
+                committed = [(t, c) for t, c in clean.reverse_lookup(word) if t < "word020"]
+                assert store.reverse_lookup(word) == committed != []
+    finally:
+        writer.rollback()
+        writer.close()
+
     resumed = run_cli([*base_args, "--store", str(tmp_path / "crash.db")])
     assert resumed.returncode == 0, resumed.stderr
     with MrdStore(tmp_path / "crash.db") as store:
         store.export_tsv(tmp_path / "export_crash")
+        assert_full_index_set(store)
     assert_export_dirs_equal(tmp_path / "export_clean", tmp_path / "export_crash")

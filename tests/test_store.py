@@ -8,12 +8,14 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import assert_full_index_set
 from wiktmrd import store as store_module
 from wiktmrd.store import (
     Checkpoint,
     CorruptStore,
     MalformedRow,
     MrdStore,
+    StoreError,
     WordBundle,
     MAX_WIKI_TEXT_BYTES,
 )
@@ -258,6 +260,45 @@ def test_wiki_text_cache_cap_counts_words(store, monkeypatch):
     assert store.table_sizes()["wiki_text_words"] == 6 * 3 + 1
 
 
+def _resave_vm_steps(path, pages):
+    """SQLite VM steps of re-saving one page of a store of `pages` pages
+    with built indexes: meanings, sense-bound relations, translations and
+    a second language, so every table and index table takes a delete."""
+    def bundle(n):
+        return WordBundle(title=f"p{n:04d}", record_id=n, lang_pos=[
+            noun(meanings=[(1, f"A [[w{n}]].", [f"w{n}"]), (2, "Other.", [])],
+                 relations=[("synonym", f"s{n}", f"[[s{n}]]", 1),
+                            ("antonym", f"a{n}", f"[[a{n}]]", None)],
+                 translations=[("gloss", [("fi", f"f{n}", f"[[f{n}]]"),
+                                          ("de", f"d{n}", f"[[d{n}]]")])]),
+            noun("fi", meanings=[(1, "Fi.", [])],
+                 relations=[("synonym", f"t{n}", f"[[t{n}]]", 1)])])
+
+    with MrdStore(path, native_code="en", dialect="en") as store:
+        store.begin()
+        for n in range(pages):
+            store.save_word(bundle(n))
+        store.commit()
+        store.build_index_tables()
+        steps = 0
+
+        def step():
+            nonlocal steps
+            steps += 1
+            return 0
+        store._conn.set_progress_handler(step, 1)
+        store.save_word(bundle(pages // 2))
+        store._conn.set_progress_handler(None, 1)
+        store.check_referential_integrity()
+        return steps
+
+
+def test_resave_cost_follows_the_page_not_the_store(tmp_path):
+    small = _resave_vm_steps(tmp_path / "small.db", 50)
+    large = _resave_vm_steps(tmp_path / "large.db", 500)
+    assert large <= 2 * small, (small, large)
+
+
 # -- index tables ---------------------------------------------------------------
 
 def test_index_tables_native_only(store):
@@ -317,6 +358,7 @@ def test_export_import_round_trip(store, tmp_path):
     with MrdStore(tmp_path / "other.db", native_code="en", dialect="en") as other:
         other.import_tsv(out1)
         assert other.table_sizes() == store.table_sizes()
+        assert_full_index_set(other)
         out2 = tmp_path / "export2"
         other.export_tsv(out2)
 
@@ -324,6 +366,22 @@ def test_export_import_round_trip(store, tmp_path):
         a = (out1 / name).read_bytes()
         b = (out2 / name).read_bytes()
         assert a == b, f"{name} differs after round trip"
+
+
+def test_import_inside_open_transaction_refused(store, tmp_path):
+    out = tmp_path / "export"
+    store.export_tsv(out)
+    store.begin()
+    store.save_word(simple_bundle())
+    with pytest.raises(StoreError, match="open transaction") as exc:
+        store.import_tsv(out)
+    assert type(exc.value) is StoreError  # a caller error, not corruption
+    # the caller's transaction and its page survive
+    assert store._conn.in_transaction
+    assert store.table_sizes()["page"] == 1
+    store.commit()
+    with MrdStore(store.path) as reader:
+        assert reader.table_sizes()["page"] == 1
 
 
 def test_export_empty_store_headers_only(store, tmp_path):
@@ -402,6 +460,17 @@ def test_import_with_dangling_reference_rolls_back(store, tmp_path):
     fields = first.split("\t")
     fields[2] = "999"  # lang_pos_id of a lang_pos that does not exist
     path.write_text("".join([header, "\t".join(fields), *rest]), encoding="utf-8")
+    _failing_import_leaves_store_unchanged(store, out, CorruptStore)
+
+
+def test_import_refuses_two_index_rows_for_one_lang_pos(store, tmp_path):
+    store.save_word(simple_bundle())
+    store.build_index_tables()
+    out = tmp_path / "export"
+    store.export_tsv(out)
+    path = out / "index_native.tsv"
+    header, row = path.read_text("utf-8").splitlines(keepends=True)
+    path.write_text(header + row + row.replace("toe", "toe2"), encoding="utf-8")
     _failing_import_leaves_store_unchanged(store, out, CorruptStore)
 
 

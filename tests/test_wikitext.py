@@ -87,15 +87,39 @@ def _ref_build(data, start, end, segments):
     return tpl
 
 
+def ref_top_level_marks(data, start, end, needle):
+    """The token automaton of _kernel.top_level_marks, one byte per step."""
+    marks = []
+    depth = 0
+    i = start
+    while i < end:
+        c = data[i]
+        if i + 1 < end:
+            c2 = data[i + 1]
+            if (c == 0x7B and c2 == 0x7B) or (c == 0x5B and c2 == 0x5B):
+                depth += 1
+                i += 2
+                continue
+            if (c == 0x7D and c2 == 0x7D) or (c == 0x5D and c2 == 0x5D):
+                if depth > 0:
+                    depth -= 1
+                i += 2
+                continue
+        if c == needle and depth == 0:
+            marks.append(i)
+        i += 1
+    return marks
+
+
 def ref_split_template(data, s, e):
     """(name, positional, named) of the template at data[s:e], every "|" and
     "=" found by a full bracket-depth scan of its segment."""
     bs, be = s + 2, e - 2
-    pipes = _kernel.top_level_marks(data, bs, be, 0x7C)
+    pipes = ref_top_level_marks(data, bs, be, 0x7C)
     name = data[bs:pipes[0] if pipes else be].decode("utf-8", "surrogatepass").strip()
     positional, named = [], {}
     for seg_start, seg_end in zip([p + 1 for p in pipes], pipes[1:] + [be]):
-        eqs = _kernel.top_level_marks(data, seg_start, seg_end, 0x3D)
+        eqs = ref_top_level_marks(data, seg_start, seg_end, 0x3D)
         key = data[seg_start:eqs[0]].decode("utf-8", "surrogatepass").strip() if eqs else ""
         if key:
             named[key] = data[eqs[0] + 1:seg_end].decode("utf-8", "surrogatepass").strip()
@@ -277,6 +301,25 @@ def test_template_params_match_full_depth_scan(text):
     for tpl in wt.scan_templates(text):
         assert ((tpl.name, tpl.positional_params, tpl.named_params)
                 == ref_split_template(data, *tpl.source_span))
+
+
+# bracket tokens, their halves, both needles and UTF-8 text, in runs long
+# enough for ranges from a few bytes to a wide translation block
+marks_text = st.lists(st.sampled_from(
+    ["{{", "}}", "[[", "]]", "{", "}", "[", "]", "|", "=", "a", "щ", "\n"]),
+    max_size=600).map("".join)
+
+
+@given(marks_text, st.integers(0, 2000), st.integers(0, 2000), st.sampled_from([0x7C, 0x3D]))
+@example("{{a|b}}|[[c|d]]=", 0, 16, 0x7C)
+@example("}}|]]=[[|{{=", 0, 12, 0x3D)
+@settings(max_examples=500)
+def test_top_level_marks_matches_reference(text, a, b, needle):
+    data = wt.encode(text)
+    start = a % (len(data) + 1)
+    end = start + b % (len(data) - start + 1)
+    assert (_kernel.top_level_marks(data, start, end, needle)
+            == ref_top_level_marks(data, start, end, needle))
 
 
 @given(st.one_of(any_text, bracket_text))
