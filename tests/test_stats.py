@@ -103,6 +103,54 @@ def test_native_native_requires_target_resolution(tmp_path):
         assert stats.compute_native_stats(store).native_native_relations == 1
 
 
+def _brute_force_native_native(store, native):
+    """native_native_relations worked out in Python from the table rows."""
+    native_lang = {i for i, code in store.query("SELECT id, code FROM lang") if code == native}
+    title = dict(store.query("SELECT id, title FROM page"))
+    native_entries = {i: title[page_id] for i, page_id, lang_id in store.query(
+        "SELECT id, page_id, lang_id FROM lang_pos") if lang_id in native_lang}
+    native_titles = set(native_entries.values())
+    linked = {text for text, word in store.query(
+        "SELECT wiki_text_id, page_ref_title FROM wiki_text_words") if word in native_titles}
+    return sum(1 for lang_pos_id, text in store.query(
+        "SELECT lang_pos_id, wiki_text_id FROM relation")
+        if lang_pos_id in native_entries and text in linked)
+
+
+def test_native_native_matches_brute_force(tmp_path):
+    def entry(lang, etymology=0, meanings=(), relations=()):
+        return (lang, "noun", etymology, list(meanings), list(relations), [], None)
+
+    both = "[[large]], [[great]]"  # one relation text linking two native titles
+    pages = {
+        "cold": [entry("en", 1), entry("en", 2)],  # two native entries
+        "large": [entry("en")], "great": [entry("en")],
+        "kuuma": [entry("fi")],                    # non-native only
+        "warm": [entry("en", relations=[("antonym", "cold", "[[cold]]", None),
+                                        ("synonym", "kuuma", "[[kuuma]]", None)])],
+        "big": [entry("en", meanings=[(1, both, ["large", "great"])],
+                      relations=[("synonym", "large", both, 1)])],
+    }
+    with MrdStore(tmp_path / "s.db", native_code="en", dialect="en") as store:
+        for i, (title, lang_pos) in enumerate(pages.items()):
+            store.save_word(WordBundle(title=title, record_id=i, lang_pos=lang_pos))
+        assert stats.compute_native_stats(store).native_native_relations == 2
+        assert _brute_force_native_native(store, "en") == 2
+
+    rng = random.Random(20100406)
+    titles = [f"w{i}" for i in range(12)]
+    for trial in range(10):
+        with MrdStore(tmp_path / f"r{trial}.db", native_code="en", dialect="en") as store:
+            for i, title in enumerate(titles):
+                targets = rng.sample(titles + ["absent"], rng.randint(0, 4))
+                store.save_word(WordBundle(title=title, record_id=i, lang_pos=[
+                    entry(rng.choice(("en", "fi")), etymology, relations=[
+                        ("synonym", t, f"[[{t}]]", None) for t in targets])
+                    for etymology in range(rng.randint(1, 2))]))
+            assert (stats.compute_native_stats(store).native_native_relations
+                    == _brute_force_native_native(store, "en"))
+
+
 def test_histogram_single_entry_with_seven(tmp_path):
     with make_store(tmp_path / "s.db",
                     [("toe", "en", ["synonym"] * 7)]) as store:

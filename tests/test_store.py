@@ -332,6 +332,43 @@ def test_index_tables_match_group_by_oracle(store):
         assert sizes[key] == n
 
 
+# -- reverse lookup ---------------------------------------------------------------
+
+def _brute_force_reverse(store, word):
+    """reverse_lookup(word) worked out in Python from the table rows."""
+    linked = {text for text, title in store.query(
+        "SELECT wiki_text_id, page_ref_title FROM wiki_text_words") if title == word}
+    code = dict(store.query("SELECT id, code FROM lang"))
+    title = dict(store.query("SELECT id, title FROM page"))
+    page_of = dict(store.query("SELECT id, page_id FROM lang_pos"))
+    lang_pos_of = dict(store.query("SELECT id, lang_pos_id FROM translation"))
+    return sorted({(title[page_of[lang_pos_of[translation_id]]], code[lang_id])
+                   for translation_id, lang_id, text in store.query(
+                       "SELECT translation_id, lang_id, wiki_text_id FROM translation_entry")
+                   if text in linked})
+
+
+def test_reverse_lookup_matches_brute_force(store):
+    shared = "[[hund]] / [[vovve]]"  # one translation text for two words
+    store.save_word(WordBundle(title="dog", record_id=0, lang_pos=[noun(
+        meanings=[(1, "A [[canine]].", ["canine"])],
+        relations=[("synonym", "hound", "[[hound]]", 1)],
+        translations=[("pet", [("sv", "hund", shared), ("no", "vovve", shared),
+                               ("fi", "koira", "{{t|fi|koira}}"),
+                               ("fi", "koira", "{{t+|fi|koira}}")])])]))
+    store.save_word(WordBundle(title="cur", record_id=1, lang_pos=[noun(
+        translations=[("", [("fi", "koira", "{{t|fi|koira}}")])])]))
+    assert store.reverse_lookup("koira") == [("cur", "fi"), ("dog", "fi")]
+    assert store.reverse_lookup("hund") == store.reverse_lookup("vovve") == [
+        ("dog", "no"), ("dog", "sv")]
+    # reached only through a meaning or relation text, or not at all
+    for word in ("canine", "hound", "absent"):
+        assert store.reverse_lookup(word) == []
+    words = {word for (word,) in store.query("SELECT page_ref_title FROM wiki_text_words")}
+    for word in sorted(words) + ["absent"]:
+        assert store.reverse_lookup(word) == _brute_force_reverse(store, word), word
+
+
 # -- checkpoints -------------------------------------------------------------------
 
 def test_checkpoint_round_trip(store):
@@ -499,14 +536,18 @@ def test_referential_integrity_enforced_on_export(store, tmp_path):
 
 # -- TSV codec ------------------------------------------------------------------------
 
-@given(st.text(alphabet=st.sampled_from("\\\tNntaé\U0001f600\n")) | st.text())
+@given(st.text(alphabet=st.sampled_from("\\\tNntaé\U0001f600\n")) | st.text()
+       | st.integers() | st.none())
 @example("\\N")
 @example("\\")
 @example("a\\")
+@example("0123")
+@example(-7)
 def test_tsv_codec_round_trips_any_text(s):
     escaped = store_module._tsv_escape(s)
+    assert store_module._tsv_field(s) == escaped  # the export's formatter
     assert "\t" not in escaped and "\n" not in escaped
-    assert store_module._tsv_unescape(escaped) == s
+    assert store_module._tsv_unescape(escaped) == (s if s is None else str(s))
 
 
 @pytest.mark.parametrize("field, value", [
