@@ -2,9 +2,9 @@
 
 Logical schema: page, lang, pos, lang_pos, wiki_text, wiki_text_words,
 meaning, relation_type, relation, translation, translation_entry, inflection,
-plus one word-index table per language (index_native, index_XX). Backed by
-SQLite; the durable contract is the logical schema and the TSV interchange
-format, not the engine.
+plus the per-language word indexes (index_native, index_XX), which are
+derived from lang_pos rather than stored. Backed by SQLite; the durable
+contract is the logical schema and the TSV interchange format, not the engine.
 
 Writes happen through a single writer. save_word is atomic per page and
 idempotent per title. Checkpoints commit in the same transaction as the data
@@ -32,6 +32,8 @@ ref_words are the page titles a text links to; they fill wiki_text_words.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import os
 import re
@@ -104,7 +106,7 @@ CREATE TABLE IF NOT EXISTS checkpoint(
 
 # The non-unique indexes. A load into an empty store (a fresh parse, an
 # import) runs without them and builds each once, sorted, after the rows are
-# in; see MrdStore.prepare_load. Each index table adds its own word index.
+# in; see MrdStore.prepare_load.
 _SECONDARY_INDEXES = {
     "idx_meaning_lang_pos": "meaning(lang_pos_id)",
     "idx_relation_lang_pos": "relation(lang_pos_id)",
@@ -117,6 +119,14 @@ _SECONDARY_INDEXES = {
 }
 # left in older stores; each is a prefix of a UNIQUE constraint's index
 _OBSOLETE_INDEXES = ("idx_lang_pos_page", "idx_wtw_text")
+
+# Every lang_pos as a row of its word index: index_native for the native
+# code, the one parameter, else index_XX; the word is its page's title.
+_WORD_INDEX_ROWS = (
+    "SELECT 'index_' || CASE l.code WHEN ? THEN 'native' ELSE l.code END AS name, "
+    "p.title, lp.id FROM lang_pos lp JOIN page p ON p.id = lp.page_id "
+    "JOIN lang l ON l.id = lp.lang_id")
+_WORD_INDEX_COLUMNS = ("word", "lang_pos_id")
 
 
 class StoreError(Exception):
@@ -211,13 +221,12 @@ class MrdStore:
         self.close()
 
     def _create_schema(self):
-        """Tables, fixed rows, index_native and every secondary index of a new
-        store, in one transaction; a store opened concurrently is left as is."""
+        """Tables, fixed rows and every secondary index of a new store, in one
+        transaction; a store opened concurrently is left as is."""
         self._conn.executescript("BEGIN IMMEDIATE;" + _SCHEMA)
         self._conn.executemany(
             "INSERT OR IGNORE INTO relation_type(id, name) VALUES (?, ?)",
             enumerate(RELATION_TYPE_NAMES, start=1))
-        self._create_index_table("index_native")
         self._create_secondary_indexes()
         self._conn.commit()
 
@@ -447,33 +456,21 @@ class MrdStore:
             conn.execute(f"DELETE FROM relation WHERE lang_pos_id IN ({marks})", lang_pos_ids)
             conn.execute(f"DELETE FROM meaning WHERE lang_pos_id IN ({marks})", lang_pos_ids)
             conn.execute(f"DELETE FROM inflection WHERE lang_pos_id IN ({marks})", lang_pos_ids)
-            for table in self.index_tables():
-                conn.execute(f'DELETE FROM "{table}" WHERE lang_pos_id IN ({marks})',
-                             lang_pos_ids)
             conn.execute(f"DELETE FROM lang_pos WHERE id IN ({marks})", lang_pos_ids)
         conn.execute("DELETE FROM page WHERE id=?", (page_id,))
 
-    # -- index tables -----------------------------------------------------------
-
-    def index_tables(self) -> list[str]:
-        rows = self._conn.execute(
-            "SELECT name FROM sqlite_master WHERE type='table' AND name LIKE 'index_%' "
-            "ORDER BY name").fetchall()
-        return [r[0] for r in rows]
-
-    def _create_index_table(self, table: str):
-        """One row per lang_pos, keyed by it, so deleting a lang_pos finds
-        its row at once; the word index comes with the secondary indexes."""
-        self._conn.execute(
-            f'CREATE TABLE IF NOT EXISTS "{table}"(word TEXT NOT NULL, '
-            "lang_pos_id INTEGER PRIMARY KEY REFERENCES lang_pos(id)) WITHOUT ROWID")
+    # -- indexes -----------------------------------------------------------------
 
     def prepare_load(self):
         """Ready the open transaction for a run of saves. A store without
         pages loads without its secondary indexes, which build_index_tables
         (or import_tsv) then builds once, sorted. A store with pages keeps
-        them, or gets them back first, because re-saving a title deletes its
-        old rows through them."""
+        them, or gets them back first, as re-saving a title deletes its old
+        rows through them. The index_* tables of older versions are dropped:
+        their references would block deleting a lang_pos."""
+        for (table,) in self.query(
+                "SELECT name FROM sqlite_master WHERE type='table' AND name GLOB 'index_*'"):
+            self._conn.execute(f'DROP TABLE "{table}"')
         if self._conn.execute("SELECT 1 FROM page LIMIT 1").fetchone() is None:
             for name in _SECONDARY_INDEXES:
                 self._conn.execute(f"DROP INDEX IF EXISTS {name}")
@@ -481,59 +478,47 @@ class MrdStore:
             self._create_secondary_indexes()
 
     def _create_secondary_indexes(self):
-        """Create the secondary indexes missing, index tables' word indexes
-        included, and drop the obsolete ones."""
+        """Create the secondary indexes missing and drop the obsolete ones."""
         for name in _OBSOLETE_INDEXES:
             self._conn.execute(f"DROP INDEX IF EXISTS {name}")
         for name, target in _SECONDARY_INDEXES.items():
             self._conn.execute(f"CREATE INDEX IF NOT EXISTS {name} ON {target}")
-        for table in self.index_tables():
-            self._conn.execute(
-                f'CREATE INDEX IF NOT EXISTS "idx_{table}_word" ON "{table}"(word)')
 
-    def build_index_tables(self) -> dict[str, int]:
-        """(Re)build index_native and one index_XX per foreign entry language,
-        then every secondary index a load left out."""
-        own_txn = not self._conn.in_transaction
+    def build_index_tables(self):
+        """Build every secondary index a load left out. The word indexes
+        need no building: they are derived from lang_pos when read."""
         try:
-            if own_txn:
-                self._conn.execute("BEGIN")
-            for table in self.index_tables():
-                self._conn.execute(f'DROP TABLE "{table}"')
-            native = self.native_code
-            codes = [native] + [code for (code,) in self._conn.execute(
-                "SELECT DISTINCT l.code FROM lang_pos lp JOIN lang l ON l.id=lp.lang_id "
-                "WHERE l.code != ? ORDER BY l.code", (native,))]
-            counts: dict[str, int] = {}
-            for code in codes:
-                table = "index_native" if code == native else f"index_{code}"
-                self._create_index_table(table)
-                counts[table] = self._conn.execute(
-                    f'INSERT INTO "{table}"(word, lang_pos_id) '
-                    "SELECT p.title, lp.id FROM lang_pos lp "
-                    "JOIN page p ON p.id = lp.page_id "
-                    "JOIN lang l ON l.id = lp.lang_id WHERE l.code=? ORDER BY lp.id",
-                    (code,)).rowcount
             self._create_secondary_indexes()
-            if own_txn:
-                self._conn.commit()
-            return counts
         except sqlite3.Error as exc:
             self.rollback()
             raise _translate_error(exc) from exc
 
+    def _word_indexes(self, also=("index_native",)):
+        """(table, sorted (word, lang_pos_id) rows) per word index, plus an empty
+        one per name in `also` without rows, all from one query, read in turn;
+        closing the generator closes the query, which blocks schema changes."""
+        empty = set(also)
+        with contextlib.closing(self._conn.execute(
+                f"{_WORD_INDEX_ROWS} ORDER BY name, p.title, lp.id", (self.native_code,))) as rows:
+            for table, group in itertools.groupby(rows, key=lambda row: row[0]):
+                empty.discard(table)
+                yield table, (row[1:] for row in group)
+        for table in sorted(empty):
+            yield table, ()
+
     # -- statistics hooks ---------------------------------------------------------
 
     def table_sizes(self) -> dict[str, int]:
-        """Row counts for every logical table including index tables."""
+        """Row counts for every logical table and every word index."""
         try:
             sizes = {}
             for table in TABLE_COLUMNS:
                 sizes[table] = self._conn.execute(
                     f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-            for table in self.index_tables():
-                sizes[table] = self._conn.execute(
-                    f'SELECT COUNT(*) FROM "{table}"').fetchone()[0]
+            words = self._conn.execute(
+                f"SELECT name, COUNT(*) FROM ({_WORD_INDEX_ROWS}) GROUP BY name",
+                (self.native_code,))
+            sizes.update(sorted({"index_native": 0, **dict(words)}.items()))
             return sizes
         except sqlite3.Error as exc:
             raise _translate_error(exc) from exc
@@ -608,17 +593,12 @@ class MrdStore:
     # -- checkpoints ------------------------------------------------------------
 
     def save_checkpoint(self, cp: Checkpoint):
-        own_txn = not self._conn.in_transaction
-        if own_txn:
-            self._conn.execute("BEGIN")
         self._conn.execute(
             "INSERT INTO checkpoint(id, last_record_id, dump_identity, counters) "
             "VALUES (1, ?, ?, ?) ON CONFLICT(id) DO UPDATE SET "
             "last_record_id=excluded.last_record_id, "
             "dump_identity=excluded.dump_identity, counters=excluded.counters",
             (cp.last_record_id, cp.dump_identity, json.dumps(cp.counters, sort_keys=True)))
-        if own_txn:
-            self._conn.commit()
 
     def load_checkpoint(self) -> Checkpoint:
         row = self._conn.execute(
@@ -640,26 +620,25 @@ class MrdStore:
                 f"{len(violations)} total")
 
     def export_tsv(self, directory):
-        """One sorted TSV per logical table; values escape tab/newline/backslash.
-        Rows are written as the cursor yields them."""
+        """One sorted TSV per logical table and per word index; values escape
+        tab/newline/backslash. Rows are written as the cursor yields them,
+        and each query is closed even when writing fails."""
         self.check_referential_integrity()
         os.makedirs(directory, exist_ok=True)
         for table, columns in TABLE_COLUMNS.items():
-            rows = self._conn.execute(
-                f"SELECT {', '.join(columns)} FROM {table} ORDER BY id")
-            _write_tsv(os.path.join(directory, f"{table}.tsv"), columns, rows)
-        for table in self.index_tables():
-            rows = self._conn.execute(
-                f'SELECT word, lang_pos_id FROM "{table}" '
-                "ORDER BY word, lang_pos_id")
-            _write_tsv(os.path.join(directory, f"{table}.tsv"),
-                       ("word", "lang_pos_id"), rows)
+            with contextlib.closing(self._conn.execute(
+                    f"SELECT {', '.join(columns)} FROM {table} ORDER BY id")) as rows:
+                _write_tsv(os.path.join(directory, f"{table}.tsv"), columns, rows)
+        with contextlib.closing(self._word_indexes()) as indexes:
+            for table, rows in indexes:
+                _write_tsv(os.path.join(directory, f"{table}.tsv"), _WORD_INDEX_COLUMNS, rows)
 
     def import_tsv(self, directory):
         """Replace store content with a TSV export; ids are preserved.
 
-        Referential integrity is checked once, before the commit, so an import
-        that fails leaves the store as it was. It needs a store with no open
+        Referential integrity is checked once, before the commit, and so are
+        the index_*.tsv files against the derived word indexes; an import that
+        fails leaves the store as it was. It needs a store with no open
         transaction: the caller's uncommitted rows would be replaced too."""
         if self._conn.in_transaction:
             raise StoreError("import_tsv called inside an open transaction; "
@@ -669,8 +648,6 @@ class MrdStore:
             # setting cannot change inside a transaction
             self._conn.execute("PRAGMA foreign_keys=OFF")
             self._conn.execute("BEGIN")
-            for table in self.index_tables():
-                self._conn.execute(f'DROP TABLE "{table}"')
             for table in reversed(list(TABLE_COLUMNS)):
                 self._conn.execute(f"DELETE FROM {table}")
             self._clear_caches()
@@ -679,16 +656,9 @@ class MrdStore:
                 path = os.path.join(directory, f"{table}.tsv")
                 if os.path.exists(path):
                     self._import_table(path, table, columns)
-            for name in sorted(os.listdir(directory)):
-                if name.startswith("index_") and name.endswith(".tsv"):
-                    table = name[:-4]
-                    if not re.fullmatch(r"index_(native|[a-z0-9][a-z0-9-]{1,10})", table):
-                        raise MalformedRow(table, 0, "bad index table name")
-                    self._create_index_table(table)
-                    self._import_table(os.path.join(directory, name), table,
-                                       ("word", "lang_pos_id"))
             self._create_secondary_indexes()
             self.check_referential_integrity()
+            self._check_word_index_files(directory)
             self._conn.commit()
         except sqlite3.Error as exc:
             self.rollback()
@@ -707,6 +677,34 @@ class MrdStore:
             self._conn.executemany(
                 f'INSERT INTO "{table}"({", ".join(columns)}) '
                 f'VALUES ({",".join("?" * len(columns))})', _read_rows(f, table, len(columns)))
+
+    def _check_word_index_files(self, directory):
+        """Refuse an index_*.tsv in `directory` unless it has the lines the
+        export writes for the word index of its name, which has no rows for
+        a language without entries. Files and rows are read side by side."""
+        files = {name[:-4] for name in os.listdir(directory)
+                 if name.startswith("index_") and name.endswith(".tsv")}
+        with contextlib.closing(self._word_indexes(also=files)) as indexes:
+            for table, derived in indexes:
+                if table in files:
+                    with open(os.path.join(directory, f"{table}.tsv"),
+                              encoding="utf-8", newline="\n") as f:
+                        self._check_word_index_file(f, table, derived)
+
+    def _check_word_index_file(self, lines, table, derived):
+        expected = itertools.chain([_WORD_INDEX_COLUMNS], derived)
+        for line_no, (line, want) in enumerate(itertools.zip_longest(lines, expected), start=1):
+            got = line and line.rstrip("\n")
+            want = want and "\t".join([_tsv_field(v) for v in want])
+            if got == want:
+                continue
+            code = got and self.query("SELECT code FROM lang WHERE id = (SELECT lang_id "
+                                      "FROM lang_pos WHERE id = ?)", (got.split("\t")[-1],))
+            if table == "index_native" and code and code[0][0] != self.native_code:
+                # the files do not say which native code their store had
+                raise CorruptStore(f"index_native.tsv lists {code[0][0]!r} entries, but "
+                                   f"this store's native language is {self.native_code!r}")
+            raise MalformedRow(table, line_no, f"holds {got!r}, lang_pos gives {want!r}")
 
 
 def _read_rows(lines, table, width):

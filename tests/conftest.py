@@ -84,12 +84,13 @@ def ru(registry):
 
 
 def assert_full_index_set(store):
-    """The store has exactly its secondary indexes: the fixed list plus one
-    word index per index table, nothing obsolete and nothing missing."""
+    """The store has exactly its secondary indexes, nothing obsolete and
+    nothing missing, and stores no word-index table: those are derived."""
     from wiktmrd.store import _SECONDARY_INDEXES
 
     names = {name for (name,) in store.query(
         "SELECT name FROM sqlite_master WHERE type='index' "
         "AND name NOT LIKE 'sqlite_autoindex_%'")}
-    assert names == set(_SECONDARY_INDEXES) | {
-        f"idx_{table}_word" for table in store.index_tables()}
+    assert names == set(_SECONDARY_INDEXES)
+    assert store.query(
+        "SELECT name FROM sqlite_master WHERE type='table' AND name LIKE 'index_%'") == []

@@ -110,9 +110,9 @@ def test_run_parse_en_fixture_corpus(tmp_path):
             "SELECT COUNT(*) FROM relation r JOIN lang_pos lp ON lp.id=r.lang_pos_id "
             "JOIN page p ON p.id=lp.page_id WHERE p.title='toe'")
         assert n == 7
-        assert store.table_sizes()["index_native"] > 0
-        sq = store.query("SELECT COUNT(*) FROM index_sq")
-        assert sq == [(1,)]  # the Albanian entry
+        sizes = store.table_sizes()
+        assert sizes["index_native"] > 0
+        assert sizes["index_sq"] == 1  # the Albanian entry
 
 
 def test_completed_parse_leaves_exactly_the_store_indexes(tmp_path):
@@ -128,6 +128,39 @@ def test_completed_parse_leaves_exactly_the_store_indexes(tmp_path):
                           store_path=store_path, start_record=0))
     with MrdStore(store_path) as store:
         assert_full_index_set(store)
+
+
+def test_reparse_replaces_stored_word_index_tables(tmp_path):
+    """A store from when index_native and index_XX were tables: opening it
+    leaves them, a reparse drops them and exports what a store that never
+    had them exports after the same reparse."""
+    reparse = {"dialect": "en", "dump_path": tmp_path / "en.xml", "start_record": 0}
+    _, store_path = parse_fixture_corpus(tmp_path, "en")
+    (tmp_path / "plain").mkdir()
+    _, plain_path = parse_fixture_corpus(tmp_path / "plain", "en")
+    run_parse(ParseConfig(store_path=plain_path, **reparse))
+    with MrdStore(plain_path) as plain:
+        plain.export_tsv(tmp_path / "export_plain")
+
+    old = sqlite3.connect(store_path, isolation_level=None)
+    old.executescript(
+        "CREATE TABLE index_native(word TEXT NOT NULL, "
+        "lang_pos_id INTEGER PRIMARY KEY REFERENCES lang_pos(id)) WITHOUT ROWID;"
+        "CREATE INDEX idx_index_native_word ON index_native(word);"
+        "INSERT INTO index_native SELECT p.title, lp.id FROM lang_pos lp "
+        "JOIN page p ON p.id = lp.page_id WHERE p.title = 'toe' LIMIT 1;")
+    old.close()
+    with MrdStore(store_path) as store:  # opening leaves it alone
+        assert store.query("SELECT word FROM index_native") == [("toe",)]
+        assert store.query(
+            "SELECT 1 FROM sqlite_master WHERE name='idx_index_native_word'") == [(1,)]
+    # re-saving toe deletes the lang_pos that the old row references
+    report = run_parse(ParseConfig(store_path=store_path, **reparse))
+    assert report.pages_parsed == 11
+    with MrdStore(store_path) as store:
+        assert_full_index_set(store)
+        store.export_tsv(tmp_path / "export_reparsed")
+    assert_export_dirs_equal(tmp_path / "export_plain", tmp_path / "export_reparsed")
 
 
 def test_run_parse_ru_fixture_corpus(tmp_path):

@@ -16,6 +16,7 @@ from wiktmrd.store import (
     MalformedRow,
     MrdStore,
     StoreError,
+    TABLE_COLUMNS,
     WordBundle,
     MAX_WIKI_TEXT_BYTES,
 )
@@ -263,7 +264,7 @@ def test_wiki_text_cache_cap_counts_words(store, monkeypatch):
 def _resave_vm_steps(path, pages):
     """SQLite VM steps of re-saving one page of a store of `pages` pages
     with built indexes: meanings, sense-bound relations, translations and
-    a second language, so every table and index table takes a delete."""
+    a second language, so every table takes a delete."""
     def bundle(n):
         return WordBundle(title=f"p{n:04d}", record_id=n, lang_pos=[
             noun(meanings=[(1, f"A [[w{n}]].", [f"w{n}"]), (2, "Other.", [])],
@@ -299,21 +300,27 @@ def test_resave_cost_follows_the_page_not_the_store(tmp_path):
     assert large <= 2 * small, (small, large)
 
 
-# -- index tables ---------------------------------------------------------------
+# -- word indexes ---------------------------------------------------------------
 
-def test_index_tables_native_only(store):
-    store.save_word(simple_bundle(title="alpha"))
+def _word_index_sizes(store):
+    return {name: n for name, n in store.table_sizes().items() if name.startswith("index_")}
+
+
+def test_index_tables_native_only(store, tmp_path):
     store.save_word(simple_bundle(title="beta"))
-    counts = store.build_index_tables()
-    assert counts == {"index_native": 2}
-    assert store.query("SELECT word FROM index_native ORDER BY word") == [("alpha",), ("beta",)]
+    store.save_word(simple_bundle(title="alpha", record_id=1))
+    assert _word_index_sizes(store) == {"index_native": 2}
+    store.export_tsv(tmp_path / "export")
+    assert [name for name in sorted(os.listdir(tmp_path / "export"))
+            if name.startswith("index_")] == ["index_native.tsv"]
+    assert (tmp_path / "export" / "index_native.tsv").read_text("utf-8") == (
+        "word\tlang_pos_id\nalpha\t2\nbeta\t1\n")
 
 
 def test_index_tables_ignore_translation_languages(store):
     # fi appears only as a translation target: no index_fi
     store.save_word(simple_bundle())
-    counts = store.build_index_tables()
-    assert "index_fi" not in counts
+    assert _word_index_sizes(store) == {"index_native": 1}
     assert store.query("SELECT COUNT(*) FROM lang WHERE code='fi'")[0][0] == 1
 
 
@@ -321,15 +328,12 @@ def test_index_tables_match_group_by_oracle(store):
     langs = ["en", "fi", "sq", "en", "fi", "en"]
     for i, code in enumerate(langs):
         store.save_word(WordBundle(title=f"w{i}", record_id=i, lang_pos=[noun(code)]))
-    counts = store.build_index_tables()
-    oracle = {}
-    for code in langs:
-        key = "index_native" if code == "en" else f"index_{code}"
-        oracle[key] = oracle.get(key, 0) + 1
-    assert counts == oracle
-    sizes = store.table_sizes()
-    for key, n in oracle.items():
-        assert sizes[key] == n
+    oracle = Counter("index_native" if code == "en" else f"index_{code}" for code in langs)
+    assert _word_index_sizes(store) == oracle
+    # a re-saved page moves its entries to the index of its new language
+    store.save_word(WordBundle(title="w0", record_id=0, lang_pos=[noun("sq")]))
+    oracle.update({"index_native": -1, "index_sq": 1})
+    assert _word_index_sizes(store) == oracle
 
 
 # -- reverse lookup ---------------------------------------------------------------
@@ -450,7 +454,6 @@ def test_import_handwritten_relation_rows(tmp_path):
         "translation_entry": [],
         "inflection": [],
     }
-    from wiktmrd.store import TABLE_COLUMNS
     for table, rows in tables.items():
         header = "\t".join(TABLE_COLUMNS[table])
         (out / f"{table}.tsv").write_text(
@@ -460,6 +463,10 @@ def test_import_handwritten_relation_rows(tmp_path):
         assert other.table_sizes()["relation"] == 2
         assert other.lookup_word("warm")[0]["relations"] == [
             ("antonym", "[[cold]]", None), ("synonym", "[[hot]]", None)]
+        # no index file was given; the export derives them all the same
+        other.export_tsv(tmp_path / "reexport")
+    assert (tmp_path / "reexport" / "index_native.tsv").read_text("utf-8") == (
+        "word\tlang_pos_id\nwarm\t1\n")
 
 
 def test_import_rejects_bad_arity(store, tmp_path):
@@ -477,7 +484,8 @@ def test_import_rejects_bad_arity(store, tmp_path):
 
 def _failing_import_leaves_store_unchanged(store, out, expected_error):
     def content():
-        return {table: store.query(f'SELECT * FROM "{table}"') for table in store.table_sizes()}
+        return ({table: store.query(f"SELECT * FROM {table}") for table in TABLE_COLUMNS},
+                store.table_sizes())
 
     before = content()
     with pytest.raises(expected_error) as exc:
@@ -500,15 +508,69 @@ def test_import_with_dangling_reference_rolls_back(store, tmp_path):
     _failing_import_leaves_store_unchanged(store, out, CorruptStore)
 
 
-def test_import_refuses_two_index_rows_for_one_lang_pos(store, tmp_path):
-    store.save_word(simple_bundle())
-    store.build_index_tables()
-    out = tmp_path / "export"
+def _duplicate_last_row(lines):
+    return lines + lines[-1:]
+
+
+def _drop_first_row(lines):
+    return lines[:1] + lines[2:]
+
+
+def _rename_first_word(lines):
+    return [lines[0], lines[1].replace("paw", "claw"), *lines[2:]]
+
+
+def _rename_header(lines):
+    return ["word\tid\n", *lines[1:]]
+
+
+@pytest.mark.parametrize("table, edit, native, error, where", [
+    ("index_native", _duplicate_last_row, "en", MalformedRow, 4),
+    ("index_native", _drop_first_row, "en", MalformedRow, 2),
+    ("index_native", _rename_first_word, "en", MalformedRow, 2),
+    ("index_native", _rename_header, "en", MalformedRow, 1),
+    # zz has no entries, so its index has no rows
+    ("index_zz", lambda lines: ["word\tlang_pos_id\n", "paw\t3\n"], "en", MalformedRow, 2),
+    # the export's native language is en; the TSV files do not say so
+    ("index_native", lambda lines: lines, "fi", CorruptStore, "'en'.*'fi'"),
+], ids=["duplicated", "missing", "changed_word", "bad_header", "language_without_entries",
+        "other_native_code"])
+def test_import_refuses_index_files_unlike_the_derived_rows(
+        store, tmp_path, table, edit, native, error, where):
+    store.save_word(WordBundle(title="toe", record_id=0, lang_pos=[noun(), noun("fi")]))
+    store.save_word(WordBundle(title="paw", record_id=1, lang_pos=[noun()]))
+    out, clean = tmp_path / "export", tmp_path / "clean"
     store.export_tsv(out)
-    path = out / "index_native.tsv"
-    header, row = path.read_text("utf-8").splitlines(keepends=True)
-    path.write_text(header + row + row.replace("toe", "toe2"), encoding="utf-8")
-    _failing_import_leaves_store_unchanged(store, out, CorruptStore)
+    store.export_tsv(clean)
+    assert (out / "index_native.tsv").read_text("utf-8") == (
+        "word\tlang_pos_id\npaw\t3\ntoe\t1\n")
+    path = out / f"{table}.tsv"
+    lines = path.read_text("utf-8").splitlines(keepends=True) if path.exists() else []
+    path.write_text("".join(edit(lines)), encoding="utf-8")
+    with MrdStore(tmp_path / "target.db", native_code=native, dialect="en") as target:
+        target.save_word(simple_bundle(title="kept"))
+        err = _failing_import_leaves_store_unchanged(target, out, error)
+        if error is MalformedRow:
+            assert (err.table, err.line_no) == (table, where)
+        else:
+            assert re.search(where, str(err)), str(err)
+        if native == "en":  # the refused check left no query open
+            target.import_tsv(clean)
+            assert target.table_sizes() == store.table_sizes()
+
+
+@pytest.mark.parametrize("blocked", ["lang_pos.tsv", "index_native.tsv"])
+def test_failed_export_leaves_no_query_open(store, tmp_path, blocked):
+    store.save_word(simple_bundle())
+    store.save_word(simple_bundle(title="paw", record_id=1))  # rows left to read
+    store.export_tsv(tmp_path / "good")
+    (tmp_path / "bad" / blocked).mkdir(parents=True)  # a directory where the file goes
+    with pytest.raises(OSError) as exc:
+        store.export_tsv(tmp_path / "bad")
+    # exc still holds the error and its frames, yet the import's schema
+    # changes go through
+    store.import_tsv(tmp_path / "good")
+    assert store.table_sizes()["page"] == 2
 
 
 def test_escaping_round_trips_nasty_titles(store, tmp_path):
