@@ -16,10 +16,10 @@ from functools import cached_property
 
 from . import wikitext as wt
 from .registry import (
+    FORM_OF_TEMPLATES,
     RU_DEFINITIONS_HEADING,
+    UNKNOWN_POS,
     DialectConfig,
-    LanguageCode,
-    PartOfSpeech,
     Registry,
 )
 
@@ -74,7 +74,7 @@ class PageOutline:
 
 @dataclass
 class LanguageSection:
-    language: LanguageCode
+    language: str  # the registry's language code
     body: str
     span: tuple[int, int]  # byte offsets of the body within the page text
     outline: PageOutline = field(repr=False, compare=False)
@@ -85,9 +85,9 @@ class PosSection:
     """One (etymology, POS) part of a page. `span` is its body's byte range
     in `outline`; a section made from a body alone outlines that body."""
 
-    language: LanguageCode
+    language: str  # the registry's language code
     etymology_ordinal: int
-    pos: PartOfSpeech
+    pos: str  # a canonical POS name, UNKNOWN_POS included
     body: str
     outline: PageOutline | None = field(default=None, repr=False, compare=False)
     span: tuple[int, int] = (0, 0)
@@ -161,7 +161,7 @@ def _resolve_language_en(inner: str, registry: Registry):
     lang = registry.find_english_name(name)
     if lang is None:
         return None, f"unknown language name: {name!r}"
-    return lang, ""
+    return lang.code, ""
 
 
 def _resolve_language_ru(inner: str, registry: Registry):
@@ -174,7 +174,7 @@ def _resolve_language_ru(inner: str, registry: Registry):
     lang = registry.find_code(m.group(1))
     if lang is None:
         return None, f"unknown language code: {m.group(1)!r}"
-    return lang, ""
+    return lang.code, ""
 
 
 def split_pos_sections(
@@ -191,7 +191,7 @@ def split_pos_sections(
         out = _split_pos_ru(section, registry)
     if not out:
         out = [PosSection(language=section.language, etymology_ordinal=0,
-                          pos=registry.unknown_pos(), body=section.body,
+                          pos=UNKNOWN_POS, body=section.body,
                           outline=section.outline, span=section.span)]
     return out
 
@@ -207,7 +207,7 @@ def _split_pos_en(section: LanguageSection, registry: Registry) -> list[PosSecti
             continue
         pos = registry.pos_for_heading_en(inner)
         if pos is None and inner.casefold() in UNKNOWN_POS_HEADINGS_EN:
-            pos = registry.unknown_pos()
+            pos = UNKNOWN_POS
         if pos is not None:
             marks.append((head, "pos", pos))
     heads = [head for head, _, _ in marks]
@@ -232,7 +232,7 @@ def _split_pos_ru(section: LanguageSection, registry: Registry) -> list[PosSecti
     out = []
     for ordinal, start, end in blocks:
         ps = PosSection(language=section.language, etymology_ordinal=ordinal,
-                        pos=registry.unknown_pos(), body=outline.text(start, end),
+                        pos=UNKNOWN_POS, body=outline.text(start, end),
                         outline=outline, span=(start, end))
         for tpl in ps.templates:
             found = registry.pos_for_ru_template(tpl.name)
@@ -280,7 +280,7 @@ def classify_soft_redirect(
     tpl = templates[0]
     if tpl.source_span != (0, len(wt.encode(text))):
         return None
-    if tpl.name.strip().casefold() not in registry.form_of_templates:
+    if tpl.name.strip().casefold() not in FORM_OF_TEMPLATES:
         return None
     lemma = wt.strip_markup(tpl.first_param()).strip()
     if not lemma or lemma == page.title:

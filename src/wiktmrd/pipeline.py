@@ -20,6 +20,7 @@ import sys
 import threading
 import time
 import xml.etree.ElementTree as ET
+import zlib
 from dataclasses import dataclass
 
 from . import entry, relations, translations
@@ -35,6 +36,8 @@ _SKIP_EXAMPLES = 5  # titles named per skip reason in the end-of-run summary
 # pages handed to pool workers and not yet taken back; at least the imap
 # chunksize (8), or the feeder could wait forever on an unfinished chunk
 _MAX_IN_FLIGHT = 64
+# how damaged XML, a cut compressed stream and corrupt compressed bytes fail
+_DUMP_DAMAGE = (ET.ParseError, EOFError, OSError, zlib.error)
 
 
 class MalformedDump(Exception):
@@ -111,6 +114,8 @@ def dump_identity(path) -> str:
     f = open_dump(path)
     try:
         digest.update(f.read(65536))
+    except _DUMP_DAMAGE as exc:
+        raise MalformedDump(0, str(exc)) from exc
     finally:
         f.close()
     with open(path, "rb") as raw:
@@ -135,8 +140,9 @@ def _child(elem, name):
 def iterate_dump(dump_path):
     """Yield main-namespace pages in file order, record_id counted from 0.
 
-    Truncated or invalid XML raises MalformedDump with the byte offset;
-    pages completed before the damage are still yielded first.
+    Truncated or invalid XML, or a cut or corrupt compressed stream, raises
+    MalformedDump with the offset in the XML; pages completed before the
+    damage are still yielded first.
     """
     stream = _CountingReader(open_dump(dump_path))
     record_id = 0
@@ -162,16 +168,19 @@ def iterate_dump(dump_path):
 
     try:
         while True:
-            chunk = stream.read(65536)
-            error = None
+            chunk, error = b"", None
             try:
+                chunk = stream.read(65536)
                 if chunk:
                     parser.feed(chunk)
                 else:
                     parser.close()
-            except ET.ParseError as exc:
+            except _DUMP_DAMAGE as exc:
                 error = exc
-            yield from drain()  # pages completed before any damage
+            try:
+                yield from drain()  # pages completed before any damage
+            except ET.ParseError as exc:  # feed() queues its error behind the events
+                error = exc
             if error is not None:
                 raise MalformedDump(stream.bytes_read, str(error)) from error
             if not chunk:
@@ -233,14 +242,14 @@ def analyze_page(page: entry.Page, dialect_cfg, registry: Registry) -> AnalyzedP
                 skipped_lines += len(sk)
                 # duplicated headings act like extra homonym blocks; keep
                 # (lang, pos, etymology) unique within the page
-                key = (ps.language.code, ps.pos.canonical_name)
+                key = (ps.language, ps.pos)
                 taken = seen_ordinals.setdefault(key, set())
                 ordinal = ps.etymology_ordinal
                 if ordinal in taken:
                     ordinal = max(taken) + 1
                 taken.add(ordinal)
                 bundle.lang_pos.append((
-                    ps.language.code, ps.pos.canonical_name, ordinal,
+                    ps.language, ps.pos, ordinal,
                     [(m.ordinal, m.definition_wikitext,
                       list(dict.fromkeys(l.target for l in
                                          wt.scan_wikilinks(m.definition_wikitext))))

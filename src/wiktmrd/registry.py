@@ -1,10 +1,13 @@
-"""Registries: language codes and names, parts of speech, semantic relation
-types, and the per-dialect heading/template vocabulary.
+"""Registries: language codes and names, and the per-dialect heading/template
+vocabulary for parts of speech and semantic relation types.
 
 The built-in language table ships as data/languages.tsv (one line per code:
 code, english names, russian name). A user registry file in the same format
-extends or overrides it. Everything is immutable after load and safe to share
-across threads and worker processes.
+extends or overrides it. Parts of speech and relation types are fixed sets
+and are carried as their canonical names, the strings the store rows hold;
+headings and templates map to those names through module-level tables.
+Everything is immutable after load and safe to share across threads and
+worker processes.
 """
 
 from __future__ import annotations
@@ -16,27 +19,8 @@ from importlib import resources
 
 CODE_RE = re.compile(r"^[a-z0-9][a-z0-9-]{1,10}$")
 
-RELATION_TYPE_NAMES = (
-    "synonym",
-    "antonym",
-    "hypernym",
-    "hyponym",
-    "holonym",
-    "meronym",
-    "troponym",
-    "coordinate_term",
-    "see_also",
-)
-
-POS_NAMES = (
-    "noun", "verb", "adjective", "adverb", "pronoun", "preposition",
-    "conjunction", "interjection", "numeral", "particle", "proper_noun",
-    "phrase", "unknown",
-)
-
-
-class UnknownLanguage(LookupError):
-    """The code is not in the registry; callers skip and count."""
+# the POS of a slot with no heading or template in _POS_ALIASES
+UNKNOWN_POS = "unknown"
 
 
 class MalformedRegistryFile(ValueError):
@@ -55,31 +39,15 @@ class LanguageCode:
 
 
 @dataclass(frozen=True)
-class RelationType:
-    canonical_name: str
-    heading_aliases_en: tuple[str, ...]
-    heading_aliases_ru: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class PartOfSpeech:
-    canonical_name: str
-    heading_aliases_en: tuple[str, ...] = ()
-    ru_template_prefixes: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class DialectConfig:
     dialect: str  # "en" | "ru"
-    native_language: LanguageCode
 
     def __post_init__(self):
         if self.dialect not in ("en", "ru"):
             raise ValueError(f"unsupported dialect: {self.dialect!r}")
-        if self.native_language.code != self.dialect:
-            raise ValueError("native language must match the dialect edition")
 
 
+# canonical relation type -> (en heading aliases, ru heading aliases)
 _RELATION_ALIASES = {
     "synonym": (("Synonyms", "Synonym"), ("Синонимы",)),
     "antonym": (("Antonyms", "Antonym"), ("Антонимы",)),
@@ -91,7 +59,10 @@ _RELATION_ALIASES = {
     "coordinate_term": (("Coordinate terms", "Coordinate term"), ("Согипонимы",)),
     "see_also": (("See also",), ("См. также",)),
 }
+# a relation type's store id is its 1-based position here
+RELATION_TYPE_NAMES = tuple(_RELATION_ALIASES)
 
+# canonical POS -> (en heading aliases, ru morphology template prefixes)
 _POS_ALIASES = {
     "noun": (("Noun",), ("сущ",)),
     "verb": (("Verb",), ("гл", "глагол")),
@@ -105,7 +76,6 @@ _POS_ALIASES = {
     "particle": (("Particle",), ("част",)),
     "proper_noun": (("Proper noun",), ()),
     "phrase": (("Phrase",), ("фраз",)),
-    "unknown": ((), ()),
 }
 
 FORM_OF_TEMPLATES = frozenset({
@@ -118,51 +88,32 @@ TRANSLATION_BLOCK_RU = "перев-блок"
 RU_DEFINITIONS_HEADING = "значение"
 
 
+def _by_alias(aliases, column: int) -> dict[str, str]:
+    """Casefolded alias -> canonical name, from one column of an alias table."""
+    return {a.casefold(): name for name, cols in aliases.items() for a in cols[column]}
+
+
+_RELATION_BY_HEADING = {"en": _by_alias(_RELATION_ALIASES, 0),
+                        "ru": _by_alias(_RELATION_ALIASES, 1)}
+_POS_BY_HEADING_EN = _by_alias(_POS_ALIASES, 0)
+_POS_BY_RU_PREFIX = _by_alias(_POS_ALIASES, 1)
+
+
 class Registry:
     """Immutable lookup tables for one parse run."""
 
-    def __init__(self, languages: dict[str, LanguageCode],
-                 form_of_templates: frozenset[str] = FORM_OF_TEMPLATES):
+    def __init__(self, languages: dict[str, LanguageCode]):
         self.languages = dict(languages)
-        self.form_of_templates = form_of_templates
         self._by_english: dict[str, str] = {}
         for lang in self.languages.values():
             self._by_english.setdefault(lang.english_name.casefold(), lang.code)
             for alias in lang.name_aliases:
                 self._by_english.setdefault(alias.casefold(), lang.code)
 
-        self.relation_types = {
-            name: RelationType(name, *_RELATION_ALIASES[name])
-            for name in RELATION_TYPE_NAMES
-        }
-        self._relation_by_heading = {"en": {}, "ru": {}}
-        for rt in self.relation_types.values():
-            for alias in rt.heading_aliases_en:
-                self._relation_by_heading["en"][alias.casefold()] = rt
-            for alias in rt.heading_aliases_ru:
-                self._relation_by_heading["ru"][alias.casefold()] = rt
-
-        self.parts_of_speech = {
-            name: PartOfSpeech(name, *_POS_ALIASES[name]) for name in POS_NAMES
-        }
-        self._pos_by_heading_en = {}
-        self._pos_by_ru_prefix = {}
-        for pos in self.parts_of_speech.values():
-            for alias in pos.heading_aliases_en:
-                self._pos_by_heading_en[alias.casefold()] = pos
-            for prefix in pos.ru_template_prefixes:
-                self._pos_by_ru_prefix[prefix.casefold()] = pos
-
     # -- languages ----------------------------------------------------------
 
     def find_code(self, code: str) -> LanguageCode | None:
         return self.languages.get(code.strip().casefold())
-
-    def lookup_code(self, code: str) -> LanguageCode:
-        lang = self.find_code(code)
-        if lang is None:
-            raise UnknownLanguage(f"unknown language code: {code!r}")
-        return lang
 
     def find_english_name(self, name: str) -> LanguageCode | None:
         code = self._by_english.get(name.strip().casefold())
@@ -170,28 +121,25 @@ class Registry:
 
     # -- relation headings ---------------------------------------------------
 
-    def find_relation_heading(self, inner: str, dialect: str) -> RelationType | None:
-        return self._relation_by_heading[dialect].get(inner.strip().casefold())
+    def find_relation_heading(self, inner: str, dialect: str) -> str | None:
+        return _RELATION_BY_HEADING[dialect].get(inner.strip().casefold())
 
     # -- parts of speech ------------------------------------------------------
 
-    def pos_for_heading_en(self, inner: str) -> PartOfSpeech | None:
-        return self._pos_by_heading_en.get(inner.strip().casefold())
+    def pos_for_heading_en(self, inner: str) -> str | None:
+        return _POS_BY_HEADING_EN.get(inner.strip().casefold())
 
-    def pos_for_ru_template(self, template_name: str) -> PartOfSpeech | None:
+    def pos_for_ru_template(self, template_name: str) -> str | None:
         token = template_name.strip().split()[0].casefold() if template_name.strip() else ""
-        pos = self._pos_by_ru_prefix.get(token)
+        pos = _POS_BY_RU_PREFIX.get(token)
         if pos is None and "-" in token:
-            pos = self._pos_by_ru_prefix.get(token.split("-", 1)[0])
+            pos = _POS_BY_RU_PREFIX.get(token.split("-", 1)[0])
         return pos
-
-    def unknown_pos(self) -> PartOfSpeech:
-        return self.parts_of_speech["unknown"]
 
     # -- dialects -------------------------------------------------------------
 
     def dialect_config(self, dialect: str) -> DialectConfig:
-        return DialectConfig(dialect=dialect, native_language=self.lookup_code(dialect))
+        return DialectConfig(dialect=dialect)
 
 
 def _parse_registry_lines(lines, path) -> dict[str, LanguageCode]:

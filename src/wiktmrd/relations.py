@@ -37,8 +37,8 @@ def extract_relations(
     rows: list[tuple[str, str, str, int | None]] = []
     heads = pos_section.headings()
     for i, head in enumerate(heads):
-        rel_type = registry.find_relation_heading(head.inner_text, dialect.dialect)
-        if rel_type is None:
+        type_name = registry.find_relation_heading(head.inner_text, dialect.dialect)
+        if type_name is None:
             continue
         lines = pos_section.subsection(heads, i).splitlines()
         items = [m.group(2).strip() for m in map(_LIST_LINE_RE.match, lines) if m]
@@ -49,7 +49,7 @@ def extract_relations(
                 ordinal, content = _take_sense_gloss(content, meanings)
             else:  # the i-th list line belongs to meaning i
                 ordinal = meanings[index].ordinal if index < len(meanings) else None
-            _rows_from_line(rel_type.canonical_name, content, ordinal, rows)
+            _rows_from_line(type_name, content, ordinal, rows)
     return rows
 
 

@@ -62,8 +62,8 @@ class TypeCountDistribution:
     counts: dict[int, int] = field(default_factory=lambda: {k: 0 for k in range(1, 10)})
 
 
-def compute_native_stats(store: MrdStore, native_code: str | None = None) -> NativeStats:
-    native = native_code or store.native_code
+def compute_native_stats(store: MrdStore) -> NativeStats:
+    native = store.native_code
     words_with_relations = store.query(
         "SELECT COUNT(DISTINCT lang_pos_id) FROM relation")[0][0]
     native_words = store.query(

@@ -176,6 +176,8 @@ def _translate_error(exc: sqlite3.Error) -> StoreError:
     msg = str(exc).lower()
     if "full" in msg:
         return StorageFull(str(exc))
+    if "locked" in msg:  # SQLITE_BUSY or SQLITE_LOCKED: another connection's lock
+        return StoreError(str(exc))
     return CorruptStore(str(exc))
 
 
@@ -194,6 +196,10 @@ class MrdStore:
             if self._conn.execute(
                     "SELECT 1 FROM sqlite_master WHERE name='page'").fetchone() is None:
                 self._create_schema()
+            if native_code is not None:
+                self._set_meta("native_code", native_code)
+            if dialect is not None:
+                self._set_meta("dialect", dialect)
         except sqlite3.Error as exc:
             raise _translate_error(exc) from exc
         self.counters: dict[str, int] = {}
@@ -202,10 +208,6 @@ class MrdStore:
         self._wiki_text_cache: dict[str, tuple[int, tuple[str, ...]]] = {}
         self._wiki_text_cache_strings = 0  # texts plus words held in that cache
         self._interned: dict[tuple[str, str], int] = {}  # (table, value) -> id
-        if native_code is not None:
-            self._set_meta("native_code", native_code)
-        if dialect is not None:
-            self._set_meta("dialect", dialect)
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -88,13 +88,13 @@ def _entries_from_en_lines(region: str, registry: Registry, skipped: list[str]):
                 continue
         elif not is_sub_line:
             parent_lang = lang
-        dropped = _entries_from_en_payload(payload, lang, registry, entries)
+        dropped = _entries_from_en_payload(payload, lang.code, registry, entries)
         if dropped is not None:
             skipped.append(dropped)
     return entries
 
 
-def _entries_from_en_payload(payload, line_lang, registry, entries):
+def _entries_from_en_payload(payload, line_code, registry, entries):
     """Append the entries of one line; return why one of its templates was
     dropped, or None when nothing was."""
     data = wt.encode(payload)
@@ -117,13 +117,12 @@ def _entries_from_en_payload(payload, line_lang, registry, entries):
             s, e = tpl.source_span
             entries.append((lang.code, word, wt.decode(data[s:e])))
         return dropped
-    _link_entries(data, line_lang, entries)
+    _link_entries(data, line_code, entries)
     return None
 
 
-def _link_entries(data: bytes, lang: LanguageCode, entries: list[tuple[str, str, str]]):
+def _link_entries(data: bytes, code: str, entries: list[tuple[str, str, str]]):
     """One entry per wikilink in `data`, built from its span alone."""
-    code = lang.code
     for s, e in wt._kernel.wikilink_spans(data):
         target = wt._link_target(data, s, e)
         if target:
@@ -146,6 +145,6 @@ def extract_translations_ru(
             if lang is None:
                 skipped.append(f"unknown language code: {key!r}")
                 continue
-            _link_entries(wt.encode(value), lang, entries)
+            _link_entries(wt.encode(value), lang.code, entries)
         boxes.append((wt.strip_markup(tpl.first_param()), entries))
     return boxes, skipped

@@ -13,10 +13,10 @@ import re
 MAX_TEMPLATE_DEPTH = 8
 
 
-def template_spans(data: bytes, max_depth: int = MAX_TEMPLATE_DEPTH) -> list[tuple[int, int]]:
+def template_spans(data: bytes) -> list[tuple[int, int]]:
     """Spans of maximal balanced "{{...}}" groups.
 
-    Opens beyond max_depth are literal text; unclosed opens yield no span,
+    Opens beyond MAX_TEMPLATE_DEPTH are literal text; unclosed opens yield no span,
     but balanced groups inside them are still reported.
     """
     closed: list[tuple[int, int]] = []
@@ -28,7 +28,7 @@ def template_spans(data: bytes, max_depth: int = MAX_TEMPLATE_DEPTH) -> list[tup
             break
         o = data.find(b"{{", i)
         if o != -1 and o < c:
-            if len(stack) < max_depth:
+            if len(stack) < MAX_TEMPLATE_DEPTH:
                 stack.append(o)
             i = o + 2
         else:

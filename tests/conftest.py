@@ -40,8 +40,8 @@ def write_dump(path, pages, compression=None) -> str:
     if compression == "gz":
         with gzip.open(path, "wb") as f:
             f.write(data)
-    elif compression == "bz2":
-        with bz2.open(path, "wb") as f:
+    elif compression == "bz2":  # small blocks, so damage can land after the first
+        with bz2.open(path, "wb", compresslevel=1) as f:
             f.write(data)
     else:
         with open(path, "wb") as f:

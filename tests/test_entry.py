@@ -12,7 +12,7 @@ from wiktmrd.entry import Page
 def test_en_two_language_sections(en, registry):
     page = Page(title="x", raw_text="==English==\nbody one\n==Albanian==\nbody two\n")
     sections, skipped = entry.split_language_sections(page, en, registry)
-    assert [s.language.code for s in sections] == ["en", "sq"]
+    assert [s.language for s in sections] == ["en", "sq"]
     assert skipped == []
     assert sections[0].body == "body one\n"
     assert sections[1].body == "body two\n"
@@ -21,7 +21,7 @@ def test_en_two_language_sections(en, registry):
 def test_ru_language_template_heading(ru, registry):
     page = Page(title="x", raw_text="= {{-en-}} =\nbody\n")
     sections, skipped = entry.split_language_sections(page, ru, registry)
-    assert [s.language.code for s in sections] == ["en"]
+    assert [s.language for s in sections] == ["en"]
     assert skipped == []
 
 
@@ -29,7 +29,7 @@ def test_ru_heading_with_stray_brace(ru, registry):
     # tolerates sloppy markup around the language template
     page = Page(title="x", raw_text="= {{-sq-}}} =\nbody\n")
     sections, _ = entry.split_language_sections(page, ru, registry)
-    assert [s.language.code for s in sections] == ["sq"]
+    assert [s.language for s in sections] == ["sq"]
 
 
 def test_en_unknown_language_skipped(en, registry):
@@ -62,7 +62,7 @@ def test_en_numbered_etymologies(en, registry):
             "===Etymology 2===\ny\n====Verb====\ntwo\n")
     sec = section_of(Page(title="t", raw_text=body), en, registry)
     ps = entry.split_pos_sections(sec, en, registry)
-    assert [(p.etymology_ordinal, p.pos.canonical_name) for p in ps] == [
+    assert [(p.etymology_ordinal, p.pos) for p in ps] == [
         (1, "noun"), (2, "verb")]
 
 
@@ -70,14 +70,14 @@ def test_en_single_pos(en, registry):
     sec = section_of(Page(title="t", raw_text="==English==\n===Noun===\nbody\n"), en, registry)
     ps = entry.split_pos_sections(sec, en, registry)
     assert len(ps) == 1
-    assert ps[0].pos.canonical_name == "noun" and ps[0].etymology_ordinal == 0
+    assert ps[0].pos == "noun" and ps[0].etymology_ordinal == 0
 
 
 def test_en_no_headings_yields_unknown(en, registry):
     sec = section_of(Page(title="t", raw_text="==English==\njust text\n"), en, registry)
     ps = entry.split_pos_sections(sec, en, registry)
     assert len(ps) == 1
-    assert ps[0].pos.canonical_name == "unknown"
+    assert ps[0].pos == "unknown"
     assert ps[0].body == sec.body
 
 
@@ -85,14 +85,14 @@ def test_ru_pos_from_morphology_template(ru, registry):
     sec = section_of(fixture_page("ru", "ангел"), ru, registry)
     ps = entry.split_pos_sections(sec, ru, registry)
     assert len(ps) == 1
-    assert ps[0].pos.canonical_name == "noun"
+    assert ps[0].pos == "noun"
     assert ps[0].etymology_ordinal == 0
 
 
 def test_ru_homonym_blocks(ru, registry):
     sec = section_of(fixture_page("ru", "замок"), ru, registry)
     ps = entry.split_pos_sections(sec, ru, registry)
-    assert [(p.etymology_ordinal, p.pos.canonical_name) for p in ps] == [
+    assert [(p.etymology_ordinal, p.pos) for p in ps] == [
         (1, "noun"), (2, "noun")]
 
 
@@ -110,8 +110,7 @@ def reference_definition_filter(body: str) -> list[str]:
 
 def test_extract_definitions_line_rules(en, registry):
     body = "# A [[dog]].\n#: ''usage''\n# A scoundrel."
-    ps = entry.PosSection(language=registry.lookup_code("en"), etymology_ordinal=0,
-                          pos=registry.parts_of_speech["noun"], body=body)
+    ps = entry.PosSection(language="en", etymology_ordinal=0, pos="noun", body=body)
     got = entry.extract_definitions(ps, en, registry)
     assert [m.definition_plain for m in got] == ["A dog.", "A scoundrel."]
     assert [m.definition_wikitext for m in got] == reference_definition_filter(body)
@@ -119,14 +118,13 @@ def test_extract_definitions_line_rules(en, registry):
 
 
 def test_extract_definitions_empty(en, registry):
-    ps = entry.PosSection(language=registry.lookup_code("en"), etymology_ordinal=0,
-                          pos=registry.parts_of_speech["noun"], body="")
+    ps = entry.PosSection(language="en", etymology_ordinal=0, pos="noun", body="")
     assert entry.extract_definitions(ps, en, registry) == []
 
 
 def test_extract_definitions_form_of_template(en, registry):
-    ps = entry.PosSection(language=registry.lookup_code("en"), etymology_ordinal=0,
-                          pos=registry.parts_of_speech["noun"], body="# {{plural of|dog}}\n")
+    ps = entry.PosSection(language="en", etymology_ordinal=0,
+                          pos="noun", body="# {{plural of|dog}}\n")
     got = entry.extract_definitions(ps, en, registry)
     assert len(got) == 1
     assert got[0].definition_wikitext == "{{plural of|dog}}"
@@ -144,8 +142,7 @@ def test_ru_definitions_come_from_their_subsection(ru, registry):
 @settings(max_examples=200)
 def test_definition_ordinals_consecutive(registry, body):
     en_cfg = registry.dialect_config("en")
-    ps = entry.PosSection(language=registry.lookup_code("en"), etymology_ordinal=0,
-                          pos=registry.parts_of_speech["noun"], body=body)
+    ps = entry.PosSection(language="en", etymology_ordinal=0, pos="noun", body=body)
     got = entry.extract_definitions(ps, en_cfg, registry)
     assert [m.ordinal for m in got] == list(range(1, len(got) + 1))
     assert [m.definition_wikitext for m in got] == reference_definition_filter(body)
@@ -167,8 +164,7 @@ def test_sectioning_never_raises(registry, text):
 # -- soft redirects -----------------------------------------------------------------
 
 def make_pos_section(registry, body):
-    return entry.PosSection(language=registry.lookup_code("en"), etymology_ordinal=0,
-                            pos=registry.parts_of_speech["noun"], body=body)
+    return entry.PosSection(language="en", etymology_ordinal=0, pos="noun", body=body)
 
 
 def test_soft_redirect_plural(en, registry):

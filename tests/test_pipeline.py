@@ -1,7 +1,9 @@
 """Dump iteration, the parse run, resume/crash behavior, worker determinism."""
 
 import os
+import random
 import sqlite3
+import string
 import subprocess
 import sys
 
@@ -60,6 +62,90 @@ def test_truncated_dump_with_workers_fails_without_hanging(tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     assert "malformed dump at byte offset" in proc.stderr
+
+
+def _varied_pages(n):
+    """Pages of seeded random letters, which compress about as little as prose."""
+    rng = random.Random(n)
+    return [(f"w{i:04d}", "==English==\n===Noun===\n# "
+             + "".join(rng.choices(string.ascii_lowercase + " ", k=300)) + "\n")
+            for i in range(n)]
+
+
+def _damage(path, how):
+    """Cut the file as stored at 2/3 of its length, or overwrite 64 bytes there."""
+    with open(path, "rb") as f:
+        data = f.read()
+    at = len(data) * 2 // 3
+    noise = bytes(random.Random(1).randrange(256) for _ in range(64))
+    data = data[:at] if how == "cut" else data[:at] + noise + data[at + 64:]
+    with open(path, "wb") as f:
+        f.write(data)
+
+
+def test_iterate_dump_malformed_xml_raises_with_offset(tmp_path):
+    pages = _varied_pages(400)
+    xml = build_dump_xml(pages)
+    at = xml.index("<title>w0300</title>")
+    bad = tmp_path / "bad.xml"
+    bad.write_text(xml[:at] + "<title>w0300</titel>" + xml[at + 20:], encoding="utf-8")
+    seen = []
+    with pytest.raises(MalformedDump) as exc:
+        for page in iterate_dump(bad):
+            seen.append(page.title)
+    assert seen == [title for title, _ in pages[:300]]
+    assert exc.value.byte_offset > len(xml[:at].encode())
+
+
+@pytest.mark.parametrize("how", ["cut", "corrupt"])
+@pytest.mark.parametrize("compression", ["gz", "bz2"])
+def test_iterate_damaged_compressed_dump_raises_with_offset(tmp_path, compression, how):
+    pages = _varied_pages(1000)
+    dump = write_dump(tmp_path / "d.bin", pages, compression)
+    _damage(dump, how)
+    pipeline.dump_identity(dump)  # the damage lies past the first 64 KiB of XML
+    seen = []
+    with pytest.raises(MalformedDump) as exc:
+        for page in iterate_dump(dump):
+            seen.append(page.title)
+    assert 0 < len(seen) < len(pages)
+    assert seen == [title for title, _ in pages[:len(seen)]]
+    xml = build_dump_xml(pages).encode()
+    last_end = xml.index(b"</page>", xml.index(f"<title>{seen[-1]}<".encode()))
+    assert exc.value.byte_offset > last_end
+
+
+@pytest.mark.parametrize("how", ["cut", "corrupt"])
+@pytest.mark.parametrize("compression", ["gz", "bz2"])
+def test_damaged_compressed_dump_head_fails_identity(tmp_path, compression, how):
+    pages = _varied_pages(50)
+    assert len(build_dump_xml(pages)) < 65536
+    dump = write_dump(tmp_path / "d.bin", pages, compression)
+    _damage(dump, how)
+    with pytest.raises(MalformedDump) as exc:
+        pipeline.dump_identity(dump)
+    assert exc.value.byte_offset == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("compression", ["gz", "bz2"])
+def test_damaged_compressed_dump_fails_keeping_checkpoints(tmp_path, compression, workers):
+    dump = write_dump(tmp_path / "d.bin", _varied_pages(1000), compression)
+    _damage(dump, "cut")
+    store_path = tmp_path / "s.db"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wiktmrd.cli", "parse", "--dialect", "en", "--dump", dump,
+         "--store", str(store_path), "--workers", str(workers),
+         "--checkpoint-interval", "100"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "malformed dump at byte offset" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    with MrdStore(store_path) as store:
+        committed = store.load_checkpoint().last_record_id
+        assert committed > 0 and committed % 100 == 0
+        assert store.table_sizes()["page"] == committed
 
 
 @pytest.mark.parametrize("compression", [None, "gz", "bz2"])

@@ -9,14 +9,13 @@ def builtin():
 
 
 def test_lookup_code_examples(builtin):
-    assert builtin.lookup_code("fi").english_name == "Finnish"
-    assert builtin.lookup_code("sq").english_name == "Albanian"
-    with pytest.raises(reg.UnknownLanguage):
-        builtin.lookup_code("zz-bogus")
+    assert builtin.find_code("fi").english_name == "Finnish"
+    assert builtin.find_code("sq").english_name == "Albanian"
+    assert builtin.find_code("zz-bogus") is None
 
 
 def test_lookup_code_case_insensitive(builtin):
-    assert builtin.lookup_code("FI").code == "fi"
+    assert builtin.find_code("FI").code == "fi"
 
 
 def test_lookup_english_name_examples(builtin):
@@ -36,14 +35,16 @@ def test_builtin_bijection(builtin):
 
 def test_fixture_languages_resolve(builtin):
     for code in ("en", "ru", "fi", "ko", "sq", "et", "es"):
-        assert builtin.lookup_code(code).code == code
+        assert builtin.find_code(code).code == code
     for name in ("English", "Russian", "Finnish", "Korean", "Albanian"):
         assert builtin.find_english_name(name) is not None
 
 
-def test_exactly_nine_relation_types(builtin):
-    assert len(builtin.relation_types) == 9
-    assert set(builtin.relation_types) == set(reg.RELATION_TYPE_NAMES)
+def test_exactly_nine_relation_types():
+    assert len(reg.RELATION_TYPE_NAMES) == 9
+    # every type has a heading in both dialects, and headings name no other type
+    for dialect in ("en", "ru"):
+        assert set(reg._RELATION_BY_HEADING[dialect].values()) == set(reg.RELATION_TYPE_NAMES)
 
 
 @pytest.mark.parametrize("inner,dialect,expected", [
@@ -54,7 +55,7 @@ def test_exactly_nine_relation_types(builtin):
     ("Антонимы", "ru", "antonym"),
 ])
 def test_classify_relation_heading(builtin, inner, dialect, expected):
-    assert builtin.find_relation_heading(inner, dialect).canonical_name == expected
+    assert builtin.find_relation_heading(inner, dialect) == expected
 
 
 def test_classify_relation_heading_rejects_other_sections(builtin):
@@ -64,15 +65,15 @@ def test_classify_relation_heading_rejects_other_sections(builtin):
 def test_classification_is_total(builtin):
     for s in ("", "  ", "Synonyms", "Etymology", "123", "=x=", "\x00"):
         rt = builtin.find_relation_heading(s, "en")
-        assert rt is None or rt.canonical_name in reg.RELATION_TYPE_NAMES
+        assert rt is None or rt in reg.RELATION_TYPE_NAMES
 
 
 def test_load_registry_extends_builtin(tmp_path):
     path = tmp_path / "extra.tsv"
     path.write_text("# comment\nzzx\tZizzish\tЗиззский\nfi\tFinnish\tФинский\n", encoding="utf-8")
     r = reg.load_registry(path)
-    assert r.lookup_code("zzx").english_name == "Zizzish"
-    assert r.lookup_code("fi").russian_name == "Финский"
+    assert r.find_code("zzx").english_name == "Zizzish"
+    assert r.find_code("fi").russian_name == "Финский"
     assert len(r.languages) >= 541
 
 
@@ -99,19 +100,17 @@ def test_load_registry_bad_code_rejected(tmp_path):
 
 
 def test_dialect_config(builtin):
-    cfg = builtin.dialect_config("en")
-    assert cfg.native_language.code == "en"
-    cfg = builtin.dialect_config("ru")
-    assert cfg.native_language.code == "ru"
+    assert builtin.dialect_config("en").dialect == "en"
+    assert builtin.dialect_config("ru").dialect == "ru"
     with pytest.raises(ValueError):
-        reg.DialectConfig(dialect="en", native_language=builtin.lookup_code("fi"))
+        builtin.dialect_config("fi")
 
 
 def test_pos_lookups(builtin):
-    assert builtin.pos_for_heading_en("Noun").canonical_name == "noun"
-    assert builtin.pos_for_heading_en("Proper noun").canonical_name == "proper_noun"
+    assert builtin.pos_for_heading_en("Noun") == "noun"
+    assert builtin.pos_for_heading_en("Proper noun") == "proper_noun"
     assert builtin.pos_for_heading_en("Etymology") is None
-    assert builtin.pos_for_ru_template("сущ ru m ina 5a").canonical_name == "noun"
-    assert builtin.pos_for_ru_template("гл ru нсв").canonical_name == "verb"
-    assert builtin.pos_for_ru_template("прил-ru").canonical_name == "adjective"
+    assert builtin.pos_for_ru_template("сущ ru m ina 5a") == "noun"
+    assert builtin.pos_for_ru_template("гл ru нсв") == "verb"
+    assert builtin.pos_for_ru_template("прил-ru") == "adjective"
     assert builtin.pos_for_ru_template("table of contents") is None

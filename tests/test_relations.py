@@ -64,15 +64,13 @@ def test_iron_has_six_distinct_types(en, registry):
 
 
 def test_empty_relation_header_yields_nothing(en, registry):
-    ps = entry.PosSection(language=registry.lookup_code("en"), etymology_ordinal=0,
-                          pos=registry.parts_of_speech["noun"],
+    ps = entry.PosSection(language="en", etymology_ordinal=0, pos="noun",
                           body="====Synonyms====\n")
     assert relations.extract_relations(ps, [], en, registry) == []
 
 
 def test_single_antonym_line(en, registry):
-    ps = entry.PosSection(language=registry.lookup_code("en"), etymology_ordinal=0,
-                          pos=registry.parts_of_speech["noun"],
+    ps = entry.PosSection(language="en", etymology_ordinal=0, pos="noun",
                           body="# warm\n====Antonyms====\n* [[cold]]\n")
     meanings = entry.extract_definitions(ps, en, registry)
     rows = relations.extract_relations(ps, meanings, en, registry)
@@ -81,7 +79,7 @@ def test_single_antonym_line(en, registry):
 
 def test_sense_gloss_alignment(en, registry):
     [(ps, meanings)] = [g for g in pos_sections_for(fixture_page("en", "dog"), en, registry)
-                        if g[0].pos.canonical_name == "noun"]
+                        if g[0].pos == "noun"]
     rows = relations.extract_relations(ps, meanings, en, registry)
     ordinal_of = {word: ordinal for _, word, _, ordinal in rows}
     # {{sense|animal}} aligns to the first meaning, whose text holds "animal"
@@ -101,8 +99,7 @@ def test_unmatched_sense_gloss_maps_to_none(en, registry):
 
 
 def test_bare_word_lines_split_on_commas(en, registry):
-    ps = entry.PosSection(language=registry.lookup_code("en"), etymology_ordinal=0,
-                          pos=registry.parts_of_speech["noun"],
+    ps = entry.PosSection(language="en", etymology_ordinal=0, pos="noun",
                           body="====Synonyms====\n* hound, cur; tyke\n")
     rows = relations.extract_relations(ps, [], en, registry)
     assert [word for _, word, _, _ in rows] == ["hound", "cur", "tyke"]
@@ -110,8 +107,7 @@ def test_bare_word_lines_split_on_commas(en, registry):
 
 
 def test_link_template_acts_as_wikilink(en, registry):
-    ps = entry.PosSection(language=registry.lookup_code("en"), etymology_ordinal=0,
-                          pos=registry.parts_of_speech["noun"],
+    ps = entry.PosSection(language="en", etymology_ordinal=0, pos="noun",
                           body="====Synonyms====\n* {{l|en|hound}}\n")
     rows = relations.extract_relations(ps, [], en, registry)
     assert len(rows) == 1
@@ -161,8 +157,7 @@ _RELATION_TOKENS = (
 def test_relation_extraction_never_raises(registry, body):
     for dialect in ("en", "ru"):
         cfg = registry.dialect_config(dialect)
-        ps = entry.PosSection(language=registry.lookup_code(dialect), etymology_ordinal=0,
-                              pos=registry.parts_of_speech["noun"], body=body)
+        ps = entry.PosSection(language=dialect, etymology_ordinal=0, pos="noun", body=body)
         meanings = entry.extract_definitions(ps, cfg, registry)
         rows = relations.extract_relations(ps, meanings, cfg, registry)
         assert len(relation_types(rows)) <= min(len(rows), 9)

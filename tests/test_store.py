@@ -195,6 +195,37 @@ def test_failed_page_inside_transaction_leaves_batch_unchanged(store):
     store.check_referential_integrity()
 
 
+def test_lock_held_by_another_writer_is_not_corruption(tmp_path):
+    path = tmp_path / "mrd.db"
+    with MrdStore(path, native_code="en", dialect="en") as writer:
+        writer._conn.execute("PRAGMA busy_timeout=0")
+        other = sqlite3.connect(str(path), isolation_level=None)
+        other.execute("BEGIN IMMEDIATE")
+        try:
+            with pytest.raises(StoreError, match="locked") as exc:
+                writer.save_word(simple_bundle())
+            assert not isinstance(exc.value, CorruptStore)
+        finally:
+            other.rollback()
+            other.close()
+        writer.save_word(simple_bundle())  # the lock gone, the writer goes on
+        assert writer.table_sizes()["page"] == 1
+
+
+def test_opening_a_writer_under_a_lock_is_not_corruption(tmp_path):
+    path = tmp_path / "mrd.db"
+    MrdStore(path, native_code="en", dialect="en").close()
+    other = sqlite3.connect(str(path), isolation_level=None)
+    other.execute("BEGIN IMMEDIATE")
+    try:  # the meta writes wait out SQLite's busy timeout (5 s), then fail
+        with pytest.raises(StoreError, match="locked") as exc:
+            MrdStore(path, native_code="en", dialect="en")
+        assert not isinstance(exc.value, CorruptStore)
+    finally:
+        other.rollback()
+        other.close()
+
+
 class _BatchCounter:
     """A connection stand-in that counts executemany calls per table."""
 

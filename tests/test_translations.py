@@ -10,7 +10,7 @@ def noun_section(page, dialect, registry):
     sections, _ = entry.split_language_sections(page, dialect, registry)
     for sec in sections:
         for ps in entry.split_pos_sections(sec, dialect, registry):
-            if ps.pos.canonical_name == "noun":
+            if ps.pos == "noun":
                 return ps
     raise AssertionError("no noun section")
 
@@ -32,8 +32,7 @@ def test_dog_has_two_boxes(en, registry):
 
 
 def test_unknown_language_name_skipped(en, registry):
-    ps = entry.PosSection(language=registry.lookup_code("en"), etymology_ordinal=0,
-                          pos=registry.parts_of_speech["noun"],
+    ps = entry.PosSection(language="en", etymology_ordinal=0, pos="noun",
                           body="{{trans-top|x}}\n* Qqzish: [[x]]\n{{trans-bottom}}\n")
     boxes, skipped = translations.extract_translations_en(ps, registry)
     assert len(boxes) == 1 and boxes[0][1] == []
@@ -42,8 +41,7 @@ def test_unknown_language_name_skipped(en, registry):
 
 def test_code_name_conflict_keeps_template_code(en, registry):
     # a classic editor misprint: the label says Estonian, the template says es
-    ps = entry.PosSection(language=registry.lookup_code("en"), etymology_ordinal=0,
-                          pos=registry.parts_of_speech["noun"],
+    ps = entry.PosSection(language="en", etymology_ordinal=0, pos="noun",
                           body="{{trans-top|x}}\n* Estonian: {{t|es|arbusto}}\n{{trans-bottom}}\n")
     boxes, skipped = translations.extract_translations_en(ps, registry)
     entries = boxes[0][1]
@@ -52,8 +50,7 @@ def test_code_name_conflict_keeps_template_code(en, registry):
 
 
 def test_bare_translations_heading_is_one_empty_gloss_box(en, registry):
-    ps = entry.PosSection(language=registry.lookup_code("en"), etymology_ordinal=0,
-                          pos=registry.parts_of_speech["noun"],
+    ps = entry.PosSection(language="en", etymology_ordinal=0, pos="noun",
                           body="# a word\n====Translations====\n* Finnish: {{t|fi|sana}}\n")
     boxes, skipped = translations.extract_translations_en(ps, registry)
     assert len(boxes) == 1
@@ -66,8 +63,7 @@ def test_bare_translations_heading_is_one_empty_gloss_box(en, registry):
 def test_nested_subline_attaches_to_parent_language(en, registry):
     body = ("{{trans-top|x}}\n* Chinese:\n*: Mandarin: {{t|zh|狗}}\n"
             "* Finnish: {{t+|fi|koira}}\n{{trans-bottom}}\n")
-    ps = entry.PosSection(language=registry.lookup_code("en"), etymology_ordinal=0,
-                          pos=registry.parts_of_speech["noun"], body=body)
+    ps = entry.PosSection(language="en", etymology_ordinal=0, pos="noun", body=body)
     boxes, skipped = translations.extract_translations_en(ps, registry)
     entries = boxes[0][1]
     assert [(code, word) for code, word, _ in entries] == [("zh", "狗"), ("fi", "koira")]
@@ -85,8 +81,8 @@ def test_ru_translation_block(ru, registry):
 
 
 def test_ru_empty_block(ru, registry):
-    ps = entry.PosSection(language=registry.lookup_code("ru"), etymology_ordinal=0,
-                          pos=registry.parts_of_speech["noun"], body="{{перев-блок}}\n")
+    ps = entry.PosSection(language="ru", etymology_ordinal=0,
+                          pos="noun", body="{{перев-блок}}\n")
     boxes, skipped = translations.extract_translations_ru(ps, registry)
     assert len(boxes) == 1
     assert boxes[0][1] == [] and skipped == []
@@ -94,8 +90,7 @@ def test_ru_empty_block(ru, registry):
 
 def test_ru_codes_taken_at_face_value(ru, registry):
     # "et" stays Estonian even if the editor meant Spanish
-    ps = entry.PosSection(language=registry.lookup_code("ru"), etymology_ordinal=0,
-                          pos=registry.parts_of_speech["noun"],
+    ps = entry.PosSection(language="ru", etymology_ordinal=0, pos="noun",
                           body="{{перев-блок||et=[[x]]}}\n")
     boxes, skipped = translations.extract_translations_ru(ps, registry)
     assert [(code, word) for code, word, _ in boxes[0][1]] == [("et", "x")]
@@ -103,8 +98,7 @@ def test_ru_codes_taken_at_face_value(ru, registry):
 
 
 def test_ru_unknown_code_skipped(ru, registry):
-    ps = entry.PosSection(language=registry.lookup_code("ru"), etymology_ordinal=0,
-                          pos=registry.parts_of_speech["noun"],
+    ps = entry.PosSection(language="ru", etymology_ordinal=0, pos="noun",
                           body="{{перев-блок||qqz9=[[x]]|fi=[[y]]}}\n")
     boxes, skipped = translations.extract_translations_ru(ps, registry)
     assert [(code, word) for code, word, _ in boxes[0][1]] == [("fi", "y")]
@@ -112,22 +106,19 @@ def test_ru_unknown_code_skipped(ru, registry):
 
 
 def test_ru_multiple_links_in_one_value(ru, registry):
-    ps = entry.PosSection(language=registry.lookup_code("ru"), etymology_ordinal=0,
-                          pos=registry.parts_of_speech["noun"],
+    ps = entry.PosSection(language="ru", etymology_ordinal=0, pos="noun",
                           body="{{перев-блок||fi=[[a]], [[b]]}}\n")
     boxes, _ = translations.extract_translations_ru(ps, registry)
     assert [word for _, word, _ in boxes[0][1]] == ["a", "b"]
 
 
 def test_box_count_matches_openings(en, ru, registry):
-    en_ps = entry.PosSection(language=registry.lookup_code("en"), etymology_ordinal=0,
-                             pos=registry.parts_of_speech["noun"],
+    en_ps = entry.PosSection(language="en", etymology_ordinal=0, pos="noun",
                              body="{{trans-top|a}}\n{{trans-bottom}}\n{{trans-top|b}}\n{{trans-bottom}}\n")
     boxes, _ = translations.extract_translations_en(en_ps, registry)
     assert len(boxes) == 2
 
-    ru_ps = entry.PosSection(language=registry.lookup_code("ru"), etymology_ordinal=0,
-                             pos=registry.parts_of_speech["noun"],
+    ru_ps = entry.PosSection(language="ru", etymology_ordinal=0, pos="noun",
                              body="{{перев-блок|a}}\n{{перев-блок|b}}\n")
     boxes, _ = translations.extract_translations_ru(ru_ps, registry)
     assert [gloss for gloss, _ in boxes] == ["a", "b"]
@@ -150,8 +141,7 @@ _TRANSLATION_TOKENS = (
 @settings(max_examples=150)
 def test_translation_extraction_never_raises(registry, body):
     for dialect in ("en", "ru"):
-        ps = entry.PosSection(language=registry.lookup_code(dialect), etymology_ordinal=0,
-                              pos=registry.parts_of_speech["noun"], body=body)
+        ps = entry.PosSection(language=dialect, etymology_ordinal=0, pos="noun", body=body)
         if dialect == "en":
             boxes, skipped = translations.extract_translations_en(ps, registry)
         else:
