@@ -67,7 +67,8 @@ def main(argv=None) -> int:
             rc = _cmd_languages(args)
         sys.stdout.flush()
         return rc
-    except (MalformedDump, ChecksumMismatch, StoreError) as exc:
+    except (MalformedDump, ChecksumMismatch, StoreError, FileNotFoundError) as exc:
+        # a missing --dump or --registry file: the message names its path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

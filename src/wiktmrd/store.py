@@ -5,6 +5,9 @@ meaning, relation_type, relation, translation, translation_entry, inflection,
 plus the per-language word indexes (index_native, index_XX), which are
 derived from lang_pos rather than stored. Backed by SQLite; the durable
 contract is the logical schema and the TSV interchange format, not the engine.
+translation_entry and wiki_text_words are stored by their parent's key,
+without a rowid; the writer gives their ids by SQLite's rowid rule, so the
+ids, and the exports sorted by them, are those a rowid table would have.
 
 Writes happen through a single writer. save_word is atomic per page and
 idempotent per title. Checkpoints commit in the same transaction as the data
@@ -62,7 +65,23 @@ TABLE_COLUMNS = {
     "inflection": ("id", "lang_pos_id", "form_kind", "lemma_title"),
 }
 
-_SCHEMA = """
+# The two largest leaf tables have no rowid: each is stored in the order of
+# its parent's key, which its reads and deletes go by, instead of keeping a
+# rowid table and an index on that key. The writer assigns their ids
+# (MrdStore._take_ids).
+_KEYED_TABLES = {
+    "wiki_text_words": """CREATE TABLE IF NOT EXISTS wiki_text_words(
+    id INTEGER NOT NULL, wiki_text_id INTEGER NOT NULL REFERENCES wiki_text(id),
+    page_ref_title TEXT NOT NULL,
+    PRIMARY KEY(wiki_text_id, page_ref_title)) WITHOUT ROWID""",
+    "translation_entry": """CREATE TABLE IF NOT EXISTS translation_entry(
+    id INTEGER NOT NULL, translation_id INTEGER NOT NULL REFERENCES translation(id),
+    lang_id INTEGER NOT NULL REFERENCES lang(id),
+    wiki_text_id INTEGER NOT NULL REFERENCES wiki_text(id),
+    PRIMARY KEY(translation_id, id)) WITHOUT ROWID""",
+}
+
+_SCHEMA = f"""
 CREATE TABLE IF NOT EXISTS meta(key TEXT PRIMARY KEY, value TEXT NOT NULL);
 CREATE TABLE IF NOT EXISTS page(
     id INTEGER PRIMARY KEY, title TEXT UNIQUE NOT NULL, record_id INTEGER NOT NULL,
@@ -76,10 +95,7 @@ CREATE TABLE IF NOT EXISTS lang_pos(
     etymology_ordinal INTEGER NOT NULL,
     UNIQUE(page_id, lang_id, pos_id, etymology_ordinal));
 CREATE TABLE IF NOT EXISTS wiki_text(id INTEGER PRIMARY KEY, text TEXT UNIQUE NOT NULL);
-CREATE TABLE IF NOT EXISTS wiki_text_words(
-    id INTEGER PRIMARY KEY, wiki_text_id INTEGER NOT NULL REFERENCES wiki_text(id),
-    page_ref_title TEXT NOT NULL,
-    UNIQUE(wiki_text_id, page_ref_title));
+{_KEYED_TABLES['wiki_text_words']};
 CREATE TABLE IF NOT EXISTS meaning(
     id INTEGER PRIMARY KEY, lang_pos_id INTEGER NOT NULL REFERENCES lang_pos(id),
     ordinal INTEGER NOT NULL, wiki_text_id INTEGER NOT NULL REFERENCES wiki_text(id));
@@ -92,10 +108,7 @@ CREATE TABLE IF NOT EXISTS relation(
 CREATE TABLE IF NOT EXISTS translation(
     id INTEGER PRIMARY KEY, lang_pos_id INTEGER NOT NULL REFERENCES lang_pos(id),
     gloss_wiki_text_id INTEGER REFERENCES wiki_text(id));
-CREATE TABLE IF NOT EXISTS translation_entry(
-    id INTEGER PRIMARY KEY, translation_id INTEGER NOT NULL REFERENCES translation(id),
-    lang_id INTEGER NOT NULL REFERENCES lang(id),
-    wiki_text_id INTEGER NOT NULL REFERENCES wiki_text(id));
+{_KEYED_TABLES['translation_entry']};
 CREATE TABLE IF NOT EXISTS inflection(
     id INTEGER PRIMARY KEY, lang_pos_id INTEGER NOT NULL REFERENCES lang_pos(id),
     form_kind TEXT NOT NULL, lemma_title TEXT NOT NULL);
@@ -113,7 +126,8 @@ _SECONDARY_INDEXES = {
     # deleting a meaning looks for the relations that still name it
     "idx_relation_meaning": "relation(meaning_id) WHERE meaning_id IS NOT NULL",
     "idx_translation_lang_pos": "translation(lang_pos_id)",
-    "idx_translation_entry_tr": "translation_entry(translation_id)",
+    # reverse lookups find the entries of the texts that link a word
+    "idx_translation_entry_text": "translation_entry(wiki_text_id)",
     "idx_wtw_title": "wiki_text_words(page_ref_title)",
     "idx_inflection_lang_pos": "inflection(lang_pos_id)",
 }
@@ -208,6 +222,7 @@ class MrdStore:
         self._wiki_text_cache: dict[str, tuple[int, tuple[str, ...]]] = {}
         self._wiki_text_cache_strings = 0  # texts plus words held in that cache
         self._interned: dict[tuple[str, str], int] = {}  # (table, value) -> id
+        self._next_ids: dict[str, int] = {}  # _KEYED_TABLES table -> its next id
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -272,6 +287,7 @@ class MrdStore:
         self._wiki_text_cache.clear()
         self._wiki_text_cache_strings = 0
         self._interned.clear()
+        self._next_ids.clear()
 
     # -- shared row helpers ---------------------------------------------------
 
@@ -296,6 +312,17 @@ class MrdStore:
             self._interned[key] = row_id
         return row_id
 
+    def _take_ids(self, table, count) -> int:
+        """The first of `count` new ids of a _KEYED_TABLES table. Ids follow
+        SQLite's rowid rule, one past the largest id stored, so the ids of
+        a store do not depend on its layout."""
+        first = self._next_ids.get(table)
+        if first is None:
+            first = self._conn.execute(
+                f"SELECT COALESCE(MAX(id), 0) + 1 FROM {table}").fetchone()[0]
+        self._next_ids[table] = first + count
+        return first
+
     def _truncate(self, text: str) -> str:
         if len(text) <= MAX_WIKI_TEXT_BYTES // 4:  # a code point takes at most 4 bytes
             return text
@@ -310,11 +337,11 @@ class MrdStore:
 
     def _wiki_text_id(self, text: str, ref_words, word_rows: list) -> int:
         """Id of `text`, inserted if new. Appends to word_rows the (id, word)
-        pairs not yet written for it; a cached text remembers its written
-        words, so a pair is written again only for a text the cache could
-        not keep. The cache holds at most _WIKI_TEXT_CACHE_SIZE strings,
-        texts and words together, so memory stays bounded whatever the
-        number of words per text."""
+        pairs not yet written for it: a cached text remembers its written
+        words, and a stored text the cache could not keep reads them back.
+        The cache holds at most _WIKI_TEXT_CACHE_SIZE strings, texts and
+        words together, so memory stays bounded whatever the number of
+        words per text."""
         text = self._truncate(text)
         cached = self._wiki_text_cache.get(text)
         if cached is None:
@@ -322,9 +349,14 @@ class MrdStore:
             cur = self._conn.execute(
                 "INSERT INTO wiki_text(text) VALUES (?) ON CONFLICT(text) DO NOTHING",
                 (text,))
-            wid = cur.lastrowid if cur.rowcount else self._conn.execute(
-                "SELECT id FROM wiki_text WHERE text=?", (text,)).fetchone()[0]
-            written = ()
+            if cur.rowcount:
+                wid, written = cur.lastrowid, ()
+            else:
+                wid = self._conn.execute(
+                    "SELECT id FROM wiki_text WHERE text=?", (text,)).fetchone()[0]
+                written = tuple(word for (word,) in self._conn.execute(
+                    "SELECT page_ref_title FROM wiki_text_words WHERE wiki_text_id=?",
+                    (wid,)))
         else:
             wid, written = cached
         fresh = [word for word in ref_words if word and word not in written]
@@ -387,7 +419,9 @@ class MrdStore:
 
         # Parent rows go in one by one for their ids; leaf rows wait for one
         # executemany per table. Each table still receives its rows in page
-        # order, so ids match those of row-by-row insertion.
+        # order, so ids match those of row-by-row insertion. A pair of
+        # word_rows may repeat (a text used twice, a word linked twice) and is
+        # written once, so no id is spent on it.
         word_rows: list[tuple[int, str]] = []
         relation_rows = []
         entry_rows = []
@@ -431,15 +465,18 @@ class MrdStore:
             if soft_redirect is not None:
                 inflection_rows.append((lang_pos_id, *soft_redirect))
 
+        word_rows = list(dict.fromkeys(word_rows))
+        first = self._take_ids("wiki_text_words", len(word_rows))
         conn.executemany(
-            "INSERT OR IGNORE INTO wiki_text_words(wiki_text_id, page_ref_title) "
-            "VALUES (?, ?)", word_rows)
+            "INSERT INTO wiki_text_words(id, wiki_text_id, page_ref_title) "
+            "VALUES (?, ?, ?)", [(i, *row) for i, row in enumerate(word_rows, first)])
         conn.executemany(
             "INSERT INTO relation(meaning_id, lang_pos_id, relation_type_id, "
             "wiki_text_id) VALUES (?, ?, ?, ?)", relation_rows)
+        first = self._take_ids("translation_entry", len(entry_rows))
         conn.executemany(
-            "INSERT INTO translation_entry(translation_id, lang_id, wiki_text_id) "
-            "VALUES (?, ?, ?)", entry_rows)
+            "INSERT INTO translation_entry(id, translation_id, lang_id, wiki_text_id) "
+            "VALUES (?, ?, ?, ?)", [(i, *row) for i, row in enumerate(entry_rows, first)])
         conn.executemany(
             "INSERT INTO inflection(lang_pos_id, form_kind, lemma_title) "
             "VALUES (?, ?, ?)", inflection_rows)
@@ -451,9 +488,14 @@ class MrdStore:
             "SELECT id FROM lang_pos WHERE page_id=?", (page_id,))]
         if lang_pos_ids:
             marks = ",".join("?" * len(lang_pos_ids))
-            conn.execute(
-                f"DELETE FROM translation_entry WHERE translation_id IN "
-                f"(SELECT id FROM translation WHERE lang_pos_id IN ({marks}))", lang_pos_ids)
+            entries = (f"FROM translation_entry WHERE translation_id IN "
+                       f"(SELECT id FROM translation WHERE lang_pos_id IN ({marks}))")
+            next_id = self._next_ids.get("translation_entry")
+            if next_id is not None and conn.execute(
+                    f"SELECT MAX(id) {entries}", lang_pos_ids).fetchone()[0] == next_id - 1:
+                # the top id goes, so the next is one past the largest left
+                del self._next_ids["translation_entry"]
+            conn.execute(f"DELETE {entries}", lang_pos_ids)
             conn.execute(f"DELETE FROM translation WHERE lang_pos_id IN ({marks})", lang_pos_ids)
             conn.execute(f"DELETE FROM relation WHERE lang_pos_id IN ({marks})", lang_pos_ids)
             conn.execute(f"DELETE FROM meaning WHERE lang_pos_id IN ({marks})", lang_pos_ids)
@@ -469,10 +511,21 @@ class MrdStore:
         (or import_tsv) then builds once, sorted. A store with pages keeps
         them, or gets them back first, as re-saving a title deletes its old
         rows through them. The index_* tables of older versions are dropped:
-        their references would block deleting a lang_pos."""
+        their references would block deleting a lang_pos. The _KEYED_TABLES
+        that older versions stored with a rowid are rebuilt without one, ids
+        kept."""
         for (table,) in self.query(
                 "SELECT name FROM sqlite_master WHERE type='table' AND name GLOB 'index_*'"):
             self._conn.execute(f'DROP TABLE "{table}"')
+        for table, create in _KEYED_TABLES.items():
+            if not self.query(
+                    "SELECT 1 FROM pragma_index_list(?) WHERE origin='pk'", (table,)):
+                columns = ", ".join(TABLE_COLUMNS[table])
+                self._conn.execute(f"ALTER TABLE {table} RENAME TO old_{table}")
+                self._conn.execute(create)
+                self._conn.execute(
+                    f"INSERT INTO {table}({columns}) SELECT {columns} FROM old_{table}")
+                self._conn.execute(f"DROP TABLE old_{table}")  # and its indexes
         if self._conn.execute("SELECT 1 FROM page LIMIT 1").fetchone() is None:
             for name in _SECONDARY_INDEXES:
                 self._conn.execute(f"DROP INDEX IF EXISTS {name}")
@@ -579,9 +632,10 @@ class MrdStore:
         """(page title, translation language code) pairs whose translation
         entries reference `word`, sorted.
 
-        No index leads with translation_entry.wiki_text_id (one added 16%
-        to a ru store), so the entries are scanned; each is checked against
-        the few texts that link `word`, fetched once."""
+        The texts that link `word` come from idx_wtw_title and their entries
+        from idx_translation_entry_text, so the cost follows the answer, not
+        the store. A store whose load was cut before its indexes were built
+        gives the same pairs by scanning translation_entry."""
         return self.query(
             "SELECT DISTINCT p.title, l.code FROM translation_entry e "
             "JOIN lang l ON l.id = e.lang_id "
@@ -616,10 +670,29 @@ class MrdStore:
     def check_referential_integrity(self):
         violations = self._conn.execute("PRAGMA foreign_key_check").fetchall()
         if violations:
-            table, rowid, parent, _ = violations[0]
+            # the pragma gives no rowid for a table without one, so the
+            # offending row is named by its id
+            table, _, parent, fk_id = violations[0]
+            column, key = next(fk[3:5] for fk in self._conn.execute(
+                f"PRAGMA foreign_key_list({table})") if fk[0] == fk_id)
+            (row_id,) = self._conn.execute(
+                f"SELECT id FROM {table} WHERE {column} NOT IN "
+                f"(SELECT {key} FROM {parent}) LIMIT 1").fetchone()
             raise CorruptStore(
-                f"foreign key violation in {table} (rowid {rowid}) -> {parent}; "
+                f"foreign key violation in {table} (id {row_id}) -> {parent}; "
                 f"{len(violations)} total")
+
+    def _check_keyed_ids(self):
+        """Refuse a _KEYED_TABLES table whose ids repeat or are not integers:
+        its primary key does not make the id unique on its own."""
+        for table in _KEYED_TABLES:
+            row = self._conn.execute(
+                f"SELECT id, COUNT(*) FROM {table} GROUP BY id "
+                f"HAVING COUNT(*) > 1 OR typeof(id) != 'integer' LIMIT 1").fetchone()
+            if row is not None:
+                row_id, count = row
+                problem = f"appears {count} times" if count > 1 else "is not an integer"
+                raise CorruptStore(f"{table}.tsv: id {row_id!r} {problem}")
 
     def export_tsv(self, directory):
         """One sorted TSV per logical table and per word index; values escape
@@ -638,10 +711,11 @@ class MrdStore:
     def import_tsv(self, directory):
         """Replace store content with a TSV export; ids are preserved.
 
-        Referential integrity is checked once, before the commit, and so are
-        the index_*.tsv files against the derived word indexes; an import that
-        fails leaves the store as it was. It needs a store with no open
-        transaction: the caller's uncommitted rows would be replaced too."""
+        Referential integrity and unique ids are checked once, before the
+        commit, and so are the index_*.tsv files against the derived word
+        indexes; an import that fails leaves the store as it was. It needs a
+        store with no open transaction: the caller's uncommitted rows would
+        be replaced too."""
         if self._conn.in_transaction:
             raise StoreError("import_tsv called inside an open transaction; "
                              "commit or roll back first")
@@ -658,6 +732,7 @@ class MrdStore:
                 path = os.path.join(directory, f"{table}.tsv")
                 if os.path.exists(path):
                     self._import_table(path, table, columns)
+            self._check_keyed_ids()
             self._create_secondary_indexes()
             self.check_referential_integrity()
             self._check_word_index_files(directory)

@@ -169,3 +169,16 @@ def test_parse_rejects_bad_dump(tmp_path, capsys):
                "--store", str(tmp_path / "s.db")])
     assert rc == 2
     assert "malformed dump" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--dump", "--registry"])
+def test_parse_refuses_a_missing_input_file(tmp_path, capsys, option):
+    missing = str(tmp_path / "typo")
+    dump = write_dump(tmp_path / "en.xml", fixture_dump_pages("en"))
+    args = {"--dump": ["--dump", missing],
+            "--registry": ["--dump", dump, "--registry", missing]}[option]
+    store = tmp_path / "s.db"
+    assert main(["parse", "--dialect", "en", "--store", str(store), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err and len(err.splitlines()) == 1
+    assert not store.exists()

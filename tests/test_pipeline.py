@@ -249,6 +249,75 @@ def test_reparse_replaces_stored_word_index_tables(tmp_path):
     assert_export_dirs_equal(tmp_path / "export_plain", tmp_path / "export_reparsed")
 
 
+_ROWID_LAYOUT = """
+BEGIN;
+ALTER TABLE translation_entry RENAME TO keyed_translation_entry;
+CREATE TABLE translation_entry(
+    id INTEGER PRIMARY KEY, translation_id INTEGER NOT NULL REFERENCES translation(id),
+    lang_id INTEGER NOT NULL REFERENCES lang(id),
+    wiki_text_id INTEGER NOT NULL REFERENCES wiki_text(id));
+INSERT INTO translation_entry SELECT * FROM keyed_translation_entry;
+DROP TABLE keyed_translation_entry;
+ALTER TABLE wiki_text_words RENAME TO keyed_wiki_text_words;
+CREATE TABLE wiki_text_words(
+    id INTEGER PRIMARY KEY, wiki_text_id INTEGER NOT NULL REFERENCES wiki_text(id),
+    page_ref_title TEXT NOT NULL,
+    UNIQUE(wiki_text_id, page_ref_title));
+INSERT INTO wiki_text_words SELECT * FROM keyed_wiki_text_words;
+DROP TABLE keyed_wiki_text_words;
+CREATE INDEX idx_translation_entry_tr ON translation_entry(translation_id);
+CREATE INDEX idx_wtw_title ON wiki_text_words(page_ref_title);
+DELETE FROM checkpoint;
+COMMIT;
+"""
+
+
+def _rowid_tables(store):
+    """The tables of translation_entry and wiki_text_words that keep a rowid."""
+    return [table for table in ("translation_entry", "wiki_text_words") if not store.query(
+        "SELECT 1 FROM pragma_index_list(?) WHERE origin='pk'", (table,))]
+
+
+def test_store_with_rowid_leaf_tables_is_read_as_is_and_migrated_by_the_writer(tmp_path):
+    """A store from when translation_entry and wiki_text_words had a rowid:
+    opening and reading it writes nothing and gives the answers of the
+    current layout, and a parse that goes on from it rebuilds both tables
+    without a rowid, ids kept, and then assigns ids as an unbroken parse."""
+    pages = fixture_dump_pages("en")
+    full = write_dump(tmp_path / "full.xml", pages)
+    head = write_dump(tmp_path / "head.xml", pages[:6])
+    plain, old = tmp_path / "plain.db", tmp_path / "old.db"
+    run_parse(ParseConfig(dialect="en", dump_path=full, store_path=plain))
+    run_parse(ParseConfig(dialect="en", dump_path=head, store_path=old))
+    conn = sqlite3.connect(old, isolation_level=None)
+    conn.executescript(_ROWID_LAYOUT)
+    conn.close()
+
+    writer = sqlite3.connect(old, isolation_level=None)
+    try:
+        writer.execute("BEGIN IMMEDIATE")  # opening and reading must not write
+        with MrdStore(old) as store, MrdStore(plain) as current:
+            assert _rowid_tables(store) == ["translation_entry", "wiki_text_words"]
+            head_titles = {title for title, _ in pages[:6]}
+            words = [w for (w,) in store.query("SELECT page_ref_title FROM wiki_text_words")]
+            assert any(store.reverse_lookup(word) for word in words)
+            for word in words:
+                answer = [(t, c) for t, c in current.reverse_lookup(word) if t in head_titles]
+                assert store.reverse_lookup(word) == answer, word
+    finally:
+        writer.rollback()
+        writer.close()
+
+    run_parse(ParseConfig(dialect="en", dump_path=full, store_path=old, start_record=6))
+    with MrdStore(old) as store:
+        assert _rowid_tables(store) == []
+        assert_full_index_set(store)
+        store.export_tsv(tmp_path / "export_old")
+    with MrdStore(plain) as store:
+        store.export_tsv(tmp_path / "export_plain")
+    assert_export_dirs_equal(tmp_path / "export_plain", tmp_path / "export_old")
+
+
 def test_run_parse_ru_fixture_corpus(tmp_path):
     report, store_path = parse_fixture_corpus(tmp_path, "ru")
     assert report.pages_parsed == 4
@@ -415,6 +484,15 @@ def assert_export_dirs_equal(dir_a, dir_b):
         assert a == b, f"{name} differs"
 
 
+def assert_ids_from_one(store):
+    """The writer-assigned ids of a store no row was deleted from are 1..n,
+    as SQLite's rowid rule gives; the pages lost with a killed run's
+    uncommitted batch count as never written."""
+    for table in ("translation_entry", "wiki_text_words"):
+        ids = [row_id for (row_id,) in store.query(f"SELECT id FROM {table} ORDER BY id")]
+        assert ids and ids == list(range(1, len(ids) + 1)), table
+
+
 def run_cli(args, env_extra=None):
     env = dict(os.environ)
     env.update(env_extra or {})
@@ -455,6 +533,7 @@ def test_crash_and_resume_matches_uninterrupted(tmp_path):
                 "SELECT name FROM sqlite_master WHERE type='index'")}
             assert not indexes & set(_SECONDARY_INDEXES)
             assert store.table_sizes()["page"] == 20
+            assert_ids_from_one(store)
             for title in ("word000", "word013", "word019"):
                 assert store.lookup_word(title) == clean.lookup_word(title) != []
             for word in ("f0", "f3", "f6"):
@@ -469,4 +548,6 @@ def test_crash_and_resume_matches_uninterrupted(tmp_path):
     with MrdStore(tmp_path / "crash.db") as store:
         store.export_tsv(tmp_path / "export_crash")
         assert_full_index_set(store)
+        # the resumed writer read back the words of texts it had not cached
+        assert_ids_from_one(store)
     assert_export_dirs_equal(tmp_path / "export_clean", tmp_path / "export_crash")

@@ -292,6 +292,70 @@ def test_wiki_text_cache_cap_counts_words(store, monkeypatch):
     assert store.table_sizes()["wiki_text_words"] == 6 * 3 + 1
 
 
+def entries_page(title, record_id, words):
+    """A page whose one translation box has an entry per word."""
+    return WordBundle(title=title, record_id=record_id, lang_pos=[noun(
+        translations=[("", [("fi", word, f"[[{word}]]") for word in words])])])
+
+
+def _entry_ids(store):
+    return store.query(
+        "SELECT e.id, p.title FROM translation_entry e "
+        "JOIN translation t ON t.id = e.translation_id "
+        "JOIN lang_pos lp ON lp.id = t.lang_pos_id "
+        "JOIN page p ON p.id = lp.page_id ORDER BY e.id")
+
+
+def _word_ids(store):
+    return store.query("SELECT id, page_ref_title FROM wiki_text_words ORDER BY id")
+
+
+def test_resaved_page_ids_follow_the_rowid_rule(store):
+    # SQLite's rowid rule: a new row's id is one past the largest id left
+    store.save_word(entries_page("a", 0, ["x1", "x2"]))
+    store.save_word(entries_page("b", 1, ["y1", "y2", "y3"]))
+    store.save_word(entries_page("b", 1, ["y1"]))  # deletes the top ids 3-5
+    store.save_word(entries_page("c", 2, ["z1"]))
+    assert _entry_ids(store) == [(1, "a"), (2, "a"), (3, "b"), (4, "c")]
+    store.save_word(entries_page("a", 0, ["x1", "x2", "x3"]))  # deletes 1-2, not the top
+    assert _entry_ids(store) == [(3, "b"), (4, "c"), (5, "a"), (6, "a"), (7, "a")]
+    # words are never deleted, and a word a text already has is not written again
+    assert _word_ids(store) == [(1, "x1"), (2, "x2"), (3, "y1"), (4, "y2"), (5, "y3"),
+                                (6, "z1"), (7, "x3")]
+
+
+def test_page_failing_after_taking_ids_gives_them_back(store):
+    store.begin()
+    store.save_word(entries_page("a", 0, ["x1"]))
+    # the inflection insert fails after the words and entries went in
+    broken = WordBundle(title="broken", record_id=1, lang_pos=[noun(
+        translations=[("", [("fi", "y1", "[[y1]]"), ("fi", "y2", "[[y2]]")])],
+        soft_redirect=("plural of", None))])
+    with pytest.raises(CorruptStore, match="NOT NULL"):
+        store.save_word(broken)
+    store.save_word(entries_page("c", 2, ["z1"]))
+    store.commit()
+    assert _entry_ids(store) == [(1, "a"), (2, "c")]
+    assert _word_ids(store) == [(1, "x1"), (2, "z1")]
+
+
+def test_text_the_cache_could_not_keep_gets_only_its_new_words(store, monkeypatch):
+    monkeypatch.setattr(store_module, "_WIKI_TEXT_CACHE_SIZE", 2)
+    store.save_word(WordBundle(title="p0", record_id=0, lang_pos=[
+        noun(meanings=[(1, "[[f]]", ["f"])])]))  # fills the cache
+    shared = "[[a]] or [[b]]"
+    store.save_word(WordBundle(title="p1", record_id=1, lang_pos=[
+        noun(meanings=[(1, shared, ["a"])])]))
+    assert shared not in store._wiki_text_cache
+    # the stored text gains b; used twice, it is read back twice, b written once
+    store.save_word(WordBundle(title="p2", record_id=2, lang_pos=[
+        noun(meanings=[(1, shared, ["a", "b"]), (2, shared, ["b", "b"])])]))
+    assert _word_ids(store) == [(1, "f"), (2, "a"), (3, "b")]
+    store.save_word(WordBundle(title="p3", record_id=3, lang_pos=[
+        noun(meanings=[(1, "[[c]]", ["c"])])]))
+    assert _word_ids(store)[-1] == (4, "c")
+
+
 def _resave_vm_steps(path, pages):
     """SQLite VM steps of re-saving one page of a store of `pages` pages
     with built indexes: meanings, sense-bound relations, translations and
@@ -402,6 +466,23 @@ def test_reverse_lookup_matches_brute_force(store):
     words = {word for (word,) in store.query("SELECT page_ref_title FROM wiki_text_words")}
     for word in sorted(words) + ["absent"]:
         assert store.reverse_lookup(word) == _brute_force_reverse(store, word), word
+
+
+def test_reverse_lookup_searches_entries_by_text(store, monkeypatch):
+    for n in range(3):
+        store.save_word(entries_page(f"p{n}", n, ["koira", f"w{n}"]))
+    store.build_index_tables()
+    calls = []
+
+    def query(sql, params=()):
+        calls.append((sql, params))
+        return MrdStore.query(store, sql, params)
+    monkeypatch.setattr(store, "query", query)
+    assert store.reverse_lookup("koira") == [("p0", "fi"), ("p1", "fi"), ("p2", "fi")]
+    [(sql, params)] = calls
+    plan = [row[3] for row in store._conn.execute("EXPLAIN QUERY PLAN " + sql, params)]
+    assert "SEARCH e USING INDEX idx_translation_entry_text (wiki_text_id=?)" in plan, plan
+    assert not [step for step in plan if step.startswith("SCAN")], plan
 
 
 # -- checkpoints -------------------------------------------------------------------
@@ -529,14 +610,17 @@ def _failing_import_leaves_store_unchanged(store, out, expected_error):
 def test_import_with_dangling_reference_rolls_back(store, tmp_path):
     store.save_word(simple_bundle())
     store.build_index_tables()
-    out = tmp_path / "export"
-    store.export_tsv(out)
-    path = out / "relation.tsv"
-    header, first, *rest = path.read_text("utf-8").splitlines(keepends=True)
-    fields = first.split("\t")
-    fields[2] = "999"  # lang_pos_id of a lang_pos that does not exist
-    path.write_text("".join([header, "\t".join(fields), *rest]), encoding="utf-8")
-    _failing_import_leaves_store_unchanged(store, out, CorruptStore)
+    for table, column, parent in (("relation", 2, "lang_pos"),
+                                  ("translation_entry", 1, "translation")):  # no rowid
+        out = tmp_path / table
+        store.export_tsv(out)
+        path = out / f"{table}.tsv"
+        header, first, *rest = path.read_text("utf-8").splitlines(keepends=True)
+        fields = first.split("\t")
+        fields[column] = "999"  # a parent row that does not exist
+        path.write_text("".join([header, "\t".join(fields), *rest]), encoding="utf-8")
+        err = _failing_import_leaves_store_unchanged(store, out, CorruptStore)
+        assert f"in {table} (id {fields[0]}) -> {parent}; 1 total" in str(err)
 
 
 def _duplicate_last_row(lines):
@@ -555,6 +639,16 @@ def _rename_header(lines):
     return ["word\tid\n", *lines[1:]]
 
 
+def _repeat_first_id(lines):
+    """The second row takes the first row's id; its key stays its own."""
+    second = lines[1].split("\t", 1)[0] + "\t" + lines[2].split("\t", 1)[1]
+    return [lines[0], lines[1], second, *lines[3:]]
+
+
+def _text_id(lines):
+    return [lines[0], "x" + lines[1][1:], *lines[2:]]
+
+
 @pytest.mark.parametrize("table, edit, native, error, where", [
     ("index_native", _duplicate_last_row, "en", MalformedRow, 4),
     ("index_native", _drop_first_row, "en", MalformedRow, 2),
@@ -564,11 +658,20 @@ def _rename_header(lines):
     ("index_zz", lambda lines: ["word\tlang_pos_id\n", "paw\t3\n"], "en", MalformedRow, 2),
     # the export's native language is en; the TSV files do not say so
     ("index_native", lambda lines: lines, "fi", CorruptStore, "'en'.*'fi'"),
+    # tables whose primary key leaves the id out
+    ("translation_entry", _repeat_first_id, "en", CorruptStore,
+     r"^translation_entry\.tsv: id 1 appears 2 times$"),
+    ("wiki_text_words", _repeat_first_id, "en", CorruptStore,
+     r"^wiki_text_words\.tsv: id 1 appears 2 times$"),
+    ("wiki_text_words", _text_id, "en", CorruptStore,
+     r"^wiki_text_words\.tsv: id 'x' is not an integer$"),
 ], ids=["duplicated", "missing", "changed_word", "bad_header", "language_without_entries",
-        "other_native_code"])
+        "other_native_code", "entry_id_repeated", "word_id_repeated", "word_id_not_integer"])
 def test_import_refuses_index_files_unlike_the_derived_rows(
         store, tmp_path, table, edit, native, error, where):
-    store.save_word(WordBundle(title="toe", record_id=0, lang_pos=[noun(), noun("fi")]))
+    boxes = [("", [("fi", "sana", "[[sana]]")]), ("", [("de", "Wort", "[[Wort]]")])]
+    store.save_word(WordBundle(title="toe", record_id=0, lang_pos=[
+        noun(translations=boxes), noun("fi")]))
     store.save_word(WordBundle(title="paw", record_id=1, lang_pos=[noun()]))
     out, clean = tmp_path / "export", tmp_path / "clean"
     store.export_tsv(out)
