@@ -10,8 +10,18 @@ import sys
 from . import stats as stats_mod
 from . import wikitext as wt
 from .pipeline import MalformedDump, ParseConfig, run_parse
-from .registry import builtin_registry, load_registry
+from .registry import DIALECTS, builtin_registry, load_registry
 from .store import ChecksumMismatch, MrdStore, StoreError
+
+
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than `minimum`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -22,13 +32,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse a dump into a store")
-    p.add_argument("--dialect", choices=("en", "ru"), required=True)
+    p.add_argument("--dialect", choices=DIALECTS, required=True)
     p.add_argument("--dump", required=True)
     p.add_argument("--store", required=True)
-    p.add_argument("--start-record", type=int, default=None)
+    p.add_argument("--start-record", type=_int_at_least(0), default=None)
     p.add_argument("--registry", default=None)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--checkpoint-interval", type=int, default=1000)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
+    p.add_argument("--checkpoint-interval", type=_int_at_least(1), default=1000)
 
     p = sub.add_parser("stats", help="report store statistics")
     p.add_argument("--store", required=True)

@@ -19,8 +19,8 @@ from .registry import (
     FORM_OF_TEMPLATES,
     RU_DEFINITIONS_HEADING,
     UNKNOWN_POS,
-    DialectConfig,
     Registry,
+    check_dialect,
 )
 
 # headings recognized as a part-of-speech slot but outside the canonical set
@@ -33,6 +33,8 @@ UNKNOWN_POS_HEADINGS_EN = frozenset(
 
 _ETYMOLOGY_RE = re.compile(r"^etymology(?:\s+(\d+))?$", re.IGNORECASE)
 _RU_LANG_TEMPLATE_RE = re.compile(r"^-([a-z0-9][a-z0-9-]{1,10})-$")
+# a list line ("*", "#" or ":" markers): its markers and its content
+LIST_LINE_RE = re.compile(r"^([*#:]+)\s*(.*)$")
 
 
 @dataclass
@@ -75,32 +77,34 @@ class PageOutline:
 @dataclass
 class LanguageSection:
     language: str  # the registry's language code
-    body: str
     span: tuple[int, int]  # byte offsets of the body within the page text
     outline: PageOutline = field(repr=False, compare=False)
+
+    @property
+    def body(self) -> str:
+        return self.outline.text(*self.span)
 
 
 @dataclass
 class PosSection:
-    """One (etymology, POS) part of a page. `span` is its body's byte range
-    in `outline`; a section made from a body alone outlines that body."""
+    """One (etymology, POS) part of a page; `span` is its body's byte range
+    in `outline`."""
 
     language: str  # the registry's language code
     etymology_ordinal: int
     pos: str  # a canonical POS name, UNKNOWN_POS included
-    body: str
-    outline: PageOutline | None = field(default=None, repr=False, compare=False)
-    span: tuple[int, int] = (0, 0)
+    span: tuple[int, int]
+    outline: PageOutline = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.outline is None:
-            self.outline = PageOutline(self.body)
-            self.span = (0, len(self.outline.data))
+    @property
+    def body(self) -> str:
+        return self.outline.text(*self.span)
 
     @cached_property
     def templates(self) -> list[wt.Template]:
-        """The body's top-level templates, scanned once for every stage."""
-        return wt.scan_templates(self.body)
+        """The body's top-level templates, scanned once for every stage;
+        their spans are byte offsets within the body."""
+        return wt.scan_templates(self.outline.data[self.span[0]:self.span[1]])
 
     def headings(self) -> list[wt.Heading]:
         return self.outline.headings_in(*self.span)
@@ -119,31 +123,22 @@ class PosSection:
         return None
 
 
-@dataclass
-class Meaning:
-    ordinal: int
-    definition_wikitext: str
-
-    @cached_property
-    def definition_plain(self) -> str:
-        return wt.strip_markup(self.definition_wikitext)
-
-
 def split_language_sections(
-    page: Page, dialect: DialectConfig, registry: Registry
+    page: Page, dialect: str, registry: Registry
 ) -> tuple[list[LanguageSection], list[str]]:
     """Partition the page body at language headings.
 
     Unresolvable headings produce a skip reason each; the text under them is
-    not parsed further.
+    not parsed further. A dialect other than "en" or "ru" is a ValueError.
     """
+    check_dialect(dialect)
     outline = PageOutline(page.raw_text)
-    level = 2 if dialect.dialect == "en" else 1
+    level = 2 if dialect == "en" else 1
     heads = [h for h in outline.headings if h.level == level]
     sections: list[LanguageSection] = []
     skipped: list[str] = []
     for i, head in enumerate(heads):
-        if dialect.dialect == "en":
+        if dialect == "en":
             language, reason = _resolve_language_en(head.inner_text, registry)
         else:
             language, reason = _resolve_language_ru(head.inner_text, registry)
@@ -151,8 +146,8 @@ def split_language_sections(
             skipped.append(reason)
             continue
         start, end = outline.body_range(heads, i, len(outline.data))
-        sections.append(LanguageSection(language=language, body=outline.text(start, end),
-                                        span=(start, end), outline=outline))
+        sections.append(LanguageSection(language=language, span=(start, end),
+                                        outline=outline))
     return sections, skipped
 
 
@@ -178,21 +173,20 @@ def _resolve_language_ru(inner: str, registry: Registry):
 
 
 def split_pos_sections(
-    section: LanguageSection, dialect: DialectConfig, registry: Registry
+    section: LanguageSection, dialect: str, registry: Registry
 ) -> list[PosSection]:
     """Split a language section into one PosSection per (etymology, POS) pair.
 
     A section with nothing recognizable yields a single pos=unknown section
     spanning the whole body.
     """
-    if dialect.dialect == "en":
+    if dialect == "en":
         out = _split_pos_en(section, registry)
     else:
         out = _split_pos_ru(section, registry)
     if not out:
         out = [PosSection(language=section.language, etymology_ordinal=0,
-                          pos=UNKNOWN_POS, body=section.body,
-                          outline=section.outline, span=section.span)]
+                          pos=UNKNOWN_POS, span=section.span, outline=section.outline)]
     return out
 
 
@@ -219,8 +213,7 @@ def _split_pos_en(section: LanguageSection, registry: Registry) -> list[PosSecti
             continue
         start, end = outline.body_range(heads, i, section_end)
         out.append(PosSection(language=section.language, etymology_ordinal=etym,
-                              pos=payload, body=outline.text(start, end),
-                              outline=outline, span=(start, end)))
+                              pos=payload, span=(start, end), outline=outline))
     return out
 
 
@@ -232,8 +225,7 @@ def _split_pos_ru(section: LanguageSection, registry: Registry) -> list[PosSecti
     out = []
     for ordinal, start, end in blocks:
         ps = PosSection(language=section.language, etymology_ordinal=ordinal,
-                        pos=UNKNOWN_POS, body=outline.text(start, end),
-                        outline=outline, span=(start, end))
+                        pos=UNKNOWN_POS, span=(start, end), outline=outline)
         for tpl in ps.templates:
             found = registry.pos_for_ru_template(tpl.name)
             if found is not None:
@@ -249,10 +241,12 @@ def is_definition_line(line: str) -> bool:
 
 
 def extract_definitions(
-    pos_section: PosSection, dialect: DialectConfig, registry: Registry
-) -> list[Meaning]:
-    """Numbered definitions of one PosSection, ordinals consecutive from 1."""
-    if dialect.dialect == "en":
+    pos_section: PosSection, dialect: str
+) -> list[tuple[int, str, list[str]]]:
+    """Numbered definitions of one PosSection as the store's meaning rows,
+    (ordinal, wikitext, ref_words), ordinals consecutive from 1; ref_words
+    are the distinct wikilink targets of the definition, in source order."""
+    if dialect == "en":
         region = pos_section.body
     else:
         region = pos_section.named_subsection(RU_DEFINITIONS_HEADING)
@@ -262,18 +256,19 @@ def extract_definitions(
     for line in region.splitlines():
         if is_definition_line(line):
             wikitext = line[1:].strip()
-            meanings.append(Meaning(ordinal=len(meanings) + 1, definition_wikitext=wikitext))
+            ref_words = list(dict.fromkeys(l.target for l in wt.scan_wikilinks(wikitext)))
+            meanings.append((len(meanings) + 1, wikitext, ref_words))
     return meanings
 
 
 def classify_soft_redirect(
-    page: Page, pos_section: PosSection, meanings: list[Meaning], registry: Registry
+    title: str, meanings: list[tuple[int, str, list[str]]]
 ) -> tuple[str, str] | None:
     """A word-form entry, exactly one meaning made of a single form-of
     template, as the store's (form_kind, lemma_title) row."""
     if len(meanings) != 1:
         return None
-    text = meanings[0].definition_wikitext.strip()
+    text = meanings[0][1].strip()
     templates = wt.scan_templates(text)
     if len(templates) != 1:
         return None
@@ -283,6 +278,6 @@ def classify_soft_redirect(
     if tpl.name.strip().casefold() not in FORM_OF_TEMPLATES:
         return None
     lemma = wt.strip_markup(tpl.first_param()).strip()
-    if not lemma or lemma == page.title:
+    if not lemma or lemma == title:
         return None
     return tpl.name.strip(), lemma

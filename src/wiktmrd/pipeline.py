@@ -24,8 +24,7 @@ import zlib
 from dataclasses import dataclass
 
 from . import entry, relations, translations
-from . import wikitext as wt
-from .registry import Registry, builtin_registry, load_registry
+from .registry import Registry, builtin_registry, check_dialect, load_registry
 from .store import Checkpoint, ChecksumMismatch, MrdStore, WordBundle
 
 # test seam: abort the process abruptly (no cleanup, like kill -9) after this
@@ -146,12 +145,9 @@ def iterate_dump(dump_path):
     """
     stream = _CountingReader(open_dump(dump_path))
     record_id = 0
-    parser = ET.XMLPullParser(events=("start", "end"))
     root = None
-
-    def drain():
-        nonlocal record_id, root
-        for event, elem in parser.read_events():
+    try:
+        for event, elem in ET.iterparse(stream, events=("start", "end")):
             if event == "start":
                 if root is None:
                     root = elem
@@ -160,31 +156,12 @@ def iterate_dump(dump_path):
                 continue
             page = _page_from_element(elem, record_id)
             elem.clear()
-            if root is not None:
-                root.clear()
+            root.clear()
             if page is not None:
                 record_id += 1
                 yield page
-
-    try:
-        while True:
-            chunk, error = b"", None
-            try:
-                chunk = stream.read(65536)
-                if chunk:
-                    parser.feed(chunk)
-                else:
-                    parser.close()
-            except _DUMP_DAMAGE as exc:
-                error = exc
-            try:
-                yield from drain()  # pages completed before any damage
-            except ET.ParseError as exc:  # feed() queues its error behind the events
-                error = exc
-            if error is not None:
-                raise MalformedDump(stream.bytes_read, str(error)) from error
-            if not chunk:
-                break
+    except _DUMP_DAMAGE as exc:
+        raise MalformedDump(stream.bytes_read, str(exc)) from exc
     finally:
         stream.close()
 
@@ -220,22 +197,22 @@ class AnalyzedPage:
     error: str = ""
 
 
-def analyze_page(page: entry.Page, dialect_cfg, registry: Registry) -> AnalyzedPage:
+def analyze_page(page: entry.Page, dialect: str, registry: Registry) -> AnalyzedPage:
     if page.is_redirect:
         return AnalyzedPage(page.record_id, page.title, "redirect")
     if ":" in page.title:
         return AnalyzedPage(page.record_id, page.title, "namespace")
     try:
-        sections, skipped = entry.split_language_sections(page, dialect_cfg, registry)
+        sections, skipped = entry.split_language_sections(page, dialect, registry)
         bundle = WordBundle(title=page.title, record_id=page.record_id)
         skipped_lines = 0
         seen_ordinals: dict[tuple[str, str], set[int]] = {}
         for sec in sections:
-            for ps in entry.split_pos_sections(sec, dialect_cfg, registry):
-                meanings = entry.extract_definitions(ps, dialect_cfg, registry)
-                soft = entry.classify_soft_redirect(page, ps, meanings, registry)
-                records = relations.extract_relations(ps, meanings, dialect_cfg, registry)
-                if dialect_cfg.dialect == "en":
+            for ps in entry.split_pos_sections(sec, dialect, registry):
+                meanings = entry.extract_definitions(ps, dialect)
+                soft = entry.classify_soft_redirect(page.title, meanings)
+                records = relations.extract_relations(ps, meanings, dialect, registry)
+                if dialect == "en":
                     boxes, sk = translations.extract_translations_en(ps, registry)
                 else:
                     boxes, sk = translations.extract_translations_ru(ps, registry)
@@ -248,32 +225,26 @@ def analyze_page(page: entry.Page, dialect_cfg, registry: Registry) -> AnalyzedP
                 if ordinal in taken:
                     ordinal = max(taken) + 1
                 taken.add(ordinal)
-                bundle.lang_pos.append((
-                    ps.language, ps.pos, ordinal,
-                    [(m.ordinal, m.definition_wikitext,
-                      list(dict.fromkeys(l.target for l in
-                                         wt.scan_wikilinks(m.definition_wikitext))))
-                     for m in meanings],
-                    records, boxes, soft,
-                ))
+                bundle.lang_pos.append(
+                    (ps.language, ps.pos, ordinal, meanings, records, boxes, soft))
         return AnalyzedPage(page.record_id, page.title, "parsed", bundle=bundle,
                             skipped_sections=len(skipped), skipped_lines=skipped_lines)
     except Exception as exc:  # robustness contract: one page never kills a run
         return AnalyzedPage(page.record_id, page.title, "failed", error=repr(exc))
 
 
-_pool_dialect_cfg = None
+_pool_dialect = ""
 _pool_registry = None
 
 
 def _pool_init(dialect: str, registry_path):
-    global _pool_dialect_cfg, _pool_registry
+    global _pool_dialect, _pool_registry
     _pool_registry = load_registry(registry_path) if registry_path else builtin_registry()
-    _pool_dialect_cfg = _pool_registry.dialect_config(dialect)
+    _pool_dialect = dialect
 
 
 def _pool_analyze(page):
-    return analyze_page(page, _pool_dialect_cfg, _pool_registry)
+    return analyze_page(page, _pool_dialect, _pool_registry)
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +252,14 @@ def _pool_analyze(page):
 # ---------------------------------------------------------------------------
 
 def run_parse(config: ParseConfig) -> ParseReport:
+    check_dialect(config.dialect)
     t0 = time.monotonic()
     registry = (load_registry(config.registry_path)
                 if config.registry_path else builtin_registry())
-    dialect_cfg = registry.dialect_config(config.dialect)
     identity = dump_identity(config.dump_path)
     store = MrdStore(config.store_path, native_code=config.dialect, dialect=config.dialect)
     try:
-        report = _run_parse_inner(config, store, dialect_cfg, registry, identity)
+        report = _run_parse_inner(config, store, registry, identity)
     finally:
         store.rollback()
         store.close()
@@ -320,7 +291,7 @@ def _check_identity(cp, identity):
             f"never match; to reparse, pass --start-record 0 or use a fresh store)")
 
 
-def _run_parse_inner(config, store, dialect_cfg, registry, identity) -> ParseReport:
+def _run_parse_inner(config, store, registry, identity) -> ParseReport:
     start, base_counters = _resolve_start(config, store, identity)
     report = ParseReport()
     crash_after = int(os.environ.get(_CRASH_ENV, "0") or "0")
@@ -334,7 +305,7 @@ def _run_parse_inner(config, store, dialect_cfg, registry, identity) -> ParseRep
     def results():
         if config.worker_count <= 1:
             for page in pages():
-                yield analyze_page(page, dialect_cfg, registry)
+                yield analyze_page(page, config.dialect, registry)
         else:
             # Pool.imap reads its input as fast as it can and keeps every
             # result until it is taken; workers faster than the writer would

@@ -22,6 +22,14 @@ CODE_RE = re.compile(r"^[a-z0-9][a-z0-9-]{1,10}$")
 # the POS of a slot with no heading or template in _POS_ALIASES
 UNKNOWN_POS = "unknown"
 
+# the editions a dump can come from, each parsed by its own rules
+DIALECTS = ("en", "ru")
+
+
+def check_dialect(dialect: str) -> None:
+    if dialect not in DIALECTS:
+        raise ValueError(f"unsupported dialect: {dialect!r}")
+
 
 class MalformedRegistryFile(ValueError):
     def __init__(self, path, line_no, problem):
@@ -36,15 +44,6 @@ class LanguageCode:
     english_name: str
     russian_name: str = ""
     name_aliases: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class DialectConfig:
-    dialect: str  # "en" | "ru"
-
-    def __post_init__(self):
-        if self.dialect not in ("en", "ru"):
-            raise ValueError(f"unsupported dialect: {self.dialect!r}")
 
 
 # canonical relation type -> (en heading aliases, ru heading aliases)
@@ -135,11 +134,6 @@ class Registry:
         if pos is None and "-" in token:
             pos = _POS_BY_RU_PREFIX.get(token.split("-", 1)[0])
         return pos
-
-    # -- dialects -------------------------------------------------------------
-
-    def dialect_config(self, dialect: str) -> DialectConfig:
-        return DialectConfig(dialect=dialect)
 
 
 def _parse_registry_lines(lines, path) -> dict[str, LanguageCode]:

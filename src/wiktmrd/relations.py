@@ -12,10 +12,9 @@ from __future__ import annotations
 import re
 
 from . import wikitext as wt
-from .entry import Meaning, PosSection
-from .registry import DialectConfig, Registry
+from .entry import LIST_LINE_RE, PosSection
+from .registry import Registry
 
-_LIST_LINE_RE = re.compile(r"^([*#:]+)\s*(.*)$")
 _PLACEHOLDERS = ("", "-", "—")
 
 # templates acting as plain wikilinks: {{l|en|word}}, {{link|en|word}}
@@ -25,37 +24,40 @@ _SENSE_TEMPLATE = "sense"
 
 def extract_relations(
     pos_section: PosSection,
-    meanings: list[Meaning],
-    dialect: DialectConfig,
+    meanings: list[tuple[int, str, list[str]]],
+    dialect: str,
     registry: Registry,
 ) -> list[tuple[str, str, str, int | None]]:
     """All relations of one PosSection, in source order, as
     (type_name, target_word, target_wikitext, meaning_ordinal or None) rows.
+    `meanings` are the section's meaning rows (entry.extract_definitions).
 
     Empty relation subsections are legal and contribute nothing.
     """
     rows: list[tuple[str, str, str, int | None]] = []
+    plain: dict[int, str] = {}  # ordinal -> casefolded plain text, on first use
     heads = pos_section.headings()
     for i, head in enumerate(heads):
-        type_name = registry.find_relation_heading(head.inner_text, dialect.dialect)
+        type_name = registry.find_relation_heading(head.inner_text, dialect)
         if type_name is None:
             continue
         lines = pos_section.subsection(heads, i).splitlines()
-        items = [m.group(2).strip() for m in map(_LIST_LINE_RE.match, lines) if m]
+        items = [m.group(2).strip() for m in map(LIST_LINE_RE.match, lines) if m]
         for index, content in enumerate(items):
             if content in _PLACEHOLDERS:
                 continue
-            if dialect.dialect == "en":
-                ordinal, content = _take_sense_gloss(content, meanings)
+            if dialect == "en":
+                ordinal, content = _take_sense_gloss(content, meanings, plain)
             else:  # the i-th list line belongs to meaning i
-                ordinal = meanings[index].ordinal if index < len(meanings) else None
+                ordinal = meanings[index][0] if index < len(meanings) else None
             _rows_from_line(type_name, content, ordinal, rows)
     return rows
 
 
-def _take_sense_gloss(content: str, meanings: list[Meaning]):
+def _take_sense_gloss(content: str, meanings, plain: dict[int, str]):
     """Split off a leading {{sense|...}} template; return the ordinal of the
-    meaning its gloss aligns to (or None) and the rest of the line."""
+    meaning its gloss aligns to (or None) and the rest of the line. `plain`
+    caches each meaning's casefolded plain text across the section's lines."""
     if not content.startswith("{{"):
         return None, content
     templates = wt.scan_templates(content)
@@ -68,9 +70,11 @@ def _take_sense_gloss(content: str, meanings: list[Meaning]):
     ordinal = None
     if gloss:
         needle = gloss.casefold()
-        for cand in meanings:
-            if needle in cand.definition_plain.casefold():
-                ordinal = cand.ordinal
+        for meaning_ordinal, wikitext, _ in meanings:
+            if meaning_ordinal not in plain:
+                plain[meaning_ordinal] = wt.strip_markup(wikitext).casefold()
+            if needle in plain[meaning_ordinal]:
+                ordinal = meaning_ordinal
                 break
     rest = wt.decode(wt.encode(content)[tpl.source_span[1]:]).strip()
     return ordinal, rest

@@ -15,7 +15,8 @@ they describe, so a killed process always restarts from a consistent point.
 
 A page reaches save_word as a WordBundle whose content is plain tuples, the
 cheapest form to pickle out of an analysis worker. The analysis produces
-these rows directly: relations.extract_relations returns the relation rows,
+these rows directly: entry.extract_definitions returns the meaning rows,
+relations.extract_relations the relation rows,
 translations.extract_translations_en/ru the translation boxes and
 entry.classify_soft_redirect the soft_redirect pair. Each entry of
 WordBundle.lang_pos is

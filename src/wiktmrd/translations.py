@@ -13,16 +13,13 @@ code. A template code that disagrees with its line's language name is kept.
 
 from __future__ import annotations
 
-import re
-
 from . import wikitext as wt
-from .entry import PosSection
+from .entry import LIST_LINE_RE, PosSection
 from .registry import TRANSLATION_BLOCK_RU, TRANSLATION_TEMPLATES_EN, LanguageCode, Registry
 
 _TRANSLATIONS_HEADING = "translations"
 _TRANS_TOP = "trans-top"
 _TRANS_BOTTOM = "trans-bottom"
-_LINE_RE = re.compile(r"^([*#:]+)\s*(.*)$")
 
 
 def extract_translations_en(
@@ -70,7 +67,7 @@ def _entries_from_en_lines(region: str, registry: Registry, skipped: list[str]):
     entries: list[tuple[str, str, str]] = []
     parent_lang: LanguageCode | None = None
     for line in region.splitlines():
-        m = _LINE_RE.match(line)
+        m = LIST_LINE_RE.match(line)
         if not m:
             continue
         markers, rest = m.groups()

@@ -81,15 +81,16 @@ def decode(data: bytes) -> str:
     return data.decode("utf-8", "surrogatepass")
 
 
-def scan_templates(text: str) -> list[Template]:
+def scan_templates(text: str | bytes) -> list[Template]:
     """All top-level templates in source order.
 
     Nested templates stay inside the enclosing template's parameter strings.
     An unclosed "{{" produces no template, but balanced groups inside it are
     still found. Groups with an empty name are not templates; any balanced
-    groups inside them are promoted instead.
+    groups inside them are promoted instead. A caller that already holds the
+    UTF-8 bytes may pass them.
     """
-    data = encode(text)
+    data = text if isinstance(text, bytes) else encode(text)
     out: list[Template] = []
     _collect_templates(data, _kernel.template_spans(data), 0, out)
     return out

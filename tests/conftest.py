@@ -6,7 +6,7 @@ from xml.sax.saxutils import escape, quoteattr
 import pytest
 
 from wiktmrd import registry as reg
-from wiktmrd.entry import Page
+from wiktmrd.entry import Page, PageOutline, PosSection
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -63,6 +63,13 @@ def fixture_page(dialect: str, name: str, record_id: int = 0) -> Page:
     return Page(title=name, raw_text=fixture_text(dialect, name), record_id=record_id)
 
 
+def pos_section(body: str, language: str = "en") -> PosSection:
+    """A noun section whose page is `body` alone."""
+    outline = PageOutline(body)
+    return PosSection(language=language, etymology_ordinal=0, pos="noun",
+                      span=(0, len(outline.data)), outline=outline)
+
+
 def fixture_titles(dialect: str) -> list[str]:
     d = os.path.join(DATA_DIR, f"entries_{dialect}")
     return sorted(n[:-4] for n in os.listdir(d) if n.endswith(".txt"))
@@ -71,16 +78,6 @@ def fixture_titles(dialect: str) -> list[str]:
 @pytest.fixture(scope="session")
 def registry():
     return reg.builtin_registry()
-
-
-@pytest.fixture(scope="session")
-def en(registry):
-    return registry.dialect_config("en")
-
-
-@pytest.fixture(scope="session")
-def ru(registry):
-    return registry.dialect_config("ru")
 
 
 def assert_full_index_set(store):

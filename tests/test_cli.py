@@ -182,3 +182,25 @@ def test_parse_refuses_a_missing_input_file(tmp_path, capsys, option):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and missing in err and len(err.splitlines()) == 1
     assert not store.exists()
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--workers", "0"), ("--workers", "-1"),
+    ("--checkpoint-interval", "0"), ("--checkpoint-interval", "-1"),
+    ("--start-record", "-1"),
+])
+def test_parse_rejects_out_of_range_counts(tmp_path, capsys, option, value):
+    dump = write_dump(tmp_path / "en.xml", fixture_dump_pages("en"))
+    store = tmp_path / "s.db"
+    with pytest.raises(SystemExit) as exc:
+        main(["parse", "--dialect", "en", "--dump", dump, "--store", str(store),
+              option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}: must be at least" in capsys.readouterr().err
+    assert not store.exists()
+
+
+def test_parse_accepts_start_record_zero(tmp_path):
+    dump = write_dump(tmp_path / "en.xml", fixture_dump_pages("en"))
+    assert main(["parse", "--dialect", "en", "--dump", dump,
+                 "--store", str(tmp_path / "s.db"), "--start-record", "0"]) == 0

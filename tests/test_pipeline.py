@@ -161,6 +161,16 @@ def test_dump_identity_distinguishes_dumps(tmp_path):
     assert pipeline.dump_identity(a) == pipeline.dump_identity(str(a))
 
 
+@pytest.mark.parametrize("dialect", ["fi", "EN", ""])
+def test_run_parse_rejects_unknown_dialect(tmp_path, dialect):
+    # the dump is missing too: the dialect is refused before anything is read
+    config = ParseConfig(dialect=dialect, dump_path=tmp_path / "missing.xml",
+                         store_path=tmp_path / "s.db")
+    with pytest.raises(ValueError, match=f"unsupported dialect: {dialect!r}"):
+        run_parse(config)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("compression", [None, "bz2"])
 def test_resume_against_dump_sharing_its_head_rejected(tmp_path, compression):
     pages = [(f"w{i:03d}", "==English==\n===Noun===\n# " + "word " * 100 + "\n")

@@ -99,13 +99,6 @@ def test_load_registry_bad_code_rejected(tmp_path):
         reg.load_registry(path)
 
 
-def test_dialect_config(builtin):
-    assert builtin.dialect_config("en").dialect == "en"
-    assert builtin.dialect_config("ru").dialect == "ru"
-    with pytest.raises(ValueError):
-        builtin.dialect_config("fi")
-
-
 def test_pos_lookups(builtin):
     assert builtin.pos_for_heading_en("Noun") == "noun"
     assert builtin.pos_for_heading_en("Proper noun") == "proper_noun"

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import fixture_page
+from conftest import fixture_page, pos_section
 from wiktmrd import entry, translations
 
 
@@ -15,8 +15,8 @@ def noun_section(page, dialect, registry):
     raise AssertionError("no noun section")
 
 
-def test_bush_translations(en, registry):
-    ps = noun_section(fixture_page("en", "bush"), en, registry)
+def test_bush_translations(registry):
+    ps = noun_section(fixture_page("en", "bush"), "en", registry)
     boxes, skipped = translations.extract_translations_en(ps, registry)
     assert skipped == []
     assert len(boxes) == 1
@@ -24,34 +24,31 @@ def test_bush_translations(en, registry):
                                         ("ko", "수풀", "[[수풀]]")])
 
 
-def test_dog_has_two_boxes(en, registry):
-    ps = noun_section(fixture_page("en", "dog"), en, registry)
+def test_dog_has_two_boxes(registry):
+    ps = noun_section(fixture_page("en", "dog"), "en", registry)
     boxes, _ = translations.extract_translations_en(ps, registry)
     assert [gloss for gloss, _ in boxes] == ["animal", "scoundrel"]
     assert [[word for _, word, _ in es] for _, es in boxes] == [["koira", "개"], ["lurjus"]]
 
 
-def test_unknown_language_name_skipped(en, registry):
-    ps = entry.PosSection(language="en", etymology_ordinal=0, pos="noun",
-                          body="{{trans-top|x}}\n* Qqzish: [[x]]\n{{trans-bottom}}\n")
+def test_unknown_language_name_skipped(registry):
+    ps = pos_section("{{trans-top|x}}\n* Qqzish: [[x]]\n{{trans-bottom}}\n")
     boxes, skipped = translations.extract_translations_en(ps, registry)
     assert len(boxes) == 1 and boxes[0][1] == []
     assert len(skipped) == 1 and "Qqzish" in skipped[0]
 
 
-def test_code_name_conflict_keeps_template_code(en, registry):
+def test_code_name_conflict_keeps_template_code(registry):
     # a classic editor misprint: the label says Estonian, the template says es
-    ps = entry.PosSection(language="en", etymology_ordinal=0, pos="noun",
-                          body="{{trans-top|x}}\n* Estonian: {{t|es|arbusto}}\n{{trans-bottom}}\n")
+    ps = pos_section("{{trans-top|x}}\n* Estonian: {{t|es|arbusto}}\n{{trans-bottom}}\n")
     boxes, skipped = translations.extract_translations_en(ps, registry)
     entries = boxes[0][1]
     assert [(code, word) for code, word, _ in entries] == [("es", "arbusto")]
     assert skipped == []
 
 
-def test_bare_translations_heading_is_one_empty_gloss_box(en, registry):
-    ps = entry.PosSection(language="en", etymology_ordinal=0, pos="noun",
-                          body="# a word\n====Translations====\n* Finnish: {{t|fi|sana}}\n")
+def test_bare_translations_heading_is_one_empty_gloss_box(registry):
+    ps = pos_section("# a word\n====Translations====\n* Finnish: {{t|fi|sana}}\n")
     boxes, skipped = translations.extract_translations_en(ps, registry)
     assert len(boxes) == 1
     gloss, entries = boxes[0]
@@ -60,17 +57,17 @@ def test_bare_translations_heading_is_one_empty_gloss_box(en, registry):
     assert skipped == []
 
 
-def test_nested_subline_attaches_to_parent_language(en, registry):
+def test_nested_subline_attaches_to_parent_language(registry):
     body = ("{{trans-top|x}}\n* Chinese:\n*: Mandarin: {{t|zh|狗}}\n"
             "* Finnish: {{t+|fi|koira}}\n{{trans-bottom}}\n")
-    ps = entry.PosSection(language="en", etymology_ordinal=0, pos="noun", body=body)
+    ps = pos_section(body)
     boxes, skipped = translations.extract_translations_en(ps, registry)
     entries = boxes[0][1]
     assert [(code, word) for code, word, _ in entries] == [("zh", "狗"), ("fi", "koira")]
 
 
-def test_ru_translation_block(ru, registry):
-    ps = noun_section(fixture_page("ru", "ангел"), ru, registry)
+def test_ru_translation_block(registry):
+    ps = noun_section(fixture_page("ru", "ангел"), "ru", registry)
     boxes, skipped = translations.extract_translations_ru(ps, registry)
     assert skipped == []
     assert len(boxes) == 1
@@ -80,46 +77,40 @@ def test_ru_translation_block(ru, registry):
         ("en", "angel"), ("fi", "enkeli"), ("ko", "천사")]
 
 
-def test_ru_empty_block(ru, registry):
-    ps = entry.PosSection(language="ru", etymology_ordinal=0,
-                          pos="noun", body="{{перев-блок}}\n")
+def test_ru_empty_block(registry):
+    ps = pos_section("{{перев-блок}}\n", language="ru")
     boxes, skipped = translations.extract_translations_ru(ps, registry)
     assert len(boxes) == 1
     assert boxes[0][1] == [] and skipped == []
 
 
-def test_ru_codes_taken_at_face_value(ru, registry):
+def test_ru_codes_taken_at_face_value(registry):
     # "et" stays Estonian even if the editor meant Spanish
-    ps = entry.PosSection(language="ru", etymology_ordinal=0, pos="noun",
-                          body="{{перев-блок||et=[[x]]}}\n")
+    ps = pos_section("{{перев-блок||et=[[x]]}}\n", language="ru")
     boxes, skipped = translations.extract_translations_ru(ps, registry)
     assert [(code, word) for code, word, _ in boxes[0][1]] == [("et", "x")]
     assert skipped == []
 
 
-def test_ru_unknown_code_skipped(ru, registry):
-    ps = entry.PosSection(language="ru", etymology_ordinal=0, pos="noun",
-                          body="{{перев-блок||qqz9=[[x]]|fi=[[y]]}}\n")
+def test_ru_unknown_code_skipped(registry):
+    ps = pos_section("{{перев-блок||qqz9=[[x]]|fi=[[y]]}}\n", language="ru")
     boxes, skipped = translations.extract_translations_ru(ps, registry)
     assert [(code, word) for code, word, _ in boxes[0][1]] == [("fi", "y")]
     assert len(skipped) == 1 and "qqz9" in skipped[0]
 
 
-def test_ru_multiple_links_in_one_value(ru, registry):
-    ps = entry.PosSection(language="ru", etymology_ordinal=0, pos="noun",
-                          body="{{перев-блок||fi=[[a]], [[b]]}}\n")
+def test_ru_multiple_links_in_one_value(registry):
+    ps = pos_section("{{перев-блок||fi=[[a]], [[b]]}}\n", language="ru")
     boxes, _ = translations.extract_translations_ru(ps, registry)
     assert [word for _, word, _ in boxes[0][1]] == ["a", "b"]
 
 
-def test_box_count_matches_openings(en, ru, registry):
-    en_ps = entry.PosSection(language="en", etymology_ordinal=0, pos="noun",
-                             body="{{trans-top|a}}\n{{trans-bottom}}\n{{trans-top|b}}\n{{trans-bottom}}\n")
+def test_box_count_matches_openings(registry):
+    en_ps = pos_section("{{trans-top|a}}\n{{trans-bottom}}\n{{trans-top|b}}\n{{trans-bottom}}\n")
     boxes, _ = translations.extract_translations_en(en_ps, registry)
     assert len(boxes) == 2
 
-    ru_ps = entry.PosSection(language="ru", etymology_ordinal=0, pos="noun",
-                             body="{{перев-блок|a}}\n{{перев-блок|b}}\n")
+    ru_ps = pos_section("{{перев-блок|a}}\n{{перев-блок|b}}\n", language="ru")
     boxes, _ = translations.extract_translations_ru(ru_ps, registry)
     assert [gloss for gloss, _ in boxes] == ["a", "b"]
 
@@ -141,7 +132,7 @@ _TRANSLATION_TOKENS = (
 @settings(max_examples=150)
 def test_translation_extraction_never_raises(registry, body):
     for dialect in ("en", "ru"):
-        ps = entry.PosSection(language=dialect, etymology_ordinal=0, pos="noun", body=body)
+        ps = pos_section(body, language=dialect)
         if dialect == "en":
             boxes, skipped = translations.extract_translations_en(ps, registry)
         else:
