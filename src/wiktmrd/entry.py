@@ -256,7 +256,8 @@ def extract_definitions(
     for line in region.splitlines():
         if is_definition_line(line):
             wikitext = line[1:].strip()
-            ref_words = list(dict.fromkeys(l.target for l in wt.scan_wikilinks(wikitext)))
+            ref_words = list(dict.fromkeys(
+                link.target for link in wt.scan_wikilinks(wikitext) if link.target))
             meanings.append((len(meanings) + 1, wikitext, ref_words))
     return meanings
 
@@ -268,12 +269,12 @@ def classify_soft_redirect(
     template, as the store's (form_kind, lemma_title) row."""
     if len(meanings) != 1:
         return None
-    text = meanings[0][1].strip()
-    templates = wt.scan_templates(text)
+    data = wt.encode(meanings[0][1].strip())
+    templates = wt.scan_templates(data)
     if len(templates) != 1:
         return None
     tpl = templates[0]
-    if tpl.source_span != (0, len(wt.encode(text))):
+    if tpl.source_span != (0, len(data)):
         return None
     if tpl.name.strip().casefold() not in FORM_OF_TEMPLATES:
         return None

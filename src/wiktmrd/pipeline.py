@@ -69,12 +69,14 @@ class ParseReport:
     pages_failed: int = 0
     sections_skipped_unknown_language: int = 0
     translation_lines_skipped: int = 0
+    wiki_text_truncated: int = 0  # texts cut to store.MAX_WIKI_TEXT_BYTES
     elapsed: float = 0.0
     pages_per_second: float = 0.0
 
-    def accounted(self) -> bool:
-        return self.pages_seen == (self.pages_parsed + self.pages_skipped_redirect
-                                   + self.pages_skipped_namespace + self.pages_failed)
+
+# the report fields a checkpoint carries over to the run that resumes from it
+_CHECKPOINT_COUNTERS = ("sections_skipped_unknown_language", "translation_lines_skipped",
+                        "pages_failed", "wiki_text_truncated")
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +297,6 @@ def _run_parse_inner(config, store, registry, identity) -> ParseReport:
     start, base_counters = _resolve_start(config, store, identity)
     report = ParseReport()
     crash_after = int(os.environ.get(_CRASH_ENV, "0") or "0")
-    truncated_before = base_counters.get("wiki_text_truncated", 0)
 
     def pages():
         for page in iterate_dump(config.dump_path):
@@ -333,16 +334,8 @@ def _run_parse_inner(config, store, registry, identity) -> ParseReport:
 
     def checkpoint_counters():
         merged = dict(base_counters)
-        merged["sections_skipped_unknown_language"] = (
-            base_counters.get("sections_skipped_unknown_language", 0)
-            + report.sections_skipped_unknown_language)
-        merged["translation_lines_skipped"] = (
-            base_counters.get("translation_lines_skipped", 0)
-            + report.translation_lines_skipped)
-        merged["pages_failed"] = (base_counters.get("pages_failed", 0)
-                                  + report.pages_failed)
-        merged["wiki_text_truncated"] = (
-            truncated_before + store.counters.get("wiki_text_truncated", 0))
+        for name in _CHECKPOINT_COUNTERS:
+            merged[name] = base_counters.get(name, 0) + getattr(report, name)
         return merged
 
     next_record = start
@@ -368,7 +361,7 @@ def _run_parse_inner(config, store, registry, identity) -> ParseReport:
                 report.pages_failed += 1
                 print(f"failed page: {result.title}: {result.error}", file=sys.stderr)
             else:
-                store.save_word(result.bundle)
+                report.wiki_text_truncated += store.save_word(result.bundle)
                 report.pages_parsed += 1
                 report.sections_skipped_unknown_language += result.skipped_sections
                 report.translation_lines_skipped += result.skipped_lines

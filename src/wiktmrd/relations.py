@@ -46,75 +46,65 @@ def extract_relations(
         for index, content in enumerate(items):
             if content in _PLACEHOLDERS:
                 continue
-            if dialect == "en":
-                ordinal, content = _take_sense_gloss(content, meanings, plain)
-            else:  # the i-th list line belongs to meaning i
+            data = wt.encode(content)
+            templates = wt.scan_templates(data)
+            ordinal = None
+            start = 0  # where the line's words begin
+            if dialect != "en":  # the i-th list line belongs to meaning i
                 ordinal = meanings[index][0] if index < len(meanings) else None
-            _rows_from_line(type_name, content, ordinal, rows)
+            elif (templates and templates[0].source_span[0] == 0
+                  and templates[0].name.strip().casefold() == _SENSE_TEMPLATE):
+                ordinal = _sense_ordinal(templates[0], meanings, plain)
+                start = templates[0].source_span[1]
+            for wikitext in _line_words(data, templates, start):
+                word = wt.strip_markup(wikitext)
+                if word:
+                    rows.append((type_name, word, wikitext, ordinal))
     return rows
 
 
-def _take_sense_gloss(content: str, meanings, plain: dict[int, str]):
-    """Split off a leading {{sense|...}} template; return the ordinal of the
-    meaning its gloss aligns to (or None) and the rest of the line. `plain`
-    caches each meaning's casefolded plain text across the section's lines."""
-    if not content.startswith("{{"):
-        return None, content
-    templates = wt.scan_templates(content)
-    if not templates or templates[0].source_span[0] != 0:
-        return None, content
-    tpl = templates[0]
-    if tpl.name.strip().casefold() != _SENSE_TEMPLATE:
-        return None, content
-    gloss = wt.strip_markup(", ".join(tpl.positional_params))
-    ordinal = None
-    if gloss:
-        needle = gloss.casefold()
-        for meaning_ordinal, wikitext, _ in meanings:
-            if meaning_ordinal not in plain:
-                plain[meaning_ordinal] = wt.strip_markup(wikitext).casefold()
-            if needle in plain[meaning_ordinal]:
-                ordinal = meaning_ordinal
-                break
-    rest = wt.decode(wt.encode(content)[tpl.source_span[1]:]).strip()
-    return ordinal, rest
+def _sense_ordinal(sense: wt.Template, meanings, plain: dict[int, str]) -> int | None:
+    """Ordinal of the first meaning whose text contains the gloss of a
+    {{sense|...}} template, or None. `plain` caches each meaning's
+    casefolded plain text across the section's lines."""
+    gloss = wt.strip_markup(", ".join(sense.positional_params))
+    if not gloss:
+        return None
+    needle = gloss.casefold()
+    for meaning_ordinal, wikitext, _ in meanings:
+        if meaning_ordinal not in plain:
+            plain[meaning_ordinal] = wt.strip_markup(wikitext).casefold()
+        if needle in plain[meaning_ordinal]:
+            return meaning_ordinal
+    return None
 
 
-def _rows_from_line(type_name, content, ordinal, rows):
-    data = wt.encode(content)
-    spans = _link_like_spans(content, data)
-    if spans:
-        pieces = [_link_wikitext(wt.decode(data[s:e])) for s, e in spans]
-    else:  # no links on the line: comma/semicolon-separated bare words
-        pieces = [token.strip() for token in re.split(r"[,;]", content)
-                  if token.strip() not in _PLACEHOLDERS]
-    for wikitext in pieces:
-        word = wt.strip_markup(wikitext)
-        if word:
-            rows.append((type_name, word, wikitext, ordinal))
-
-
-def _link_wikitext(piece: str) -> str:
-    """The word's wikitext in a wikilink, or in a {{l|lang|word}} template."""
-    if not piece.startswith("{{"):
-        return piece
-    params = wt.scan_templates(piece)[0].positional_params
-    return (params[1] if len(params) > 1 else "").strip()
-
-
-def _link_like_spans(content: str, data: bytes):
-    """Byte spans of wikilinks and {{l|...}} link templates in `data`, the
-    encoded `content`, in source order.
-
-    Overlaps (a link inside a link template) keep the earlier-starting span.
-    """
-    spans = list(wt._kernel.wikilink_spans(data))
-    for tpl in wt.scan_templates(content):
-        if tpl.name.strip().casefold() in _LINK_TEMPLATES:
-            spans.append(tpl.source_span)
-    spans.sort(key=lambda se: (se[0], -se[1]))
-    out = []
-    for span in spans:
-        if not out or span[0] >= out[-1][1]:
-            out.append(span)
-    return out
+def _line_words(data: bytes, templates: list[wt.Template], start: int) -> list[str]:
+    """The wikitext of each word in data[start:], where `data` is a list line's
+    encoding and `templates` its top-level templates: each wikilink and the
+    word of each {{l|lang|word}} template, in source order, the earlier one
+    kept where two overlap; without either, the comma- or semicolon-separated
+    bare words. `start` ends a leading {{sense|...}}, a closed top-level
+    group, so the links and templates starting there are those a scan of
+    data[start:] alone would find."""
+    spans = [(link.source_span, None) for link in wt.scan_wikilinks(data)
+             if link.source_span[0] >= start]
+    spans += [(tpl.source_span, tpl) for tpl in templates
+              if tpl.source_span[0] >= start
+              and tpl.name.strip().casefold() in _LINK_TEMPLATES]
+    if not spans:
+        tokens = (token.strip() for token in re.split(r"[,;]", wt.decode(data[start:])))
+        return [token for token in tokens if token not in _PLACEHOLDERS]
+    spans.sort(key=lambda piece: (piece[0][0], -piece[0][1]))
+    words = []
+    end = 0
+    for (s, e), tpl in spans:
+        if s < end:
+            continue
+        end = e
+        if tpl is None:
+            words.append(wt.decode(data[s:e]))
+        else:
+            params = tpl.positional_params
+            words.append((params[1] if len(params) > 1 else "").strip())
+    return words

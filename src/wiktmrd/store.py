@@ -217,13 +217,12 @@ class MrdStore:
                 self._set_meta("dialect", dialect)
         except sqlite3.Error as exc:
             raise _translate_error(exc) from exc
-        self.counters: dict[str, int] = {}
-        self._committed_counters: dict[str, int] = {}
         # text -> (id, words already in wiki_text_words); capped, see _wiki_text_id
         self._wiki_text_cache: dict[str, tuple[int, tuple[str, ...]]] = {}
         self._wiki_text_cache_strings = 0  # texts plus words held in that cache
         self._interned: dict[tuple[str, str], int] = {}  # (table, value) -> id
         self._next_ids: dict[str, int] = {}  # _KEYED_TABLES table -> its next id
+        self._truncated = 0  # texts the running save_word cut to MAX_WIKI_TEXT_BYTES
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -273,16 +272,13 @@ class MrdStore:
                 self._conn.commit()
         except sqlite3.Error as exc:
             raise _translate_error(exc) from exc
-        self._committed_counters = dict(self.counters)
 
     def rollback(self):
         """Undo the open transaction and forget everything it taught the store:
-        cached ids may name rows that no longer exist, and counters go back to
-        their values at the last commit."""
+        cached ids may name rows that no longer exist."""
         if self._conn.in_transaction:
             self._conn.rollback()
         self._clear_caches()
-        self.counters = dict(self._committed_counters)
 
     def _clear_caches(self):
         self._wiki_text_cache.clear()
@@ -333,7 +329,7 @@ class MrdStore:
         cut = MAX_WIKI_TEXT_BYTES
         while cut > 0 and (data[cut] & 0xC0) == 0x80:
             cut -= 1
-        self.counters["wiki_text_truncated"] = self.counters.get("wiki_text_truncated", 0) + 1
+        self._truncated += 1
         return data[:cut].decode("utf-8", "surrogatepass")
 
     def _wiki_text_id(self, text: str, ref_words, word_rows: list) -> int:
@@ -372,15 +368,15 @@ class MrdStore:
 
     def save_word(self, bundle: WordBundle) -> int:
         """Write one parsed page atomically; re-saving a title replaces it.
+        Returns how many of the page's texts were cut to MAX_WIKI_TEXT_BYTES.
 
         The page is a savepoint: inside a caller's transaction an error
         leaves that transaction as it was before the call."""
         conn = self._conn
-        own_txn = not conn.in_transaction
-        counters = dict(self.counters)
+        self._truncated = 0
         try:
             conn.execute("SAVEPOINT page")
-            page_id = self._save_word_rows(bundle)
+            self._save_word_rows(bundle)
             conn.execute("RELEASE page")  # commits when it began the transaction
         except Exception as exc:
             if conn.in_transaction:
@@ -388,17 +384,14 @@ class MrdStore:
                 conn.execute("RELEASE page")
                 # cached ids and written words may name rows the page never kept
                 self._clear_caches()
-                self.counters = counters
             else:  # the error ended the whole transaction
                 self.rollback()
             if isinstance(exc, sqlite3.Error):
                 raise _translate_error(exc) from exc
             raise
-        if own_txn:
-            self._committed_counters = dict(self.counters)
-        return page_id
+        return self._truncated
 
-    def _save_word_rows(self, bundle: WordBundle) -> int:
+    def _save_word_rows(self, bundle: WordBundle):
         conn = self._conn
         text_id = self._wiki_text_id
         # An entry or relation whose text is cached with its word written
@@ -481,7 +474,6 @@ class MrdStore:
         conn.executemany(
             "INSERT INTO inflection(lang_pos_id, form_kind, lemma_title) "
             "VALUES (?, ?, ?)", inflection_rows)
-        return page_id
 
     def _delete_page_rows(self, page_id: int):
         conn = self._conn

@@ -95,7 +95,7 @@ def _entries_from_en_payload(payload, line_code, registry, entries):
     """Append the entries of one line; return why one of its templates was
     dropped, or None when nothing was."""
     data = wt.encode(payload)
-    templates = [t for t in wt.scan_templates(payload)
+    templates = [t for t in wt.scan_templates(data)
                  if t.name.strip().casefold() in TRANSLATION_TEMPLATES_EN]
     dropped = None
     if templates:
@@ -119,11 +119,11 @@ def _entries_from_en_payload(payload, line_code, registry, entries):
 
 
 def _link_entries(data: bytes, code: str, entries: list[tuple[str, str, str]]):
-    """One entry per wikilink in `data`, built from its span alone."""
-    for s, e in wt._kernel.wikilink_spans(data):
-        target = wt._link_target(data, s, e)
-        if target:
-            entries.append((code, target, wt.decode(data[s:e])))
+    """One entry per wikilink in `data` that has a target."""
+    for link in wt.scan_wikilinks(data):
+        if link.target:
+            s, e = link.source_span
+            entries.append((code, link.target, wt.decode(data[s:e])))
 
 
 def extract_translations_ru(

@@ -61,8 +61,7 @@ class Template:
 
 @dataclass
 class WikiLink:
-    target: str
-    label: str
+    target: str  # "" for a pair with no target, such as "[[]]" or "[[|b]]"
     source_span: tuple[int, int] = (0, 0)
 
 
@@ -160,35 +159,19 @@ def _split_params(data: bytes, pipe: int, end: int) -> tuple[list[str], dict[str
     return positional, named
 
 
-def scan_wikilinks(text: str) -> list[WikiLink]:
-    """All [[...]] links in source order; "[[a|b]]" has target a, label b.
+def scan_wikilinks(text: str | bytes) -> list[WikiLink]:
+    """One WikiLink per [[...]] pair, in source order; the target of
+    "[[a|b]]" is a, trimmed and taken verbatim with any namespace prefix.
 
-    Namespace-prefixed targets are returned verbatim. Links with an empty
-    target are dropped; an empty label falls back to the target.
+    A pair with no target still counts, with target "". A caller that
+    already holds the UTF-8 bytes may pass them.
     """
-    data = encode(text)
+    data = text if isinstance(text, bytes) else encode(text)
     out = []
     for s, e in _kernel.wikilink_spans(data):
-        link = _build_wikilink(data, s, e)
-        if link is not None:
-            out.append(link)
+        pipe = data.find(b"|", s + 2, e - 2)
+        out.append(WikiLink(decode(data[s + 2:e - 2 if pipe == -1 else pipe]).strip(), (s, e)))
     return out
-
-
-def _build_wikilink(data: bytes, s: int, e: int) -> WikiLink | None:
-    target = _link_target(data, s, e)
-    if not target:
-        return None
-    pipe = data.find(b"|", s + 2, e - 2)
-    label = decode(data[pipe + 1:e - 2]).strip() if pipe != -1 else ""
-    return WikiLink(target=target, label=label or target, source_span=(s, e))
-
-
-def _link_target(data: bytes, s: int, e: int) -> str:
-    """Target of the link at data[s:e]: its text up to the first "|",
-    trimmed; empty for a link that is no link."""
-    pipe = data.find(b"|", s + 2, e - 2)
-    return decode(data[s + 2:e - 2 if pipe == -1 else pipe]).strip()
 
 
 def scan_headings(text: str | bytes) -> list[Heading]:

@@ -29,8 +29,24 @@ def parsed_ru_store(tmp_path_factory):
     return store
 
 
-def test_parse_reports_summary(parsed_store, capsys):
-    capsys.readouterr()
+# the en fixture corpus's counters, by the labels perfbench/run.py reads
+_EN_SUMMARY = {"pages seen": 11, "pages parsed": 11, "pages skipped (redirect)": 0,
+               "pages skipped (namespace)": 0, "pages failed": 0,
+               "sections skipped (unknown language)": 2, "translation lines skipped": 0}
+
+
+def test_parse_reports_summary(tmp_path, capsys):
+    dump = write_dump(tmp_path / "en.xml", fixture_dump_pages("en"))
+    assert main(["parse", "--dialect", "en", "--dump", dump,
+                 "--store", str(tmp_path / "en.db")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    counters = {}
+    for line in lines:
+        label, sep, value = line.partition(":")
+        if sep and label.strip() in _EN_SUMMARY:
+            counters[label.strip()] = int(value.split()[0])
+    assert counters == _EN_SUMMARY
+    assert len(lines) == len(_EN_SUMMARY) + 1 and lines[-1].startswith("elapsed: ")
 
 
 def test_stats_text(parsed_store, capsys):

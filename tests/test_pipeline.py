@@ -200,7 +200,8 @@ def test_run_parse_en_fixture_corpus(tmp_path):
     assert report.pages_failed == 0
     # Qqzish, plus broken.txt's malformed heading that opens a language slot
     assert report.sections_skipped_unknown_language == 2
-    assert report.accounted()
+    assert report.pages_seen == (report.pages_parsed + report.pages_skipped_redirect
+                                 + report.pages_skipped_namespace + report.pages_failed)
     with MrdStore(store_path) as store:
         [(n,)] = store.query(
             "SELECT COUNT(*) FROM relation r JOIN lang_pos lp ON lp.id=r.lang_pos_id "
@@ -348,7 +349,8 @@ def test_run_parse_counts_redirects_and_namespaces(tmp_path):
     assert report.pages_parsed == 1
     assert report.pages_skipped_redirect == 1
     assert report.pages_skipped_namespace == 1
-    assert report.accounted()
+    assert report.pages_seen == (report.pages_parsed + report.pages_skipped_redirect
+                                 + report.pages_skipped_namespace + report.pages_failed)
     with MrdStore(tmp_path / "s.db") as store:
         assert store.query("SELECT title FROM page") == [("dog",)]
 
@@ -402,7 +404,8 @@ def test_failing_page_never_halts_run(tmp_path, monkeypatch):
                                    store_path=tmp_path / "s.db"))
     assert report.pages_failed == 1
     assert report.pages_parsed == 2
-    assert report.accounted()
+    assert report.pages_seen == (report.pages_parsed + report.pages_skipped_redirect
+                                 + report.pages_skipped_namespace + report.pages_failed)
 
 
 def test_rerun_after_completion_is_a_noop(tmp_path):
@@ -561,3 +564,32 @@ def test_crash_and_resume_matches_uninterrupted(tmp_path):
         # the resumed writer read back the words of texts it had not cached
         assert_ids_from_one(store)
     assert_export_dirs_equal(tmp_path / "export_clean", tmp_path / "export_crash")
+
+
+def test_resumed_checkpoint_counters_match_uninterrupted(tmp_path):
+    pages = []
+    for i in range(30):
+        text = f"==English==\n===Noun===\n# Sense [[w{i}]].\n"
+        if i == 12:  # a definition the store cuts to MAX_WIKI_TEXT_BYTES
+            text += "# " + "long " * 14000 + "\n"
+        if i % 7 == 0:
+            text += "==Qqzish==\n===Noun===\n# unknown\n"
+        pages.append((f"word{i:03d}", text))
+    dump = write_dump(tmp_path / "d.xml", pages)
+    base_args = ["parse", "--dialect", "en", "--dump", str(dump),
+                 "--checkpoint-interval", "10"]
+    clean = run_cli([*base_args, "--store", str(tmp_path / "clean.db")])
+    assert clean.returncode == 0, clean.stderr
+    # dies after saving the long page, before the checkpoint at 20 pages
+    crashed = run_cli([*base_args, "--store", str(tmp_path / "crash.db")],
+                      env_extra={"WIKTMRD_CRASH_AFTER_PAGES": "15"})
+    assert crashed.returncode == 86
+    with MrdStore(tmp_path / "crash.db") as store:
+        assert store.load_checkpoint().counters["wiki_text_truncated"] == 0
+    resumed = run_cli([*base_args, "--store", str(tmp_path / "crash.db")])
+    assert resumed.returncode == 0, resumed.stderr
+    with MrdStore(tmp_path / "clean.db") as a, MrdStore(tmp_path / "crash.db") as b:
+        want = a.load_checkpoint().counters
+        assert want["wiki_text_truncated"] == 1
+        assert want["sections_skipped_unknown_language"] == 5
+        assert b.load_checkpoint().counters == want

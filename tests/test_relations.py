@@ -1,5 +1,6 @@
 """Relation extraction: the cited entry fixtures and the line rules."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_page, pos_section
@@ -108,6 +109,25 @@ def test_link_template_acts_as_wikilink(registry):
     rows = relations.extract_relations(ps, [], "en", registry)
     assert len(rows) == 1
     assert rows[0][1] == "hound"
+
+
+@pytest.mark.parametrize("line, expected", [
+    # links opened inside a leading {{sense}} are not the line's words
+    ("{{sense|[[a}} b]] [[c]]", [("synonym", "c", "[[c]]", None)]),
+    ("{{sense|[[a}} b]]", [("synonym", "b]]", "b]]", None)]),
+    # every [[...]] pair counts, with or without a target
+    ("[[|x]], [[ ]], {{l|en|y}}",
+     [("synonym", "x", "[[|x]]", None), ("synonym", "y", "y", None)]),
+    # a link inside {{l}} gives way to the template
+    ("{{l|en|[[p]]}} [[q]]",
+     [("synonym", "p", "[[p]]", None), ("synonym", "q", "[[q]]", None)]),
+    ("{{sense|animal}} hound, cur",
+     [("synonym", "hound", "hound", 1), ("synonym", "cur", "cur", 1)]),
+])
+def test_line_edge_cases(registry, line, expected):
+    ps = pos_section(f"# an [[animal]]\n# rogue\n====Synonyms====\n* {line}\n")
+    meanings = entry.extract_definitions(ps, "en")
+    assert relations.extract_relations(ps, meanings, "en", registry) == expected
 
 
 def test_ru_lines_align_to_meaning_ordinals(registry):

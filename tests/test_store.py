@@ -102,11 +102,11 @@ def test_soft_redirect_stored(store):
 def test_long_wiki_text_truncated(store):
     bundle = WordBundle(title="long", record_id=0, lang_pos=[
         noun(meanings=[(1, "щ" * 70000, [])])])
-    store.save_word(bundle)
+    assert store.save_word(bundle) == 1  # the texts it cut
     (stored,) = store.query("SELECT text FROM wiki_text")[0]
     assert len(stored.encode("utf-8")) <= MAX_WIKI_TEXT_BYTES
     assert stored and set(stored) == {"щ"}
-    assert store.counters["wiki_text_truncated"] == 1
+    assert store.save_word(simple_bundle(title="short", record_id=1)) == 0
 
 
 def test_uncommitted_save_invisible_to_readers(tmp_path):
@@ -135,28 +135,6 @@ def test_rollback_drops_partial_page(tmp_path):
     writer.close()
 
 
-def test_rollback_forgets_truncation_count(tmp_path):
-    with MrdStore(tmp_path / "mrd.db", native_code="en", dialect="en") as writer:
-        writer.begin()
-        writer.save_word(WordBundle(title="kept", record_id=0, lang_pos=[
-            noun(meanings=[(1, "щ" * 70000, [])])]))
-        writer.commit()
-        writer.begin()
-        writer.save_word(WordBundle(title="long", record_id=1, lang_pos=[
-            noun(meanings=[(1, "ж" * 70000, [])])]))
-        assert writer.counters["wiki_text_truncated"] == 2
-        writer.rollback()
-        assert writer.counters["wiki_text_truncated"] == 1  # the committed one
-
-
-def test_rolled_back_page_leaves_truncation_count_at_zero(store):
-    store.begin()
-    store.save_word(WordBundle(title="long", record_id=0, lang_pos=[
-        noun(meanings=[(1, "щ" * 70000, [])])]))
-    store.rollback()
-    assert store.counters.get("wiki_text_truncated", 0) == 0
-
-
 def test_language_interned_in_rolled_back_batch_gets_valid_id(store):
     def page(title, record_id):
         return WordBundle(title=title, record_id=record_id, lang_pos=[
@@ -179,7 +157,6 @@ def test_failed_page_inside_transaction_leaves_batch_unchanged(store):
     store.begin()
     store.save_word(simple_bundle(title="kept"))
     sizes = store.table_sizes()
-    counters = dict(store.counters)
     broken = WordBundle(title="broken", record_id=1, lang_pos=[
         noun(meanings=[(1, "щ" * 70000, [])],
              translations=[("gloss", [("fi", "sana", "[[sana]]"),
@@ -187,7 +164,6 @@ def test_failed_page_inside_transaction_leaves_batch_unchanged(store):
     with pytest.raises(CorruptStore):
         store.save_word(broken)
     assert store.table_sizes() == sizes
-    assert store.counters == counters  # the page's truncation is forgotten
     store.save_word(simple_bundle(title="after", record_id=2))
     store.commit()
     assert [r[0] for r in store.query("SELECT title FROM page ORDER BY id")] == [
