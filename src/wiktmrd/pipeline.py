@@ -69,7 +69,7 @@ class ParseReport:
     pages_failed: int = 0
     sections_skipped_unknown_language: int = 0
     translation_lines_skipped: int = 0
-    wiki_text_truncated: int = 0  # texts cut to store.MAX_WIKI_TEXT_BYTES
+    wiki_text_truncated: int = 0  # texts stored cut by this run (store.MAX_WIKI_TEXT_BYTES)
     elapsed: float = 0.0
     pages_per_second: float = 0.0
 

@@ -5,6 +5,7 @@ meaning, relation_type, relation, translation, translation_entry, inflection,
 plus the per-language word indexes (index_native, index_XX), which are
 derived from lang_pos rather than stored. Backed by SQLite; the durable
 contract is the logical schema and the TSV interchange format, not the engine.
+A store records its layout version (SCHEMA_VERSION) and is refused under another.
 translation_entry and wiki_text_words are stored by their parent's key,
 without a rowid; the writer gives their ids by SQLite's rowid rule, so the
 ids, and the exports sorted by them, are those a rowid table would have.
@@ -70,19 +71,13 @@ TABLE_COLUMNS = {
 # its parent's key, which its reads and deletes go by, instead of keeping a
 # rowid table and an index on that key. The writer assigns their ids
 # (MrdStore._take_ids).
-_KEYED_TABLES = {
-    "wiki_text_words": """CREATE TABLE IF NOT EXISTS wiki_text_words(
-    id INTEGER NOT NULL, wiki_text_id INTEGER NOT NULL REFERENCES wiki_text(id),
-    page_ref_title TEXT NOT NULL,
-    PRIMARY KEY(wiki_text_id, page_ref_title)) WITHOUT ROWID""",
-    "translation_entry": """CREATE TABLE IF NOT EXISTS translation_entry(
-    id INTEGER NOT NULL, translation_id INTEGER NOT NULL REFERENCES translation(id),
-    lang_id INTEGER NOT NULL REFERENCES lang(id),
-    wiki_text_id INTEGER NOT NULL REFERENCES wiki_text(id),
-    PRIMARY KEY(translation_id, id)) WITHOUT ROWID""",
-}
+_KEYED_TABLES = ("wiki_text_words", "translation_entry")
 
-_SCHEMA = f"""
+# The layout of the tables and indexes below. A store records the version
+# it was made with and is refused under any other; see MrdStore.__init__.
+SCHEMA_VERSION = 1
+
+_SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta(key TEXT PRIMARY KEY, value TEXT NOT NULL);
 CREATE TABLE IF NOT EXISTS page(
     id INTEGER PRIMARY KEY, title TEXT UNIQUE NOT NULL, record_id INTEGER NOT NULL,
@@ -96,7 +91,10 @@ CREATE TABLE IF NOT EXISTS lang_pos(
     etymology_ordinal INTEGER NOT NULL,
     UNIQUE(page_id, lang_id, pos_id, etymology_ordinal));
 CREATE TABLE IF NOT EXISTS wiki_text(id INTEGER PRIMARY KEY, text TEXT UNIQUE NOT NULL);
-{_KEYED_TABLES['wiki_text_words']};
+CREATE TABLE IF NOT EXISTS wiki_text_words(
+    id INTEGER NOT NULL, wiki_text_id INTEGER NOT NULL REFERENCES wiki_text(id),
+    page_ref_title TEXT NOT NULL,
+    PRIMARY KEY(wiki_text_id, page_ref_title)) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS meaning(
     id INTEGER PRIMARY KEY, lang_pos_id INTEGER NOT NULL REFERENCES lang_pos(id),
     ordinal INTEGER NOT NULL, wiki_text_id INTEGER NOT NULL REFERENCES wiki_text(id));
@@ -109,7 +107,11 @@ CREATE TABLE IF NOT EXISTS relation(
 CREATE TABLE IF NOT EXISTS translation(
     id INTEGER PRIMARY KEY, lang_pos_id INTEGER NOT NULL REFERENCES lang_pos(id),
     gloss_wiki_text_id INTEGER REFERENCES wiki_text(id));
-{_KEYED_TABLES['translation_entry']};
+CREATE TABLE IF NOT EXISTS translation_entry(
+    id INTEGER NOT NULL, translation_id INTEGER NOT NULL REFERENCES translation(id),
+    lang_id INTEGER NOT NULL REFERENCES lang(id),
+    wiki_text_id INTEGER NOT NULL REFERENCES wiki_text(id),
+    PRIMARY KEY(translation_id, id)) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS inflection(
     id INTEGER PRIMARY KEY, lang_pos_id INTEGER NOT NULL REFERENCES lang_pos(id),
     form_kind TEXT NOT NULL, lemma_title TEXT NOT NULL);
@@ -132,8 +134,6 @@ _SECONDARY_INDEXES = {
     "idx_wtw_title": "wiki_text_words(page_ref_title)",
     "idx_inflection_lang_pos": "inflection(lang_pos_id)",
 }
-# left in older stores; each is a prefix of a UNIQUE constraint's index
-_OBSOLETE_INDEXES = ("idx_lang_pos_page", "idx_wtw_text")
 
 # Every lang_pos as a row of its word index: index_native for the native
 # code, the one parameter, else index_XX; the word is its page's title.
@@ -211,6 +211,14 @@ class MrdStore:
             if self._conn.execute(
                     "SELECT 1 FROM sqlite_master WHERE name='page'").fetchone() is None:
                 self._create_schema()
+            version = self.get_meta("schema_version")
+            if version != str(SCHEMA_VERSION):
+                self._conn.close()
+                raise StoreError(
+                    f"{self.path}: store layout version {version or 'none'}, but this "
+                    f"wiktmrd reads version {SCHEMA_VERSION}; export the store to TSV "
+                    f"with the wiktmrd version that wrote it and import the files into "
+                    f"a new store, or reparse the dump into a new store")
             if native_code is not None:
                 self._set_meta("native_code", native_code)
             if dialect is not None:
@@ -222,7 +230,7 @@ class MrdStore:
         self._wiki_text_cache_strings = 0  # texts plus words held in that cache
         self._interned: dict[tuple[str, str], int] = {}  # (table, value) -> id
         self._next_ids: dict[str, int] = {}  # _KEYED_TABLES table -> its next id
-        self._truncated = 0  # texts the running save_word cut to MAX_WIKI_TEXT_BYTES
+        self._truncated = 0  # texts the running save_word stored cut
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -238,9 +246,11 @@ class MrdStore:
         self.close()
 
     def _create_schema(self):
-        """Tables, fixed rows and every secondary index of a new store, in one
-        transaction; a store opened concurrently is left as is."""
+        """Tables, fixed rows, layout version and every secondary index of a
+        new store, in one transaction; a store opened concurrently is left as
+        is."""
         self._conn.executescript("BEGIN IMMEDIATE;" + _SCHEMA)
+        self._set_meta("schema_version", SCHEMA_VERSION)
         self._conn.executemany(
             "INSERT OR IGNORE INTO relation_type(id, name) VALUES (?, ?)",
             enumerate(RELATION_TYPE_NAMES, start=1))
@@ -329,7 +339,6 @@ class MrdStore:
         cut = MAX_WIKI_TEXT_BYTES
         while cut > 0 and (data[cut] & 0xC0) == 0x80:
             cut -= 1
-        self._truncated += 1
         return data[:cut].decode("utf-8", "surrogatepass")
 
     def _wiki_text_id(self, text: str, ref_words, word_rows: list) -> int:
@@ -338,19 +347,20 @@ class MrdStore:
         words, and a stored text the cache could not keep reads them back.
         The cache holds at most _WIKI_TEXT_CACHE_SIZE strings, texts and
         words together, so memory stays bounded whatever the number of
-        words per text."""
-        text = self._truncate(text)
-        cached = self._wiki_text_cache.get(text)
+        words per text. A text inserted cut counts in _truncated."""
+        stored = self._truncate(text)
+        cached = self._wiki_text_cache.get(stored)
         if cached is None:
             # a conflicting insert takes no rowid, so ids stay sequential
             cur = self._conn.execute(
                 "INSERT INTO wiki_text(text) VALUES (?) ON CONFLICT(text) DO NOTHING",
-                (text,))
+                (stored,))
             if cur.rowcount:
                 wid, written = cur.lastrowid, ()
+                self._truncated += len(stored) < len(text)
             else:
                 wid = self._conn.execute(
-                    "SELECT id FROM wiki_text WHERE text=?", (text,)).fetchone()[0]
+                    "SELECT id FROM wiki_text WHERE text=?", (stored,)).fetchone()[0]
                 written = tuple(word for (word,) in self._conn.execute(
                     "SELECT page_ref_title FROM wiki_text_words WHERE wiki_text_id=?",
                     (wid,)))
@@ -360,7 +370,7 @@ class MrdStore:
         word_rows.extend([(wid, word) for word in fresh])
         kept = len(fresh) + (cached is None)
         if kept and self._wiki_text_cache_strings + kept <= _WIKI_TEXT_CACHE_SIZE:
-            self._wiki_text_cache[text] = (wid, written + tuple(fresh))
+            self._wiki_text_cache[stored] = (wid, written + tuple(fresh))
             self._wiki_text_cache_strings += kept
         return wid
 
@@ -368,7 +378,7 @@ class MrdStore:
 
     def save_word(self, bundle: WordBundle) -> int:
         """Write one parsed page atomically; re-saving a title replaces it.
-        Returns how many of the page's texts were cut to MAX_WIKI_TEXT_BYTES.
+        Returns how many new texts it stored cut to MAX_WIKI_TEXT_BYTES.
 
         The page is a savepoint: inside a caller's transaction an error
         leaves that transaction as it was before the call."""
@@ -503,22 +513,7 @@ class MrdStore:
         pages loads without its secondary indexes, which build_index_tables
         (or import_tsv) then builds once, sorted. A store with pages keeps
         them, or gets them back first, as re-saving a title deletes its old
-        rows through them. The index_* tables of older versions are dropped:
-        their references would block deleting a lang_pos. The _KEYED_TABLES
-        that older versions stored with a rowid are rebuilt without one, ids
-        kept."""
-        for (table,) in self.query(
-                "SELECT name FROM sqlite_master WHERE type='table' AND name GLOB 'index_*'"):
-            self._conn.execute(f'DROP TABLE "{table}"')
-        for table, create in _KEYED_TABLES.items():
-            if not self.query(
-                    "SELECT 1 FROM pragma_index_list(?) WHERE origin='pk'", (table,)):
-                columns = ", ".join(TABLE_COLUMNS[table])
-                self._conn.execute(f"ALTER TABLE {table} RENAME TO old_{table}")
-                self._conn.execute(create)
-                self._conn.execute(
-                    f"INSERT INTO {table}({columns}) SELECT {columns} FROM old_{table}")
-                self._conn.execute(f"DROP TABLE old_{table}")  # and its indexes
+        rows through them."""
         if self._conn.execute("SELECT 1 FROM page LIMIT 1").fetchone() is None:
             for name in _SECONDARY_INDEXES:
                 self._conn.execute(f"DROP INDEX IF EXISTS {name}")
@@ -526,9 +521,7 @@ class MrdStore:
             self._create_secondary_indexes()
 
     def _create_secondary_indexes(self):
-        """Create the secondary indexes missing and drop the obsolete ones."""
-        for name in _OBSOLETE_INDEXES:
-            self._conn.execute(f"DROP INDEX IF EXISTS {name}")
+        """Create the secondary indexes missing."""
         for name, target in _SECONDARY_INDEXES.items():
             self._conn.execute(f"CREATE INDEX IF NOT EXISTS {name} ON {target}")
 

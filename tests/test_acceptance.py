@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -45,8 +46,8 @@ def _compare_to_golden(export_dir, golden_dir):
     names = sorted(os.listdir(golden_dir))
     assert sorted(os.listdir(export_dir)) == names
     for name in names:
-        got = open(os.path.join(export_dir, name), "rb").read()
-        want = open(os.path.join(golden_dir, name), "rb").read()
+        got = Path(export_dir, name).read_bytes()
+        want = Path(golden_dir, name).read_bytes()
         assert got == want, f"{name} deviates from the golden export"
 
 
@@ -262,7 +263,7 @@ def test_criterion_5_resume_equivalence(tmp_path):
     with MrdStore(tmp_path / "clean.db") as store:
         store.export_tsv(tmp_path / "export_clean")
     reference = {
-        name: open(os.path.join(tmp_path / "export_clean", name), "rb").read()
+        name: Path(tmp_path / "export_clean", name).read_bytes()
         for name in sorted(os.listdir(tmp_path / "export_clean"))}
 
     rng = random.Random(55)
@@ -278,7 +279,7 @@ def test_criterion_5_resume_equivalence(tmp_path):
         with MrdStore(store_path) as store:
             store.export_tsv(export)
         for name, want in reference.items():
-            got = open(os.path.join(export, name), "rb").read()
+            got = Path(export, name).read_bytes()
             assert got == want, f"kill at {point}: {name} deviates"
     print(f"\nACCEPTANCE 5 PASS: kill-and-resume at pages {kill_points} "
           "reproduces the uninterrupted export byte for byte")

@@ -1,12 +1,13 @@
 """The command-line surface, driven through main()."""
 
 import json
+import sqlite3
 
 import pytest
 
 from conftest import fixture_dump_pages, write_dump
 from wiktmrd.cli import main
-from wiktmrd.store import MrdStore, WordBundle
+from wiktmrd.store import SCHEMA_VERSION, MrdStore, StoreError, WordBundle
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +103,11 @@ def test_lookup_absent_word(parsed_store, capsys):
     assert "not found" in err
 
 
+def test_lookup_reverse_absent_word(parsed_store, capsys):
+    assert main(["lookup", "--store", str(parsed_store), "nonesuch", "--reverse"]) == 1
+    assert capsys.readouterr().err.startswith("not found: ")
+
+
 def test_lookup_soft_redirect_points_to_lemma(parsed_store, capsys):
     assert main(["lookup", "--store", str(parsed_store), "dogs"]) == 0
     out = capsys.readouterr().out
@@ -159,6 +165,35 @@ def test_read_commands_refuse_a_missing_store(parsed_store, tmp_path, capsys, co
     assert main(args) == 2
     assert capsys.readouterr().err.strip() == f"error: no store at {missing}"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("edit, found", [
+    ("DELETE FROM meta WHERE key = 'schema_version'", "none"),
+    ("UPDATE meta SET value = '0' WHERE key = 'schema_version'", "0"),
+], ids=["missing", "other"])
+def test_store_of_another_layout_version_is_refused(tmp_path, capsys, edit, found):
+    dump = write_dump(tmp_path / "en.xml", fixture_dump_pages("en"))
+    path = tmp_path / "en.db"
+    assert main(["parse", "--dialect", "en", "--dump", dump, "--store", str(path)]) == 0
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute(edit)
+    conn.close()
+    before = path.read_bytes()
+    with pytest.raises(StoreError) as exc:  # meta values unlike the stored ones
+        MrdStore(path, native_code="ru", dialect="ru")
+    assert (f"layout version {found}, but this wiktmrd reads version {SCHEMA_VERSION}"
+            in str(exc.value))
+    assert path.read_bytes() == before  # a refused open writes nothing
+    capsys.readouterr()
+    store = str(path)
+    for command in (["stats", "--store", store], ["lookup", "--store", store, "dog"],
+                    ["compare", "--store-a", store, "--store-b", store],
+                    ["parse", "--dialect", "en", "--dump", dump, "--store", store]):
+        assert main(command) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: store layout version {found}"), err
+        assert path.read_bytes() == before
 
 
 def test_languages_count(capsys):

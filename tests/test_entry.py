@@ -83,6 +83,13 @@ def test_en_single_pos(registry):
     assert ps[0].pos == "noun" and ps[0].etymology_ordinal == 0
 
 
+def test_en_unknown_pos_heading(registry):
+    body = "==English==\n===Noun===\none\n===Abbreviation===\ntwo\n"
+    sec = section_of(Page(title="t", raw_text=body), "en", registry)
+    ps = entry.split_pos_sections(sec, "en", registry)
+    assert [(p.pos, p.body) for p in ps] == [("noun", "one\n"), ("unknown", "two\n")]
+
+
 def test_en_no_headings_yields_unknown(registry):
     sec = section_of(Page(title="t", raw_text="==English==\njust text\n"), "en", registry)
     ps = entry.split_pos_sections(sec, "en", registry)

@@ -6,6 +6,7 @@ import sqlite3
 import string
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,7 +39,7 @@ def test_iterate_dump_skips_other_namespaces(tmp_path):
 
 def test_iterate_dump_truncated_raises_with_offset(tmp_path):
     full = write_dump(tmp_path / "full.xml", [("a", "x" * 200), ("b", "y" * 5000)])
-    data = open(full, "rb").read()
+    data = Path(full).read_bytes()
     cut = len(data) // 2  # inside page b, after page a is complete
     truncated = tmp_path / "cut.xml"
     truncated.write_bytes(data[:cut])
@@ -52,7 +53,7 @@ def test_iterate_dump_truncated_raises_with_offset(tmp_path):
 
 def test_truncated_dump_with_workers_fails_without_hanging(tmp_path):
     pages = [(f"w{i:03d}", f"==English==\n===Noun===\n# Word {i}.\n") for i in range(400)]
-    data = open(write_dump(tmp_path / "full.xml", pages), "rb").read()
+    data = Path(write_dump(tmp_path / "full.xml", pages)).read_bytes()
     cut = tmp_path / "cut.xml"
     cut.write_bytes(data[:len(data) * 2 // 3])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -216,117 +217,11 @@ def test_completed_parse_leaves_exactly_the_store_indexes(tmp_path):
     _, store_path = parse_fixture_corpus(tmp_path, "en")
     with MrdStore(store_path) as store:
         assert_full_index_set(store)
-        # an older store's index that duplicates a UNIQUE constraint's prefix
-        store.query("CREATE INDEX idx_wtw_text ON wiki_text_words(wiki_text_id)")
-    with MrdStore(store_path) as store:  # opening leaves it alone
-        assert store.query("SELECT name FROM sqlite_master WHERE name='idx_wtw_text'")
-    # a reparse into the filled store keeps its indexes and drops the old one
+    # a reparse into the filled store keeps its indexes
     run_parse(ParseConfig(dialect="en", dump_path=tmp_path / "en.xml",
                           store_path=store_path, start_record=0))
     with MrdStore(store_path) as store:
         assert_full_index_set(store)
-
-
-def test_reparse_replaces_stored_word_index_tables(tmp_path):
-    """A store from when index_native and index_XX were tables: opening it
-    leaves them, a reparse drops them and exports what a store that never
-    had them exports after the same reparse."""
-    reparse = {"dialect": "en", "dump_path": tmp_path / "en.xml", "start_record": 0}
-    _, store_path = parse_fixture_corpus(tmp_path, "en")
-    (tmp_path / "plain").mkdir()
-    _, plain_path = parse_fixture_corpus(tmp_path / "plain", "en")
-    run_parse(ParseConfig(store_path=plain_path, **reparse))
-    with MrdStore(plain_path) as plain:
-        plain.export_tsv(tmp_path / "export_plain")
-
-    old = sqlite3.connect(store_path, isolation_level=None)
-    old.executescript(
-        "CREATE TABLE index_native(word TEXT NOT NULL, "
-        "lang_pos_id INTEGER PRIMARY KEY REFERENCES lang_pos(id)) WITHOUT ROWID;"
-        "CREATE INDEX idx_index_native_word ON index_native(word);"
-        "INSERT INTO index_native SELECT p.title, lp.id FROM lang_pos lp "
-        "JOIN page p ON p.id = lp.page_id WHERE p.title = 'toe' LIMIT 1;")
-    old.close()
-    with MrdStore(store_path) as store:  # opening leaves it alone
-        assert store.query("SELECT word FROM index_native") == [("toe",)]
-        assert store.query(
-            "SELECT 1 FROM sqlite_master WHERE name='idx_index_native_word'") == [(1,)]
-    # re-saving toe deletes the lang_pos that the old row references
-    report = run_parse(ParseConfig(store_path=store_path, **reparse))
-    assert report.pages_parsed == 11
-    with MrdStore(store_path) as store:
-        assert_full_index_set(store)
-        store.export_tsv(tmp_path / "export_reparsed")
-    assert_export_dirs_equal(tmp_path / "export_plain", tmp_path / "export_reparsed")
-
-
-_ROWID_LAYOUT = """
-BEGIN;
-ALTER TABLE translation_entry RENAME TO keyed_translation_entry;
-CREATE TABLE translation_entry(
-    id INTEGER PRIMARY KEY, translation_id INTEGER NOT NULL REFERENCES translation(id),
-    lang_id INTEGER NOT NULL REFERENCES lang(id),
-    wiki_text_id INTEGER NOT NULL REFERENCES wiki_text(id));
-INSERT INTO translation_entry SELECT * FROM keyed_translation_entry;
-DROP TABLE keyed_translation_entry;
-ALTER TABLE wiki_text_words RENAME TO keyed_wiki_text_words;
-CREATE TABLE wiki_text_words(
-    id INTEGER PRIMARY KEY, wiki_text_id INTEGER NOT NULL REFERENCES wiki_text(id),
-    page_ref_title TEXT NOT NULL,
-    UNIQUE(wiki_text_id, page_ref_title));
-INSERT INTO wiki_text_words SELECT * FROM keyed_wiki_text_words;
-DROP TABLE keyed_wiki_text_words;
-CREATE INDEX idx_translation_entry_tr ON translation_entry(translation_id);
-CREATE INDEX idx_wtw_title ON wiki_text_words(page_ref_title);
-DELETE FROM checkpoint;
-COMMIT;
-"""
-
-
-def _rowid_tables(store):
-    """The tables of translation_entry and wiki_text_words that keep a rowid."""
-    return [table for table in ("translation_entry", "wiki_text_words") if not store.query(
-        "SELECT 1 FROM pragma_index_list(?) WHERE origin='pk'", (table,))]
-
-
-def test_store_with_rowid_leaf_tables_is_read_as_is_and_migrated_by_the_writer(tmp_path):
-    """A store from when translation_entry and wiki_text_words had a rowid:
-    opening and reading it writes nothing and gives the answers of the
-    current layout, and a parse that goes on from it rebuilds both tables
-    without a rowid, ids kept, and then assigns ids as an unbroken parse."""
-    pages = fixture_dump_pages("en")
-    full = write_dump(tmp_path / "full.xml", pages)
-    head = write_dump(tmp_path / "head.xml", pages[:6])
-    plain, old = tmp_path / "plain.db", tmp_path / "old.db"
-    run_parse(ParseConfig(dialect="en", dump_path=full, store_path=plain))
-    run_parse(ParseConfig(dialect="en", dump_path=head, store_path=old))
-    conn = sqlite3.connect(old, isolation_level=None)
-    conn.executescript(_ROWID_LAYOUT)
-    conn.close()
-
-    writer = sqlite3.connect(old, isolation_level=None)
-    try:
-        writer.execute("BEGIN IMMEDIATE")  # opening and reading must not write
-        with MrdStore(old) as store, MrdStore(plain) as current:
-            assert _rowid_tables(store) == ["translation_entry", "wiki_text_words"]
-            head_titles = {title for title, _ in pages[:6]}
-            words = [w for (w,) in store.query("SELECT page_ref_title FROM wiki_text_words")]
-            assert any(store.reverse_lookup(word) for word in words)
-            for word in words:
-                answer = [(t, c) for t, c in current.reverse_lookup(word) if t in head_titles]
-                assert store.reverse_lookup(word) == answer, word
-    finally:
-        writer.rollback()
-        writer.close()
-
-    run_parse(ParseConfig(dialect="en", dump_path=full, store_path=old, start_record=6))
-    with MrdStore(old) as store:
-        assert _rowid_tables(store) == []
-        assert_full_index_set(store)
-        store.export_tsv(tmp_path / "export_old")
-    with MrdStore(plain) as store:
-        store.export_tsv(tmp_path / "export_plain")
-    assert_export_dirs_equal(tmp_path / "export_plain", tmp_path / "export_old")
 
 
 def test_run_parse_ru_fixture_corpus(tmp_path):
@@ -492,8 +387,8 @@ def assert_export_dirs_equal(dir_a, dir_b):
     names_b = sorted(os.listdir(dir_b))
     assert names_a == names_b
     for name in names_a:
-        a = open(os.path.join(dir_a, name), "rb").read()
-        b = open(os.path.join(dir_b, name), "rb").read()
+        a = Path(dir_a, name).read_bytes()
+        b = Path(dir_b, name).read_bytes()
         assert a == b, f"{name} differs"
 
 

@@ -123,6 +123,8 @@ def test_link_template_acts_as_wikilink(registry):
      [("synonym", "p", "[[p]]", None), ("synonym", "q", "[[q]]", None)]),
     ("{{sense|animal}} hound, cur",
      [("synonym", "hound", "hound", 1), ("synonym", "cur", "cur", 1)]),
+    # an empty gloss names no meaning
+    ("{{sense|}} hound", [("synonym", "hound", "hound", None)]),
 ])
 def test_line_edge_cases(registry, line, expected):
     ps = pos_section(f"# an [[animal]]\n# rogue\n====Synonyms====\n* {line}\n")

@@ -73,11 +73,6 @@ def test_ratio_report_identity():
     assert math.isinf(ratios["c"])
 
 
-def test_ratio_report_mismatched_tables():
-    with pytest.raises(stats.MismatchedTables):
-        stats.ratio_report({"a": 1}, {"b": 1})
-
-
 # -- store-backed metrics ----------------------------------------------------------
 
 def test_empty_store_stats(tmp_path):

@@ -15,6 +15,7 @@ from wiktmrd.store import (
     CorruptStore,
     MalformedRow,
     MrdStore,
+    StorageFull,
     StoreError,
     TABLE_COLUMNS,
     WordBundle,
@@ -107,6 +108,26 @@ def test_long_wiki_text_truncated(store):
     assert len(stored.encode("utf-8")) <= MAX_WIKI_TEXT_BYTES
     assert stored and set(stored) == {"щ"}
     assert store.save_word(simple_bundle(title="short", record_id=1)) == 0
+
+
+def test_long_wiki_text_counted_once_when_stored(store):
+    text = "x" * 140_000
+    first = WordBundle(title="a", record_id=0, lang_pos=[
+        noun(meanings=[(1, text, []), (2, text, [])])])
+    second = WordBundle(title="b", record_id=1, lang_pos=[noun(meanings=[(1, text, [])])])
+    assert store.save_word(first) == 1
+    assert store.save_word(second) == 0  # reused, not stored again
+    assert store.table_sizes()["wiki_text"] == 1
+
+
+def test_full_storage_is_reported_as_such(store):
+    store.save_word(simple_bundle())
+    (pages,) = store.query("PRAGMA page_count")[0]
+    store.query(f"PRAGMA max_page_count={pages}")
+    with pytest.raises(StorageFull):
+        store.save_word(WordBundle(title="big", record_id=1, lang_pos=[
+            noun(meanings=[(n, f"{n} " + "x" * 30_000, []) for n in range(1, 5)])]))
+    assert store.table_sizes()["page"] == 1
 
 
 def test_uncommitted_save_invisible_to_readers(tmp_path):

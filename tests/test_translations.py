@@ -66,6 +66,21 @@ def test_nested_subline_attaches_to_parent_language(registry):
     assert [(code, word) for code, word, _ in entries] == [("zh", "狗"), ("fi", "koira")]
 
 
+def test_lines_without_a_colon_or_a_word_give_no_entry(registry):
+    body = ("{{trans-top|x}}\n* Finnish {{t|fi|sana}}\n"
+            "* Finnish: {{t|fi|}}, {{t+|fi|koira}}\n{{trans-bottom}}\n")
+    boxes, skipped = translations.extract_translations_en(pos_section(body), registry)
+    assert boxes == [("x", [("fi", "koira", "{{t+|fi|koira}}")])]
+    assert skipped == []
+
+
+def test_subline_with_unknown_name_takes_parent_language(registry):
+    body = "{{trans-top|x}}\n* Chinese:\n*: Qqzish: [[狗]]\n{{trans-bottom}}\n"
+    boxes, skipped = translations.extract_translations_en(pos_section(body), registry)
+    assert boxes == [("x", [("zh", "狗", "[[狗]]")])]
+    assert skipped == []
+
+
 def test_ru_translation_block(registry):
     ps = noun_section(fixture_page("ru", "ангел"), "ru", registry)
     boxes, skipped = translations.extract_translations_ru(ps, registry)
@@ -82,6 +97,13 @@ def test_ru_empty_block(registry):
     boxes, skipped = translations.extract_translations_ru(ps, registry)
     assert len(boxes) == 1
     assert boxes[0][1] == [] and skipped == []
+
+
+def test_ru_named_gloss_slot_is_the_gloss(registry):
+    ps = pos_section("{{перев-блок|1=[[зверь]]|fi=[[koira]]}}\n", language="ru")
+    boxes, skipped = translations.extract_translations_ru(ps, registry)
+    assert boxes == [("зверь", [("fi", "koira", "[[koira]]")])]
+    assert skipped == []
 
 
 def test_ru_codes_taken_at_face_value(registry):
