@@ -6,6 +6,9 @@ plus the per-language word indexes (index_native, index_XX), which are
 derived from lang_pos rather than stored. Backed by SQLite; the durable
 contract is the logical schema and the TSV interchange format, not the engine.
 A store records its layout version (SCHEMA_VERSION) and is refused under another.
+Each text is stored once: wiki_text is found by a 4-byte hash of its text
+(_text_hash), kept in a column the export leaves out, and a text is matched
+by comparing it with the rows of its hash, so a collision costs a compare.
 translation_entry and wiki_text_words are stored by their parent's key,
 without a rowid; the writer gives their ids by SQLite's rowid rule, so the
 ids, and the exports sorted by them, are those a rowid table would have.
@@ -43,6 +46,7 @@ import json
 import os
 import re
 import sqlite3
+import zlib
 from dataclasses import dataclass, field
 
 from .registry import CODE_RE, RELATION_TYPE_NAMES
@@ -75,9 +79,13 @@ _KEYED_TABLES = ("wiki_text_words", "translation_entry")
 
 # The layout of the tables and indexes below. A store records the version
 # it was made with and is refused under any other; see MrdStore.__init__.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-_SCHEMA = """
+# Texts are found by hash; the writer reads this index while it loads, so it
+# is part of the schema, not a secondary index.
+_WIKI_TEXT_HASH_INDEX = "CREATE INDEX IF NOT EXISTS idx_wiki_text_hash ON wiki_text(hash)"
+
+_SCHEMA = f"""
 CREATE TABLE IF NOT EXISTS meta(key TEXT PRIMARY KEY, value TEXT NOT NULL);
 CREATE TABLE IF NOT EXISTS page(
     id INTEGER PRIMARY KEY, title TEXT UNIQUE NOT NULL, record_id INTEGER NOT NULL,
@@ -90,7 +98,9 @@ CREATE TABLE IF NOT EXISTS lang_pos(
     pos_id INTEGER NOT NULL REFERENCES pos(id),
     etymology_ordinal INTEGER NOT NULL,
     UNIQUE(page_id, lang_id, pos_id, etymology_ordinal));
-CREATE TABLE IF NOT EXISTS wiki_text(id INTEGER PRIMARY KEY, text TEXT UNIQUE NOT NULL);
+CREATE TABLE IF NOT EXISTS wiki_text(
+    id INTEGER PRIMARY KEY, text TEXT NOT NULL, hash INTEGER NOT NULL);
+{_WIKI_TEXT_HASH_INDEX};
 CREATE TABLE IF NOT EXISTS wiki_text_words(
     id INTEGER NOT NULL, wiki_text_id INTEGER NOT NULL REFERENCES wiki_text(id),
     page_ref_title TEXT NOT NULL,
@@ -182,6 +192,13 @@ class WordBundle:
     lang_pos: list[tuple] = field(default_factory=list)
 
 
+def _text_hash(text: str) -> int:
+    """wiki_text.hash of `text`: its CRC-32, shifted into the signed 32-bit
+    range, which SQLite stores in 4 bytes. Stable across processes and
+    Python versions; texts that share a hash are told apart by their text."""
+    return zlib.crc32(text.encode("utf-8", "surrogatepass")) - 0x80000000
+
+
 def _check_lang_code(code: str):
     if not CODE_RE.match(code):
         raise CorruptStore(f"invalid language code for storage: {code!r}")
@@ -228,6 +245,9 @@ class MrdStore:
         # text -> (id, words already in wiki_text_words); capped, see _wiki_text_id
         self._wiki_text_cache: dict[str, tuple[int, tuple[str, ...]]] = {}
         self._wiki_text_cache_strings = 0  # texts plus words held in that cache
+        # whether that cache holds every stored text, so a text it lacks is
+        # new; None until the first text it lacks, see _wiki_text_id
+        self._all_texts_cached: bool | None = None
         self._interned: dict[tuple[str, str], int] = {}  # (table, value) -> id
         self._next_ids: dict[str, int] = {}  # _KEYED_TABLES table -> its next id
         self._truncated = 0  # texts the running save_word stored cut
@@ -293,6 +313,7 @@ class MrdStore:
     def _clear_caches(self):
         self._wiki_text_cache.clear()
         self._wiki_text_cache_strings = 0
+        self._all_texts_cached = None
         self._interned.clear()
         self._next_ids.clear()
 
@@ -347,20 +368,25 @@ class MrdStore:
         words, and a stored text the cache could not keep reads them back.
         The cache holds at most _WIKI_TEXT_CACHE_SIZE strings, texts and
         words together, so memory stays bounded whatever the number of
-        words per text. A text inserted cut counts in _truncated."""
+        words per text. While it holds every stored text, as on a fresh
+        parse until it fills, a text it lacks is inserted without a lookup.
+        A text inserted cut counts in _truncated."""
         stored = self._truncate(text)
         cached = self._wiki_text_cache.get(stored)
         if cached is None:
-            # a conflicting insert takes no rowid, so ids stay sequential
-            cur = self._conn.execute(
-                "INSERT INTO wiki_text(text) VALUES (?) ON CONFLICT(text) DO NOTHING",
-                (stored,))
-            if cur.rowcount:
-                wid, written = cur.lastrowid, ()
+            if self._all_texts_cached is None:
+                self._all_texts_cached = self._conn.execute(
+                    "SELECT 1 FROM wiki_text LIMIT 1").fetchone() is None
+            digest = _text_hash(stored)
+            row = None if self._all_texts_cached else self._conn.execute(
+                "SELECT id FROM wiki_text WHERE hash=? AND text=?", (digest, stored)).fetchone()
+            if row is None:
+                wid, written = self._conn.execute(
+                    "INSERT INTO wiki_text(text, hash) VALUES (?, ?)",
+                    (stored, digest)).lastrowid, ()
                 self._truncated += len(stored) < len(text)
             else:
-                wid = self._conn.execute(
-                    "SELECT id FROM wiki_text WHERE text=?", (stored,)).fetchone()[0]
+                wid = row[0]
                 written = tuple(word for (word,) in self._conn.execute(
                     "SELECT page_ref_title FROM wiki_text_words WHERE wiki_text_id=?",
                     (wid,)))
@@ -372,6 +398,13 @@ class MrdStore:
         if kept and self._wiki_text_cache_strings + kept <= _WIKI_TEXT_CACHE_SIZE:
             self._wiki_text_cache[stored] = (wid, written + tuple(fresh))
             self._wiki_text_cache_strings += kept
+        elif kept:
+            # the store now holds what the cache does not: this text, or its
+            # new words, whose cached entry would miss them and write them again
+            self._all_texts_cached = False
+            if cached is not None:
+                del self._wiki_text_cache[stored]
+                self._wiki_text_cache_strings -= 1 + len(written)
         return wid
 
     # -- saving ---------------------------------------------------------------
@@ -714,11 +747,14 @@ class MrdStore:
                 self._conn.execute(f"DELETE FROM {table}")
             self._clear_caches()
             self.prepare_load()
+            self._conn.execute("DROP INDEX idx_wiki_text_hash")
             for table, columns in TABLE_COLUMNS.items():
                 path = os.path.join(directory, f"{table}.tsv")
                 if os.path.exists(path):
                     self._import_table(path, table, columns)
             self._check_keyed_ids()
+            self._conn.execute(_WIKI_TEXT_HASH_INDEX)
+            self._check_unique_texts()
             self._create_secondary_indexes()
             self.check_referential_integrity()
             self._check_word_index_files(directory)
@@ -737,9 +773,24 @@ class MrdStore:
             header = f.readline().rstrip("\n")
             if header.split("\t") != list(columns):
                 raise MalformedRow(table, 1, f"unexpected header {header!r}")
+            rows = _read_rows(f, table, len(columns))
+            if table == "wiki_text":  # the hash is the store's own, not exported
+                columns += ("hash",)
+                rows = ((row_id, text, None if text is None else _text_hash(text))
+                        for row_id, text in rows)
             self._conn.executemany(
                 f'INSERT INTO "{table}"({", ".join(columns)}) '
-                f'VALUES ({",".join("?" * len(columns))})', _read_rows(f, table, len(columns)))
+                f'VALUES ({",".join("?" * len(columns))})', rows)
+
+    def _check_unique_texts(self):
+        """Refuse a text stored under two ids. Only the texts of a hash that
+        repeats are compared, through idx_wiki_text_hash."""
+        row = self._conn.execute(
+            "SELECT MIN(id), MAX(id) FROM wiki_text WHERE hash IN "
+            "(SELECT hash FROM wiki_text GROUP BY hash HAVING COUNT(*) > 1) "
+            "GROUP BY hash, text HAVING COUNT(*) > 1 LIMIT 1").fetchone()
+        if row is not None:
+            raise CorruptStore(f"wiki_text.tsv: id {row[1]} repeats the text of id {row[0]}")
 
     def _check_word_index_files(self, directory):
         """Refuse an index_*.tsv in `directory` unless it has the lines the

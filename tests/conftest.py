@@ -81,13 +81,14 @@ def registry():
 
 
 def assert_full_index_set(store):
-    """The store has exactly its secondary indexes, nothing obsolete and
-    nothing missing, and stores no word-index table: those are derived."""
+    """The store has exactly its text-hash index and its secondary indexes,
+    nothing obsolete and nothing missing, and stores no word-index table:
+    those are derived."""
     from wiktmrd.store import _SECONDARY_INDEXES
 
     names = {name for (name,) in store.query(
         "SELECT name FROM sqlite_master WHERE type='index' "
         "AND name NOT LIKE 'sqlite_autoindex_%'")}
-    assert names == set(_SECONDARY_INDEXES)
+    assert names == {"idx_wiki_text_hash", *_SECONDARY_INDEXES}
     assert store.query(
         "SELECT name FROM sqlite_master WHERE type='table' AND name LIKE 'index_%'") == []

@@ -169,7 +169,7 @@ def test_read_commands_refuse_a_missing_store(parsed_store, tmp_path, capsys, co
 
 @pytest.mark.parametrize("edit, found", [
     ("DELETE FROM meta WHERE key = 'schema_version'", "none"),
-    ("UPDATE meta SET value = '0' WHERE key = 'schema_version'", "0"),
+    ("UPDATE meta SET value = '1' WHERE key = 'schema_version'", "1"),  # the layout before this one
 ], ids=["missing", "other"])
 def test_store_of_another_layout_version_is_refused(tmp_path, capsys, edit, found):
     dump = write_dump(tmp_path / "en.xml", fixture_dump_pages("en"))

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import assert_full_index_set, build_dump_xml, fixture_dump_pages, write_dump
+from conftest import (
+    DATA_DIR, assert_full_index_set, build_dump_xml, fixture_dump_pages, write_dump)
 from wiktmrd import pipeline
+from wiktmrd import store as store_module
 from wiktmrd.pipeline import MalformedDump, ParseConfig, iterate_dump, run_parse
 from wiktmrd.store import _SECONDARY_INDEXES, ChecksumMismatch, MrdStore
 
@@ -222,6 +224,22 @@ def test_completed_parse_leaves_exactly_the_store_indexes(tmp_path):
                           store_path=store_path, start_record=0))
     with MrdStore(store_path) as store:
         assert_full_index_set(store)
+
+
+@pytest.mark.parametrize("dialect", ["en", "ru"])
+def test_texts_of_one_hash_are_told_apart_by_their_text(tmp_path, monkeypatch, dialect):
+    # every text has the same hash, and a cache of two strings sends nearly
+    # every text to the lookup by hash, which must compare the texts
+    monkeypatch.setattr(store_module, "_text_hash", lambda text: 0)
+    monkeypatch.setattr(store_module, "_WIKI_TEXT_CACHE_SIZE", 2)
+    _, store_path = parse_fixture_corpus(tmp_path, dialect)
+    with MrdStore(store_path) as store:
+        store.export_tsv(tmp_path / "export")
+    assert_export_dirs_equal(tmp_path / "export", os.path.join(DATA_DIR, f"golden_{dialect}"))
+    with MrdStore(tmp_path / "imported.db", native_code=dialect, dialect=dialect) as store:
+        store.import_tsv(tmp_path / "export")
+        store.export_tsv(tmp_path / "again")
+    assert_export_dirs_equal(tmp_path / "again", tmp_path / "export")
 
 
 def test_run_parse_ru_fixture_corpus(tmp_path):

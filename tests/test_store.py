@@ -289,6 +289,32 @@ def test_wiki_text_cache_cap_counts_words(store, monkeypatch):
     assert store.table_sizes()["wiki_text_words"] == 6 * 3 + 1
 
 
+def test_texts_saved_again_past_the_cache_cap_keep_their_rows(tmp_path, monkeypatch):
+    # texts come back with words old and new, and pages are saved again
+    def page(n):
+        return WordBundle(title=f"p{n % 7}", record_id=n % 7, lang_pos=[noun(
+            meanings=[(1, f"text {n % 3}", [f"w{n % 3}", f"v{n % 4}"]),
+                      (2, "shared", [f"s{n % 5}"]), (3, f"own {n}", [])],
+            relations=[("synonym", f"r{n % 2}", f"[[r{n % 2}]]", 1)])])
+
+    def export(name):
+        statements = []
+        with MrdStore(tmp_path / f"{name}.db", native_code="en", dialect="en") as store:
+            store._conn.set_trace_callback(statements.append)
+            for n in range(12):
+                store.save_word(page(n))
+            store.export_tsv(tmp_path / name)
+        return [s for s in statements if s.startswith("SELECT id FROM wiki_text WHERE")]
+
+    assert not export("uncapped")
+    monkeypatch.setattr(store_module, "_WIKI_TEXT_CACHE_SIZE", 6)
+    assert export("capped")  # past the cap, texts are looked up
+    # so each text keeps its one row and its id, and gets each word once
+    for name in os.listdir(tmp_path / "uncapped"):
+        assert ((tmp_path / "capped" / name).read_bytes()
+                == (tmp_path / "uncapped" / name).read_bytes()), name
+
+
 def entries_page(title, record_id, words):
     """A page whose one translation box has an entry per word."""
     return WordBundle(title=title, record_id=record_id, lang_pos=[noun(
@@ -646,6 +672,11 @@ def _text_id(lines):
     return [lines[0], "x" + lines[1][1:], *lines[2:]]
 
 
+def _repeat_first_text(lines):
+    """A new last row holds the first row's text."""
+    return [*lines, f"{len(lines)}\t" + lines[1].split("\t", 1)[1]]
+
+
 @pytest.mark.parametrize("table, edit, native, error, where", [
     ("index_native", _duplicate_last_row, "en", MalformedRow, 4),
     ("index_native", _drop_first_row, "en", MalformedRow, 2),
@@ -662,8 +693,12 @@ def _text_id(lines):
      r"^wiki_text_words\.tsv: id 1 appears 2 times$"),
     ("wiki_text_words", _text_id, "en", CorruptStore,
      r"^wiki_text_words\.tsv: id 'x' is not an integer$"),
+    # a store keeps each text once
+    ("wiki_text", _repeat_first_text, "en", CorruptStore,
+     r"^wiki_text\.tsv: id 3 repeats the text of id 1$"),
 ], ids=["duplicated", "missing", "changed_word", "bad_header", "language_without_entries",
-        "other_native_code", "entry_id_repeated", "word_id_repeated", "word_id_not_integer"])
+        "other_native_code", "entry_id_repeated", "word_id_repeated", "word_id_not_integer",
+        "text_repeated"])
 def test_import_refuses_index_files_unlike_the_derived_rows(
         store, tmp_path, table, edit, native, error, where):
     boxes = [("", [("fi", "sana", "[[sana]]")]), ("", [("de", "Wort", "[[Wort]]")])]
