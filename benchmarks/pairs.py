@@ -5,16 +5,16 @@
 
 The change is this checkout as it stands, uncommitted edits included; the
 base is a commit, exported with `git archive` (local git only) into a
-temporary directory that is removed afterwards. Each pair runs
-`perfbench/run.py` of both sides with the same seed and run length, and the
-pairs alternate which side runs first, so that a drift of the host's speed
-falls on both sides alike. Each side runs its own perfbench.
+temporary directory that is removed afterwards. Pair i runs
+`perfbench/run.py` of both sides with seed 11 + i and BENCHMARK.json's
+run_seconds, and the pairs alternate which side runs first, so that a drift
+of the host's speed falls on both sides alike. Each side runs its own
+perfbench.
 
 For every end-to-end metric of BENCHMARK.json the file records each side's
 median and quartiles over the pairs and the change's wins out of them (a
 tie counts for neither side), with the seeds, nproc, workers, both commit
-ids and every run's values. It is written to the root of the checkout
-unless --out says otherwise.
+ids and every run's values. It is written to the root of the checkout.
 """
 
 from __future__ import annotations
@@ -99,21 +99,16 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--base", default="HEAD~1", help="commit to compare against")
-    parser.add_argument("--first-seed", type=int, default=11,
-                        help="pair i runs seed first-seed + i on both sides")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json's run_seconds)")
-    parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     change_commit = _git("rev-parse", "HEAD")
     dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
-    seeds = [args.first_seed + i for i in range(args.pairs)]
+    seeds = [11 + i for i in range(args.pairs)]
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="pairs-base-") as tmp:
         base_root = Path(tmp)
@@ -148,7 +143,7 @@ def main(argv=None) -> int:
                         for i, (seed, r) in enumerate(zip(seeds, side_runs))]
                  for side, side_runs in runs.items()},
     }
-    out = args.out or ROOT / f"BENCH_{args.workload}.json"
+    out = ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
     return 0

@@ -370,7 +370,9 @@ class MrdStore:
         words together, so memory stays bounded whatever the number of
         words per text. While it holds every stored text, as on a fresh
         parse until it fills, a text it lacks is inserted without a lookup.
-        A text inserted cut counts in _truncated."""
+        That needs this store to have one writer: a text another connection
+        stores is not in the cache and would be stored again, which
+        build_index_tables refuses. A text inserted cut counts in _truncated."""
         stored = self._truncate(text)
         cached = self._wiki_text_cache.get(stored)
         if cached is None:
@@ -559,10 +561,12 @@ class MrdStore:
             self._conn.execute(f"CREATE INDEX IF NOT EXISTS {name} ON {target}")
 
     def build_index_tables(self):
-        """Build every secondary index a load left out. The word indexes
-        need no building: they are derived from lang_pos when read."""
+        """Build every secondary index a load left out, and refuse a store
+        that holds a text twice, which the schema does not prevent. The word
+        indexes need no building: they are derived from lang_pos when read."""
         try:
             self._create_secondary_indexes()
+            self._check_unique_texts("wiki_text")
         except sqlite3.Error as exc:
             self.rollback()
             raise _translate_error(exc) from exc
@@ -754,7 +758,7 @@ class MrdStore:
                     self._import_table(path, table, columns)
             self._check_keyed_ids()
             self._conn.execute(_WIKI_TEXT_HASH_INDEX)
-            self._check_unique_texts()
+            self._check_unique_texts("wiki_text.tsv")
             self._create_secondary_indexes()
             self.check_referential_integrity()
             self._check_word_index_files(directory)
@@ -782,15 +786,16 @@ class MrdStore:
                 f'INSERT INTO "{table}"({", ".join(columns)}) '
                 f'VALUES ({",".join("?" * len(columns))})', rows)
 
-    def _check_unique_texts(self):
-        """Refuse a text stored under two ids. Only the texts of a hash that
-        repeats are compared, through idx_wiki_text_hash."""
+    def _check_unique_texts(self, source):
+        """Refuse a text stored under two ids, naming `source` in the error.
+        Only the texts of a hash that repeats are compared, through
+        idx_wiki_text_hash."""
         row = self._conn.execute(
             "SELECT MIN(id), MAX(id) FROM wiki_text WHERE hash IN "
             "(SELECT hash FROM wiki_text GROUP BY hash HAVING COUNT(*) > 1) "
             "GROUP BY hash, text HAVING COUNT(*) > 1 LIMIT 1").fetchone()
         if row is not None:
-            raise CorruptStore(f"wiki_text.tsv: id {row[1]} repeats the text of id {row[0]}")
+            raise CorruptStore(f"{source}: id {row[1]} repeats the text of id {row[0]}")
 
     def _check_word_index_files(self, directory):
         """Refuse an index_*.tsv in `directory` unless it has the lines the

@@ -315,6 +315,20 @@ def test_texts_saved_again_past_the_cache_cap_keep_their_rows(tmp_path, monkeypa
                 == (tmp_path / "uncapped" / name).read_bytes()), name
 
 
+def test_text_stored_twice_by_a_second_writer_is_refused(tmp_path):
+    # the writer's cache holds every text it stored, not those of another one
+    def page(title, text):
+        return WordBundle(title=title, record_id=0, lang_pos=[noun(meanings=[(1, text, [])])])
+
+    with MrdStore(tmp_path / "mrd.db", native_code="en", dialect="en") as first, \
+            MrdStore(tmp_path / "mrd.db") as second:
+        first.save_word(page("a", "x"))
+        second.save_word(page("b", "y"))
+        first.save_word(page("c", "y"))
+        with pytest.raises(CorruptStore, match=r"^wiki_text: id 3 repeats the text of id 2$"):
+            first.build_index_tables()
+
+
 def entries_page(title, record_id, words):
     """A page whose one translation box has an entry per word."""
     return WordBundle(title=title, record_id=record_id, lang_pos=[noun(
