@@ -107,7 +107,9 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     change_commit = _git("rev-parse", "HEAD")
-    dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
+    # the BENCH files of earlier runs are this script's output, not edits
+    dirty = bool(_git("status", "--porcelain", "--untracked-files=no",
+                      "--", ".", ":!BENCH_*.json"))
     seeds = [11 + i for i in range(args.pairs)]
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="pairs-base-") as tmp:
