@@ -5,7 +5,8 @@ XML export, analyzes each page into a WordBundle, and commits bundles to the
 store in record order. Checkpoints are written inside the same transaction
 as the data, every `checkpoint_interval` pages, so a killed run resumes from
 the last checkpoint and produces output identical to an uninterrupted run.
-Pages may be analyzed in parallel worker processes; commits stay ordered.
+Pages are analyzed in worker processes while this process reads the dump
+and writes the store; commits stay in record order.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import bz2
 import contextlib
 import gzip
 import hashlib
+import itertools
 import multiprocessing
 import os
 import sys
@@ -239,10 +241,11 @@ _pool_dialect = ""
 _pool_registry = None
 
 
-def _pool_init(dialect: str, registry_path):
+def _pool_init(dialect: str, registry: Registry):
+    # the workers are forked, so the registry the run loaded reaches them
+    # without a second read or a pickle
     global _pool_dialect, _pool_registry
-    _pool_registry = load_registry(registry_path) if registry_path else builtin_registry()
-    _pool_dialect = dialect
+    _pool_dialect, _pool_registry = dialect, registry
 
 
 def _pool_analyze(page):
@@ -304,33 +307,37 @@ def _run_parse_inner(config, store, registry, identity) -> ParseReport:
                 yield page
 
     def results():
-        if config.worker_count <= 1:
-            for page in pages():
-                yield analyze_page(page, config.dialect, registry)
-        else:
-            # Pool.imap reads its input as fast as it can and keeps every
-            # result until it is taken; workers faster than the writer would
-            # grow memory with the dump, so they stay _MAX_IN_FLIGHT ahead.
-            in_flight = threading.Semaphore(_MAX_IN_FLIGHT)
-            stopped = threading.Event()
+        # Workers analyse; this process reads the dump, in the pool's feeder
+        # thread, and writes the store. The pool starts with the first page
+        # to analyse, so a run with none (an empty dump, a resume past the
+        # last record) starts no process.
+        todo = pages()
+        first = next(todo, None)
+        if first is None:
+            return
+        # Pool.imap reads its input as fast as it can and keeps every result
+        # until it is taken; workers faster than the writer would grow
+        # memory with the dump, so they stay _MAX_IN_FLIGHT ahead.
+        in_flight = threading.Semaphore(_MAX_IN_FLIGHT)
+        stopped = threading.Event()
 
-            def fed_pages():
-                for page in pages():
-                    in_flight.acquire()
-                    if stopped.is_set():
-                        return
-                    yield page
+        def fed_pages():
+            for page in itertools.chain((first,), todo):
+                in_flight.acquire()
+                if stopped.is_set():
+                    return
+                yield page
 
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(config.worker_count, initializer=_pool_init,
-                          initargs=(config.dialect, config.registry_path)) as pool:
-                try:
-                    for result in pool.imap(_pool_analyze, fed_pages(), chunksize=8):
-                        in_flight.release()
-                        yield result
-                finally:  # a feeder still waiting for room would keep the pool open
-                    stopped.set()
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(config.worker_count, initializer=_pool_init,
+                      initargs=(config.dialect, registry)) as pool:
+            try:
+                for result in pool.imap(_pool_analyze, fed_pages(), chunksize=8):
                     in_flight.release()
+                    yield result
+            finally:  # a feeder still waiting for room would keep the pool open
+                stopped.set()
+                in_flight.release()
 
     def checkpoint_counters():
         merged = dict(base_counters)

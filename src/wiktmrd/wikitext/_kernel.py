@@ -21,20 +21,19 @@ def template_spans(data: bytes) -> list[tuple[int, int]]:
     """
     closed: list[tuple[int, int]] = []
     stack: list[int] = []
-    i = 0
-    while True:
-        c = data.find(b"}}", i)
-        if c == -1:
-            break
-        o = data.find(b"{{", i)
+    # the next "{{" and "}}"; the one a step does not consume stays valid,
+    # since the two tokens cannot overlap
+    o = data.find(b"{{")
+    c = data.find(b"}}")
+    while c != -1:
         if o != -1 and o < c:
             if len(stack) < MAX_TEMPLATE_DEPTH:
                 stack.append(o)
-            i = o + 2
+            o = data.find(b"{{", o + 2)
         else:
             if stack:
                 closed.append((stack.pop(), c + 2))
-            i = c + 2
+            c = data.find(b"}}", c + 2)
     if not closed:
         return closed
     # keep only spans not contained in another closed span
@@ -50,20 +49,18 @@ def wikilink_spans(data: bytes) -> list[tuple[int, int]]:
     """Spans of "[[...]]" pairs; a second "[[" restarts the link."""
     spans: list[tuple[int, int]] = []
     open_pos = -1
-    i = 0
-    while True:
-        c = data.find(b"]]", i)
-        if c == -1:
-            break
-        o = data.find(b"[[", i)
+    # as in template_spans, the token a step does not consume stays valid
+    o = data.find(b"[[")
+    c = data.find(b"]]")
+    while c != -1:
         if o != -1 and o < c:
             open_pos = o
-            i = o + 2
+            o = data.find(b"[[", o + 2)
         else:
             if open_pos >= 0:
                 spans.append((open_pos, c + 2))
                 open_pos = -1
-            i = c + 2
+            c = data.find(b"]]", c + 2)
     return spans
 
 

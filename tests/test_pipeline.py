@@ -400,6 +400,51 @@ def test_workers_stay_a_bounded_number_of_pages_ahead(tmp_path, monkeypatch):
                               store_path=tmp_path / "t.db", worker_count=2))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_run_with_nothing_to_analyse_starts_no_pool(tmp_path, monkeypatch, workers):
+    empty = write_dump(tmp_path / "empty.xml", [])
+    dump = write_dump(tmp_path / "d.xml", [("a", "==English==\n===Noun===\n# A.\n")])
+    store_path = tmp_path / "s.db"
+    run_parse(ParseConfig(dialect="en", dump_path=dump, store_path=store_path))
+
+    def no_pool(method=None):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(pipeline.multiprocessing, "get_context", no_pool)
+    resumed = run_parse(ParseConfig(dialect="en", dump_path=dump, store_path=store_path,
+                                    worker_count=workers))
+    assert resumed.pages_seen == 0
+    report = run_parse(ParseConfig(dialect="en", dump_path=empty,
+                                   store_path=tmp_path / "e.db", worker_count=workers))
+    assert report.pages_seen == 0
+    with MrdStore(tmp_path / "e.db") as store:
+        assert_full_index_set(store)
+
+
+def test_workers_analyse_with_the_registry_the_run_loaded(tmp_path, monkeypatch):
+    reg_file = tmp_path / "extra.tsv"
+    reg_file.write_text("zzx\tZizzish\t\n", encoding="utf-8")
+    pages = [(f"w{i:02d}", "==Zizzish==\n===Noun===\n# A zizz word.\n") for i in range(20)]
+    dump = write_dump(tmp_path / "d.xml", pages)
+    reads = tmp_path / "reads"
+    load = pipeline.load_registry
+
+    def logged_load(path):  # the log is a file: a forked worker's call lands there too
+        with open(reads, "a", encoding="utf-8") as log:
+            log.write(f"{os.getpid()}\n")
+        return load(path)
+
+    monkeypatch.setattr(pipeline, "load_registry", logged_load)
+    report = run_parse(ParseConfig(dialect="en", dump_path=dump, store_path=tmp_path / "s.db",
+                                   registry_path=str(reg_file), worker_count=2))
+    assert report.pages_parsed == len(pages)
+    assert report.sections_skipped_unknown_language == 0
+    assert reads.read_text(encoding="utf-8").splitlines() == [str(os.getpid())]
+    with MrdStore(tmp_path / "s.db") as store:
+        for title, _ in pages:
+            assert [e["lang_code"] for e in store.lookup_word(title)] == ["zzx"]
+
+
 def assert_export_dirs_equal(dir_a, dir_b):
     names_a = sorted(os.listdir(dir_a))
     names_b = sorted(os.listdir(dir_b))
