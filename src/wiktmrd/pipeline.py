@@ -19,7 +19,6 @@ import itertools
 import multiprocessing
 import os
 import sys
-import threading
 import time
 import xml.etree.ElementTree as ET
 import zlib
@@ -34,8 +33,7 @@ from .store import Checkpoint, ChecksumMismatch, MrdStore, WordBundle
 _CRASH_ENV = "WIKTMRD_CRASH_AFTER_PAGES"
 
 _SKIP_EXAMPLES = 5  # titles named per skip reason in the end-of-run summary
-# pages handed to pool workers and not yet taken back; at least the imap
-# chunksize (8), or the feeder could wait forever on an unfinished chunk
+# pages read from the dump and not yet saved: two batches of half as many
 _MAX_IN_FLIGHT = 64
 # how damaged XML, a cut compressed stream and corrupt compressed bytes fail
 _DUMP_DAMAGE = (ET.ParseError, EOFError, OSError, zlib.error)
@@ -46,9 +44,6 @@ class MalformedDump(Exception):
         super().__init__(f"malformed dump at byte offset {byte_offset}: {detail}")
         self.byte_offset = byte_offset
         self.detail = detail
-
-    def __reduce__(self):  # a pool worker re-raises it, so it must unpickle
-        return MalformedDump, (self.byte_offset, self.detail)
 
 
 @dataclass
@@ -307,37 +302,27 @@ def _run_parse_inner(config, store, registry, identity) -> ParseReport:
                 yield page
 
     def results():
-        # Workers analyse; this process reads the dump, in the pool's feeder
-        # thread, and writes the store. The pool starts with the first page
-        # to analyse, so a run with none (an empty dump, a resume past the
-        # last record) starts no process.
+        # Workers analyse; this process reads the dump and writes the store.
+        # Pages go to the pool in batches of _MAX_IN_FLIGHT // 2, and the next
+        # batch is read and queued before the results of the one before are
+        # taken: the workers always have a batch to analyse, and at most
+        # _MAX_IN_FLIGHT pages are read but not saved. The pool starts with
+        # the first batch, so a run with nothing to analyse (an empty dump,
+        # a resume past the last record) starts no process.
         todo = pages()
-        first = next(todo, None)
-        if first is None:
+        batch = list(itertools.islice(todo, _MAX_IN_FLIGHT // 2))
+        if not batch:
             return
-        # Pool.imap reads its input as fast as it can and keeps every result
-        # until it is taken; workers faster than the writer would grow
-        # memory with the dump, so they stay _MAX_IN_FLIGHT ahead.
-        in_flight = threading.Semaphore(_MAX_IN_FLIGHT)
-        stopped = threading.Event()
-
-        def fed_pages():
-            for page in itertools.chain((first,), todo):
-                in_flight.acquire()
-                if stopped.is_set():
-                    return
-                yield page
-
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(config.worker_count, initializer=_pool_init,
                       initargs=(config.dialect, registry)) as pool:
-            try:
-                for result in pool.imap(_pool_analyze, fed_pages(), chunksize=8):
-                    in_flight.release()
-                    yield result
-            finally:  # a feeder still waiting for room would keep the pool open
-                stopped.set()
-                in_flight.release()
+            analysed = ()
+            while batch:
+                queued = pool.imap(_pool_analyze, batch, chunksize=8)
+                yield from analysed
+                analysed = queued
+                batch = list(itertools.islice(todo, _MAX_IN_FLIGHT // 2))
+            yield from analysed
 
     def checkpoint_counters():
         merged = dict(base_counters)
@@ -351,8 +336,8 @@ def _run_parse_inner(config, store, registry, identity) -> ParseReport:
     skip_examples: dict[str, list[str]] = {"redirect": [], "namespace": []}
     store.begin()
     store.prepare_load()
-    # an error in the loop closes the results at once, which lets a pool
-    # whose feeder waits for room shut down
+    # an error in the loop closes the results at once, which terminates the
+    # pool instead of leaving it to garbage collection
     with contextlib.closing(results()) as analysed:
         for result in analysed:
             report.pages_seen += 1

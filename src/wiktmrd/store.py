@@ -220,6 +220,9 @@ class MrdStore:
         self.path = str(path)
         try:
             self._conn = sqlite3.connect(self.path, isolation_level=None)
+        except sqlite3.Error as exc:
+            raise _translate_error(exc) from exc
+        try:  # a store that fails to open closes its connection
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute("PRAGMA foreign_keys=ON")
@@ -230,7 +233,6 @@ class MrdStore:
                 self._create_schema()
             version = self.get_meta("schema_version")
             if version != str(SCHEMA_VERSION):
-                self._conn.close()
                 raise StoreError(
                     f"{self.path}: store layout version {version or 'none'}, but this "
                     f"wiktmrd reads version {SCHEMA_VERSION}; export the store to TSV "
@@ -240,8 +242,11 @@ class MrdStore:
                 self._set_meta("native_code", native_code)
             if dialect is not None:
                 self._set_meta("dialect", dialect)
-        except sqlite3.Error as exc:
-            raise _translate_error(exc) from exc
+        except BaseException as exc:
+            self._conn.close()
+            if isinstance(exc, sqlite3.Error):
+                raise _translate_error(exc) from exc
+            raise
         # text -> (id, words already in wiki_text_words); capped, see _wiki_text_id
         self._wiki_text_cache: dict[str, tuple[int, tuple[str, ...]]] = {}
         self._wiki_text_cache_strings = 0  # texts plus words held in that cache

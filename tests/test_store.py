@@ -223,6 +223,36 @@ def test_opening_a_writer_under_a_lock_is_not_corruption(tmp_path):
         other.close()
 
 
+def test_a_store_that_fails_to_open_closes_its_connection(tmp_path, monkeypatch):
+    garbage = tmp_path / "garbage.db"
+    garbage.write_bytes(b"not a database " * 100)
+    locked = tmp_path / "locked.db"
+    MrdStore(locked, native_code="en", dialect="en").close()
+    other = sqlite3.connect(str(locked), isolation_level=None)
+    other.execute("BEGIN IMMEDIATE")
+    opened = []
+    connect = sqlite3.connect
+
+    def recording_connect(*args, **kwargs):
+        conn = connect(*args, **kwargs, timeout=0.1)  # a short wait for the lock
+        opened.append(conn)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", recording_connect)
+    try:
+        with pytest.raises(CorruptStore):
+            MrdStore(garbage)
+        with pytest.raises(StoreError, match="locked"):
+            MrdStore(locked, native_code="en", dialect="en")
+    finally:
+        other.rollback()
+        other.close()
+    assert len(opened) == 2
+    for conn in opened:
+        with pytest.raises(sqlite3.ProgrammingError):
+            conn.execute("SELECT 1")
+
+
 class _BatchCounter:
     """A connection stand-in that counts executemany calls per table."""
 
