@@ -80,20 +80,6 @@ _CHECKPOINT_COUNTERS = ("sections_skipped_unknown_language", "translation_lines_
 # Dump reading
 # ---------------------------------------------------------------------------
 
-class _CountingReader:
-    def __init__(self, raw):
-        self._raw = raw
-        self.bytes_read = 0
-
-    def read(self, size=-1):
-        data = self._raw.read(size)
-        self.bytes_read += len(data)
-        return data
-
-    def close(self):
-        self._raw.close()
-
-
 def open_dump(path):
     """Open plain, gzip or bzip2 XML by magic bytes."""
     with open(path, "rb") as probe:
@@ -142,7 +128,7 @@ def iterate_dump(dump_path):
     MalformedDump with the offset in the XML; pages completed before the
     damage are still yielded first.
     """
-    stream = _CountingReader(open_dump(dump_path))
+    stream = open_dump(dump_path)
     record_id = 0
     root = None
     try:
@@ -160,7 +146,7 @@ def iterate_dump(dump_path):
                 record_id += 1
                 yield page
     except _DUMP_DAMAGE as exc:
-        raise MalformedDump(stream.bytes_read, str(exc)) from exc
+        raise MalformedDump(stream.tell(), str(exc)) from exc
     finally:
         stream.close()
 

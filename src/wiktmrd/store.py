@@ -250,9 +250,6 @@ class MrdStore:
         # text -> (id, words already in wiki_text_words); capped, see _wiki_text_id
         self._wiki_text_cache: dict[str, tuple[int, tuple[str, ...]]] = {}
         self._wiki_text_cache_strings = 0  # texts plus words held in that cache
-        # whether that cache holds every stored text, so a text it lacks is
-        # new; None until the first text it lacks, see _wiki_text_id
-        self._all_texts_cached: bool | None = None
         self._interned: dict[tuple[str, str], int] = {}  # (table, value) -> id
         self._next_ids: dict[str, int] = {}  # _KEYED_TABLES table -> its next id
         self._truncated = 0  # texts the running save_word stored cut
@@ -318,7 +315,6 @@ class MrdStore:
     def _clear_caches(self):
         self._wiki_text_cache.clear()
         self._wiki_text_cache_strings = 0
-        self._all_texts_cached = None
         self._interned.clear()
         self._next_ids.clear()
 
@@ -373,19 +369,13 @@ class MrdStore:
         words, and a stored text the cache could not keep reads them back.
         The cache holds at most _WIKI_TEXT_CACHE_SIZE strings, texts and
         words together, so memory stays bounded whatever the number of
-        words per text. While it holds every stored text, as on a fresh
-        parse until it fills, a text it lacks is inserted without a lookup.
-        That needs this store to have one writer: a text another connection
-        stores is not in the cache and would be stored again, which
-        build_index_tables refuses. A text inserted cut counts in _truncated."""
+        words per text. A text the cache lacks is looked up by its hash.
+        A text inserted cut counts in _truncated."""
         stored = self._truncate(text)
         cached = self._wiki_text_cache.get(stored)
         if cached is None:
-            if self._all_texts_cached is None:
-                self._all_texts_cached = self._conn.execute(
-                    "SELECT 1 FROM wiki_text LIMIT 1").fetchone() is None
             digest = _text_hash(stored)
-            row = None if self._all_texts_cached else self._conn.execute(
+            row = self._conn.execute(
                 "SELECT id FROM wiki_text WHERE hash=? AND text=?", (digest, stored)).fetchone()
             if row is None:
                 wid, written = self._conn.execute(
@@ -405,13 +395,11 @@ class MrdStore:
         if kept and self._wiki_text_cache_strings + kept <= _WIKI_TEXT_CACHE_SIZE:
             self._wiki_text_cache[stored] = (wid, written + tuple(fresh))
             self._wiki_text_cache_strings += kept
-        elif kept:
-            # the store now holds what the cache does not: this text, or its
-            # new words, whose cached entry would miss them and write them again
-            self._all_texts_cached = False
-            if cached is not None:
-                del self._wiki_text_cache[stored]
-                self._wiki_text_cache_strings -= 1 + len(written)
+        elif kept and cached is not None:
+            # the store now holds new words that this cached entry would
+            # miss and write again
+            del self._wiki_text_cache[stored]
+            self._wiki_text_cache_strings -= 1 + len(written)
         return wid
 
     # -- saving ---------------------------------------------------------------

@@ -209,12 +209,15 @@ def test_lock_held_by_another_writer_is_not_corruption(tmp_path):
         assert writer.table_sizes()["page"] == 1
 
 
-def test_opening_a_writer_under_a_lock_is_not_corruption(tmp_path):
+def test_opening_a_writer_under_a_lock_is_not_corruption(tmp_path, monkeypatch):
     path = tmp_path / "mrd.db"
     MrdStore(path, native_code="en", dialect="en").close()
     other = sqlite3.connect(str(path), isolation_level=None)
     other.execute("BEGIN IMMEDIATE")
-    try:  # the meta writes wait out SQLite's busy timeout (5 s), then fail
+    connect = sqlite3.connect
+    monkeypatch.setattr(sqlite3, "connect",  # a short wait for the lock
+                        lambda *args, **kwargs: connect(*args, **kwargs, timeout=0.1))
+    try:  # the meta writes wait out the busy timeout, then fail
         with pytest.raises(StoreError, match="locked") as exc:
             MrdStore(path, native_code="en", dialect="en")
         assert not isinstance(exc.value, CorruptStore)
@@ -294,15 +297,17 @@ def test_save_word_statements(store):
     assert sum(word_inserts.values()) == store.table_sizes()["wiki_text_words"] == 6
     assert counter.batches == {table: pages for table in (
         "wiki_text_words", "relation", "translation_entry", "inflection")}
-    # a new text is inserted without a lookup first
-    assert not [s for s in statements if s.startswith("SELECT id FROM wiki_text")]
+    # each new text is looked up once before its insert, a cached one not at all
+    text_selects = [s for s in statements if s.startswith("SELECT id FROM wiki_text WHERE")]
+    assert len(text_selects) == store.table_sizes()["wiki_text"]
 
     # a text already in the store, but no longer cached, keeps its id
     texts_before = store.query("SELECT id, text FROM wiki_text ORDER BY id")
     store._clear_caches()
     store.save_word(page(pages))
     assert store.query("SELECT id, text FROM wiki_text ORDER BY id") == texts_before
-    assert [s for s in statements if s.startswith("SELECT id FROM wiki_text")]
+    assert len([s for s in statements
+                if s.startswith("SELECT id FROM wiki_text WHERE")]) > len(text_selects)
     store.check_referential_integrity()
 
 
@@ -328,35 +333,42 @@ def test_texts_saved_again_past_the_cache_cap_keep_their_rows(tmp_path, monkeypa
             relations=[("synonym", f"r{n % 2}", f"[[r{n % 2}]]", 1)])])
 
     def export(name):
-        statements = []
         with MrdStore(tmp_path / f"{name}.db", native_code="en", dialect="en") as store:
-            store._conn.set_trace_callback(statements.append)
             for n in range(12):
                 store.save_word(page(n))
             store.export_tsv(tmp_path / name)
-        return [s for s in statements if s.startswith("SELECT id FROM wiki_text WHERE")]
 
-    assert not export("uncapped")
+    export("uncapped")
     monkeypatch.setattr(store_module, "_WIKI_TEXT_CACHE_SIZE", 6)
-    assert export("capped")  # past the cap, texts are looked up
-    # so each text keeps its one row and its id, and gets each word once
+    export("capped")
+    # each text keeps its one row and its id, and gets each word once
     for name in os.listdir(tmp_path / "uncapped"):
         assert ((tmp_path / "capped" / name).read_bytes()
                 == (tmp_path / "uncapped" / name).read_bytes()), name
 
 
-def test_text_stored_twice_by_a_second_writer_is_refused(tmp_path):
-    # the writer's cache holds every text it stored, not those of another one
-    def page(title, text):
-        return WordBundle(title=title, record_id=0, lang_pos=[noun(meanings=[(1, text, [])])])
+def _text_page(title, text):
+    return WordBundle(title=title, record_id=0, lang_pos=[noun(meanings=[(1, text, [])])])
 
+
+def test_text_stored_twice_is_refused(store):
+    store.save_word(_text_page("a", "x"))
+    store.save_word(_text_page("b", "y"))
+    # the schema does not keep a text from being stored twice
+    store._conn.execute("INSERT INTO wiki_text(text, hash) VALUES (?, ?)",
+                        ("y", store_module._text_hash("y")))
+    with pytest.raises(CorruptStore, match=r"^wiki_text: id 3 repeats the text of id 2$"):
+        store.build_index_tables()
+
+
+def test_text_a_second_writer_stored_is_reused(tmp_path):
     with MrdStore(tmp_path / "mrd.db", native_code="en", dialect="en") as first, \
             MrdStore(tmp_path / "mrd.db") as second:
-        first.save_word(page("a", "x"))
-        second.save_word(page("b", "y"))
-        first.save_word(page("c", "y"))
-        with pytest.raises(CorruptStore, match=r"^wiki_text: id 3 repeats the text of id 2$"):
-            first.build_index_tables()
+        first.save_word(_text_page("a", "x"))
+        second.save_word(_text_page("b", "y"))
+        first.save_word(_text_page("c", "y"))
+        assert first.query("SELECT COUNT(*) FROM wiki_text WHERE text='y'") == [(1,)]
+        first.build_index_tables()
 
 
 def entries_page(title, record_id, words):
