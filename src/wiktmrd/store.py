@@ -13,9 +13,11 @@ translation_entry and wiki_text_words are stored by their parent's key,
 without a rowid; the writer gives their ids by SQLite's rowid rule, so the
 ids, and the exports sorted by them, are those a rowid table would have.
 
-Writes happen through a single writer. save_word is atomic per page and
-idempotent per title. Checkpoints commit in the same transaction as the data
-they describe, so a killed process always restarts from a consistent point.
+Writers take turns, as SQLite allows one write transaction at a time; a
+writer that finds another connection has committed since its last page
+forgets the ids it cached. save_word is atomic per page and idempotent per
+title. Checkpoints commit in the same transaction as the data they
+describe, so a killed process always restarts from a consistent point.
 
 A page reaches save_word as a WordBundle whose content is plain tuples, the
 cheapest form to pickle out of an analysis worker. The analysis produces
@@ -214,7 +216,7 @@ def _translate_error(exc: sqlite3.Error) -> StoreError:
 
 
 class MrdStore:
-    """Single-writer, multi-reader dictionary store."""
+    """Multi-reader dictionary store whose writers take turns."""
 
     def __init__(self, path, native_code: str | None = None, dialect: str | None = None):
         self.path = str(path)
@@ -252,6 +254,7 @@ class MrdStore:
         self._wiki_text_cache_strings = 0  # texts plus words held in that cache
         self._interned: dict[tuple[str, str], int] = {}  # (table, value) -> id
         self._next_ids: dict[str, int] = {}  # _KEYED_TABLES table -> its next id
+        self._data_version = None  # PRAGMA data_version when the caches were last valid
         self._truncated = 0  # texts the running save_word stored cut
 
     # -- lifecycle ----------------------------------------------------------
@@ -440,6 +443,13 @@ class MrdStore:
         interned = self._interned
         existing = conn.execute(
             "SELECT id FROM page WHERE title=?", (bundle.title,)).fetchone()
+        # the first read fixed what this transaction sees; if another
+        # connection has committed since the last page, cached ids and next
+        # ids may be stale
+        data_version = conn.execute("PRAGMA data_version").fetchone()[0]
+        if data_version != self._data_version:
+            self._clear_caches()
+            self._data_version = data_version
         if existing:
             self._delete_page_rows(existing[0])
         soft = next((lp[6] for lp in bundle.lang_pos if lp[6] is not None), None)
@@ -600,49 +610,62 @@ class MrdStore:
     # -- lookup (the wiwordik-style read side) ------------------------------------
 
     def lookup_word(self, title: str, lang_code: str | None = None) -> list[dict]:
-        """Everything stored for one page title, one dict per lang_pos."""
-        sql = ("SELECT lp.id, l.code, po.name, lp.etymology_ordinal "
-               "FROM lang_pos lp JOIN page p ON p.id=lp.page_id "
-               "JOIN lang l ON l.id=lp.lang_id JOIN pos po ON po.id=lp.pos_id "
-               "WHERE p.title=?")
+        """Everything stored for one page title, one dict per lang_pos.
+
+        One statement finds the entries; if there are any, one statement per
+        child table then reads the rows of all of them, each joined from the
+        title, so a lookup costs six statements however rich its entries are.
+        Meanings come by ordinal, everything else by id."""
+        where = "WHERE p.title = ?"
         params = [title]
         if lang_code is not None:
-            sql += " AND l.code=?"
+            where += " AND lp.lang_id = (SELECT id FROM lang WHERE code = ?)"
             params.append(lang_code)
-        out = []
-        for lang_pos_id, code, pos_name, etym in self.query(sql + " ORDER BY lp.id", params):
-            meanings = self.query(
-                "SELECT m.ordinal, w.text FROM meaning m "
-                "JOIN wiki_text w ON w.id=m.wiki_text_id "
-                "WHERE m.lang_pos_id=? ORDER BY m.ordinal", (lang_pos_id,))
-            inflections = self.query(
-                "SELECT form_kind, lemma_title FROM inflection "
-                "WHERE lang_pos_id=? ORDER BY id", (lang_pos_id,))
-            rels = self.query(
-                "SELECT rt.name, w.text, m.ordinal FROM relation r "
-                "JOIN relation_type rt ON rt.id=r.relation_type_id "
-                "JOIN wiki_text w ON w.id=r.wiki_text_id "
-                "LEFT JOIN meaning m ON m.id=r.meaning_id "
-                "WHERE r.lang_pos_id=? ORDER BY r.id", (lang_pos_id,))
-            translations = []
-            for tr_id, gloss in self.query(
-                    "SELECT t.id, w.text FROM translation t "
-                    "LEFT JOIN wiki_text w ON w.id=t.gloss_wiki_text_id "
-                    "WHERE t.lang_pos_id=? ORDER BY t.id", (lang_pos_id,)):
-                entries = self.query(
-                    "SELECT l.code, COALESCE(MIN(ww.page_ref_title), w.text) "
-                    "FROM translation_entry e "
-                    "JOIN lang l ON l.id=e.lang_id "
-                    "JOIN wiki_text w ON w.id=e.wiki_text_id "
-                    "LEFT JOIN wiki_text_words ww ON ww.wiki_text_id=w.id "
-                    "WHERE e.translation_id=? GROUP BY e.id ORDER BY e.id", (tr_id,))
-                translations.append({"gloss": gloss or "", "entries": entries})
-            out.append({
-                "lang_code": code, "pos": pos_name, "etymology_ordinal": etym,
-                "meanings": meanings, "relations": rels, "translations": translations,
-                "inflections": inflections,
-            })
-        return out
+
+        def rows(select, joins="", order="lp.id"):
+            return self._conn.execute(
+                f"SELECT {select} FROM page p JOIN lang_pos lp ON lp.page_id = p.id "
+                f"{joins} {where} ORDER BY {order}", params)
+
+        sections = {
+            lang_pos_id: {"lang_code": code, "pos": pos_name, "etymology_ordinal": etym,
+                          "meanings": [], "relations": [], "translations": [],
+                          "inflections": []}
+            for lang_pos_id, code, pos_name, etym in rows(
+                "lp.id, l.code, po.name, lp.etymology_ordinal",
+                "JOIN lang l ON l.id = lp.lang_id JOIN pos po ON po.id = lp.pos_id")}
+        if not sections:
+            return []
+        for row in rows("m.lang_pos_id, m.ordinal, w.text",
+                        "JOIN meaning m ON m.lang_pos_id = lp.id "
+                        "JOIN wiki_text w ON w.id = m.wiki_text_id", "m.ordinal, m.id"):
+            sections[row[0]]["meanings"].append(row[1:])
+        for row in rows("i.lang_pos_id, i.form_kind, i.lemma_title",
+                        "JOIN inflection i ON i.lang_pos_id = lp.id", "i.id"):
+            sections[row[0]]["inflections"].append(row[1:])
+        for row in rows("r.lang_pos_id, rt.name, w.text, m.ordinal",
+                        "JOIN relation r ON r.lang_pos_id = lp.id "
+                        "JOIN relation_type rt ON rt.id = r.relation_type_id "
+                        "JOIN wiki_text w ON w.id = r.wiki_text_id "
+                        "LEFT JOIN meaning m ON m.id = r.meaning_id", "r.id"):
+            sections[row[0]]["relations"].append(row[1:])
+        boxes = {}
+        for lang_pos_id, box_id, gloss in rows(
+                "t.lang_pos_id, t.id, w.text",
+                "JOIN translation t ON t.lang_pos_id = lp.id "
+                "LEFT JOIN wiki_text w ON w.id = t.gloss_wiki_text_id", "t.id"):
+            boxes[box_id] = {"gloss": gloss or "", "entries": []}
+            sections[lang_pos_id]["translations"].append(boxes[box_id])
+        # an entry shows the first word its text links, or else the text
+        for row in rows("e.translation_id, l.code, COALESCE((SELECT MIN(page_ref_title) "
+                        "FROM wiki_text_words WHERE wiki_text_id = e.wiki_text_id), w.text)",
+                        "JOIN translation t ON t.lang_pos_id = lp.id "
+                        "JOIN translation_entry e ON e.translation_id = t.id "
+                        "JOIN lang l ON l.id = e.lang_id "
+                        "JOIN wiki_text w ON w.id = e.wiki_text_id",
+                        "e.translation_id, e.id"):
+            boxes[row[0]]["entries"].append(row[1:])
+        return list(sections.values())
 
     def reverse_lookup(self, word: str) -> list[tuple[str, str]]:
         """(page title, translation language code) pairs whose translation

@@ -6,7 +6,7 @@ import sqlite3
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import assert_full_index_set
 from wiktmrd import store as store_module
@@ -418,6 +418,21 @@ def test_page_failing_after_taking_ids_gives_them_back(store):
     assert _word_ids(store) == [(1, "x1"), (2, "z1")]
 
 
+def test_writers_taking_turns_do_not_repeat_ids(tmp_path):
+    with MrdStore(tmp_path / "mrd.db", native_code="en", dialect="en") as first, \
+            MrdStore(tmp_path / "mrd.db") as second:
+        first.save_word(entries_page("a", 0, ["x1"]))
+        second.save_word(entries_page("b", 1, ["y1"]))
+        # the first writer's next ids were taken meanwhile
+        first.save_word(entries_page("c", 2, ["z1"]))
+        assert _entry_ids(first) == [(1, "a"), (2, "b"), (3, "c")]
+        assert _word_ids(first) == [(1, "x1"), (2, "y1"), (3, "z1")]
+        first.export_tsv(tmp_path / "export")
+    with MrdStore(tmp_path / "copy.db", native_code="en", dialect="en") as copy:
+        copy.import_tsv(tmp_path / "export")
+        assert _entry_ids(copy) == [(1, "a"), (2, "b"), (3, "c")]
+
+
 def test_text_the_cache_could_not_keep_gets_only_its_new_words(store, monkeypatch):
     monkeypatch.setattr(store_module, "_WIKI_TEXT_CACHE_SIZE", 2)
     store.save_word(WordBundle(title="p0", record_id=0, lang_pos=[
@@ -508,6 +523,97 @@ def test_index_tables_match_group_by_oracle(store):
     store.save_word(WordBundle(title="w0", record_id=0, lang_pos=[noun("sq")]))
     oracle.update({"index_native": -1, "index_sq": 1})
     assert _word_index_sizes(store) == oracle
+
+
+# -- lookup -----------------------------------------------------------------------
+
+def _joined_lookup(store, title, lang_code):
+    """lookup_word(title, lang_code) worked out in Python from the table rows."""
+    q = store.query
+    code, pos = dict(q("SELECT id, code FROM lang")), dict(q("SELECT id, name FROM pos"))
+    text = dict(q("SELECT id, text FROM wiki_text"))
+    type_name = dict(q("SELECT id, name FROM relation_type"))
+    words = {}
+    for text_id, word in q("SELECT wiki_text_id, page_ref_title FROM wiki_text_words"):
+        words.setdefault(text_id, []).append(word)
+    pages = {page_id for page_id, t in q("SELECT id, title FROM page") if t == title}
+    meanings = sorted(q("SELECT lang_pos_id, ordinal, id, wiki_text_id FROM meaning"))
+    ordinal = {meaning_id: o for _, o, meaning_id, _ in meanings}
+    relations = sorted(q("SELECT * FROM relation"))
+    boxes = sorted(q("SELECT * FROM translation"))
+    entries = sorted(q("SELECT id, translation_id, lang_id, wiki_text_id FROM translation_entry"))
+    inflections = sorted(q("SELECT * FROM inflection"))
+    out = []
+    for lp, page_id, lang_id, pos_id, etym in sorted(q("SELECT * FROM lang_pos")):
+        if page_id not in pages or lang_code not in (None, code[lang_id]):
+            continue
+        out.append({
+            "lang_code": code[lang_id], "pos": pos[pos_id], "etymology_ordinal": etym,
+            "meanings": [(o, text[t]) for m_lp, o, _, t in meanings if m_lp == lp],
+            "relations": [(type_name[rt], text[t], ordinal.get(m))
+                          for _, m, r_lp, rt, t in relations if r_lp == lp],
+            "translations": [
+                {"gloss": text.get(gloss, ""),
+                 "entries": [(code[lang], min(words.get(t, [text[t]])))
+                             for _, box, lang, t in entries if box == box_id]}
+                for box_id, t_lp, gloss in boxes if t_lp == lp],
+            "inflections": [(kind, lemma) for _, i_lp, kind, lemma in inflections if i_lp == lp],
+        })
+    return out
+
+
+_LOOKUP_TEXTS = st.sampled_from(["One.", "[[x]] or [[y]]", "[[z]]", "ü"])
+_LOOKUP_WORDS = st.sampled_from(["", "x", "y", "z"])
+_LOOKUP_SECTIONS = st.lists(st.tuples(
+    st.sampled_from(["en", "fi"]), st.sampled_from(["noun", "verb"]),
+    # meanings whose ordinals may repeat, with and without linked words
+    st.lists(st.tuples(st.integers(1, 3), _LOOKUP_TEXTS,
+                       st.lists(_LOOKUP_WORDS.filter(bool), max_size=2, unique=True)),
+             max_size=3),
+    # relations with and without a meaning
+    st.lists(st.tuples(st.sampled_from(["synonym", "antonym", "hypernym"]), _LOOKUP_WORDS,
+                       _LOOKUP_TEXTS, st.none() | st.integers(1, 3)), max_size=3),
+    # boxes with and without a gloss and entries; an entry's text links the
+    # words of every entry that shares it, none if its word is empty
+    st.lists(st.tuples(st.sampled_from(["", "a gloss", "[[x]]"]),
+                       st.lists(st.tuples(st.sampled_from(["fi", "de"]), _LOOKUP_WORDS,
+                                          _LOOKUP_TEXTS), max_size=3)), max_size=3),
+    st.none() | st.tuples(st.just("plural of"), _LOOKUP_WORDS.filter(bool)),
+), min_size=1, max_size=3)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), _LOOKUP_SECTIONS),
+                min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_lookup_word_matches_a_join_of_the_rows(pages):
+    with MrdStore(":memory:", native_code="en", dialect="en") as store:
+        for record_id, (title, sections) in enumerate(pages):  # a title may be saved again
+            store.save_word(WordBundle(title=title, record_id=record_id, lang_pos=[
+                (code, pos, etym, *rows) for etym, (code, pos, *rows) in enumerate(sections)]))
+        for title in ("a", "b", "c", "missing"):
+            for lang_code in (None, "en", "fi", "zz"):
+                assert (store.lookup_word(title, lang_code)
+                        == _joined_lookup(store, title, lang_code)), (title, lang_code)
+
+
+def test_lookup_word_statements_do_not_grow_with_the_entry(store):
+    def box(n):
+        return (f"gloss {n}", [("fi", f"w{n}", f"[[w{n}]]")])
+    store.save_word(WordBundle(title="small", record_id=0, lang_pos=[
+        noun(meanings=[(1, "One.", [])], translations=[box(0)])]))
+    store.save_word(WordBundle(title="rich", record_id=1, lang_pos=[
+        (code, "noun", 0, [(1, "One.", []), (2, "Two.", [])],
+         [("synonym", "s", "[[s]]", 1)], [box(2 * i), box(2 * i + 1)], None)
+        for i, code in enumerate(("en", "fi", "de"))]))
+    statements = []
+    store._conn.set_trace_callback(statements.append)
+    counts = {}
+    for title, sections in (("small", 1), ("rich", 3), ("missing", 0)):
+        statements.clear()
+        assert len(store.lookup_word(title)) == sections
+        counts[title] = len(statements)
+    assert counts["small"] == counts["rich"] <= 6
+    assert counts["missing"] == 1
 
 
 # -- reverse lookup ---------------------------------------------------------------
