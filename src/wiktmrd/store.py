@@ -622,7 +622,7 @@ class MrdStore:
             where += " AND lp.lang_id = (SELECT id FROM lang WHERE code = ?)"
             params.append(lang_code)
 
-        def rows(select, joins="", order="lp.id"):
+        def rows(select, joins, order="lp.id"):
             return self._conn.execute(
                 f"SELECT {select} FROM page p JOIN lang_pos lp ON lp.page_id = p.id "
                 f"{joins} {where} ORDER BY {order}", params)
