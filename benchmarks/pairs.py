@@ -30,9 +30,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+def _git(*args: str, cwd: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def has_uncommitted_edits(root: Path = ROOT) -> bool:
+    """Whether checkout `root` differs from its HEAD: tracked files edited or
+    files git does not know, ignored files and BENCH_*.json excepted (the
+    BENCH files of earlier runs are this script's output, not edits)."""
+    return bool(_git("status", "--porcelain", "--", ".", ":!BENCH_*.json", cwd=root))
 
 
 def export_commit(rev: str, directory: Path) -> str:
@@ -107,9 +114,7 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     change_commit = _git("rev-parse", "HEAD")
-    # the BENCH files of earlier runs are this script's output, not edits
-    dirty = bool(_git("status", "--porcelain", "--untracked-files=no",
-                      "--", ".", ":!BENCH_*.json"))
+    dirty = has_uncommitted_edits()
     seeds = [11 + i for i in range(args.pairs)]
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="pairs-base-") as tmp:

@@ -48,9 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lookup", help="print everything stored for a word")
     p.add_argument("--store", required=True)
     p.add_argument("word")
-    p.add_argument("--lang", default=None)
-    p.add_argument("--reverse", action="store_true",
-                   help="find entries whose translations contain the word")
+    only = p.add_mutually_exclusive_group()  # --reverse searches every language
+    only.add_argument("--lang", default=None)
+    only.add_argument("--reverse", action="store_true",
+                      help="find entries whose translations contain the word")
 
     p = sub.add_parser("compare", help="compare two stores")
     p.add_argument("--store-a", required=True)

@@ -5,7 +5,9 @@ The two supported dialects differ structurally: the en edition marks
 languages with level-2 name headings ("==English=="), the ru edition with
 level-1 template headings ("= {{-en-}} ="), reads definitions from the
 "Значение" subsection and takes the part of speech from the morphology
-template block. Anything unresolvable is skipped and recorded, never fatal.
+template block. Only split_language_sections is told the dialect; the
+PageOutline of its sections records it for every later stage. Anything
+unresolvable is skipped and recorded, never fatal.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .registry import (
     UNKNOWN_POS,
     Registry,
     check_dialect,
+    pos_for_heading_en,
+    pos_for_ru_template,
 )
 
 # headings recognized as a part-of-speech slot but outside the canonical set
@@ -46,12 +50,14 @@ class Page:
 
 
 class PageOutline:
-    """A page's UTF-8 bytes and headings, encoded and scanned once. Sections
-    of the page are byte ranges of it, so no stage rescans its own text."""
+    """A page's UTF-8 bytes and headings, encoded and scanned once, and the
+    dialect whose rules read it. Sections of the page are byte ranges of it,
+    so no stage rescans its own text or is told the dialect again."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, dialect: str):
         self.data = wt.encode(text)
         self.headings = wt.scan_headings(self.data)
+        self.dialect = dialect
 
     def headings_in(self, start: int, end: int) -> list[wt.Heading]:
         """The headings whose line starts in [start, end)."""
@@ -75,20 +81,10 @@ class PageOutline:
 
 
 @dataclass
-class LanguageSection:
-    language: str  # the registry's language code
-    span: tuple[int, int]  # byte offsets of the body within the page text
-    outline: PageOutline = field(repr=False, compare=False)
-
-    @property
-    def body(self) -> str:
-        return self.outline.text(*self.span)
-
-
-@dataclass
 class PosSection:
     """One (etymology, POS) part of a page; `span` is its body's byte range
-    in `outline`."""
+    in `outline`. A whole language section is one too, of unknown POS and
+    etymology 0."""
 
     language: str  # the registry's language code
     etymology_ordinal: int
@@ -125,38 +121,35 @@ class PosSection:
 
 def split_language_sections(
     page: Page, dialect: str, registry: Registry
-) -> tuple[list[LanguageSection], list[str]]:
-    """Partition the page body at language headings.
+) -> tuple[list[PosSection], list[str]]:
+    """Partition the page body at language headings, one unknown-POS,
+    etymology-0 section per language; the page's outline records `dialect`
+    for every later stage.
 
     Unresolvable headings produce a skip reason each; the text under them is
     not parsed further. A dialect other than "en" or "ru" is a ValueError.
     """
     check_dialect(dialect)
-    outline = PageOutline(page.raw_text)
-    level = 2 if dialect == "en" else 1
+    outline = PageOutline(page.raw_text, dialect)
+    level, resolve = (2, _resolve_language_en) if dialect == "en" else (1, _resolve_language_ru)
     heads = [h for h in outline.headings if h.level == level]
-    sections: list[LanguageSection] = []
+    sections: list[PosSection] = []
     skipped: list[str] = []
     for i, head in enumerate(heads):
-        if dialect == "en":
-            language, reason = _resolve_language_en(head.inner_text, registry)
-        else:
-            language, reason = _resolve_language_ru(head.inner_text, registry)
+        language, reason = resolve(head.inner_text, registry)
         if language is None:
             skipped.append(reason)
             continue
-        start, end = outline.body_range(heads, i, len(outline.data))
-        sections.append(LanguageSection(language=language, span=(start, end),
-                                        outline=outline))
+        sections.append(PosSection(
+            language=language, etymology_ordinal=0, pos=UNKNOWN_POS,
+            span=outline.body_range(heads, i, len(outline.data)), outline=outline))
     return sections, skipped
 
 
 def _resolve_language_en(inner: str, registry: Registry):
     name = wt.strip_markup(inner) or inner.strip()
-    lang = registry.find_english_name(name)
-    if lang is None:
-        return None, f"unknown language name: {name!r}"
-    return lang.code, ""
+    code = registry.find_english_name(name)
+    return (code, "") if code else (None, f"unknown language name: {name!r}")
 
 
 def _resolve_language_ru(inner: str, registry: Registry):
@@ -166,31 +159,21 @@ def _resolve_language_ru(inner: str, registry: Registry):
     m = _RU_LANG_TEMPLATE_RE.match(templates[0].name.casefold())
     if not m:
         return None, f"not a language template: {templates[0].name!r}"
-    lang = registry.find_code(m.group(1))
-    if lang is None:
-        return None, f"unknown language code: {m.group(1)!r}"
-    return lang.code, ""
+    code = registry.find_code(m.group(1))
+    return (code, "") if code else (None, f"unknown language code: {m.group(1)!r}")
 
 
-def split_pos_sections(
-    section: LanguageSection, dialect: str, registry: Registry
-) -> list[PosSection]:
+def split_pos_sections(section: PosSection) -> list[PosSection]:
     """Split a language section into one PosSection per (etymology, POS) pair.
 
-    A section with nothing recognizable yields a single pos=unknown section
-    spanning the whole body.
+    A section with nothing recognizable is returned as it is, the single
+    pos=unknown section spanning the whole body.
     """
-    if dialect == "en":
-        out = _split_pos_en(section, registry)
-    else:
-        out = _split_pos_ru(section, registry)
-    if not out:
-        out = [PosSection(language=section.language, etymology_ordinal=0,
-                          pos=UNKNOWN_POS, span=section.span, outline=section.outline)]
-    return out
+    split = _split_pos_en if section.outline.dialect == "en" else _split_pos_ru
+    return split(section) or [section]
 
 
-def _split_pos_en(section: LanguageSection, registry: Registry) -> list[PosSection]:
+def _split_pos_en(section: PosSection) -> list[PosSection]:
     outline, section_end = section.outline, section.span[1]
     marks = []  # (heading, kind, payload)
     for head in outline.headings_in(*section.span):
@@ -199,7 +182,7 @@ def _split_pos_en(section: LanguageSection, registry: Registry) -> list[PosSecti
         if m:
             marks.append((head, "etym", int(m.group(1) or 0)))
             continue
-        pos = registry.pos_for_heading_en(inner)
+        pos = pos_for_heading_en(inner)
         if pos is None and inner.casefold() in UNKNOWN_POS_HEADINGS_EN:
             pos = UNKNOWN_POS
         if pos is not None:
@@ -217,7 +200,7 @@ def _split_pos_en(section: LanguageSection, registry: Registry) -> list[PosSecti
     return out
 
 
-def _split_pos_ru(section: LanguageSection, registry: Registry) -> list[PosSection]:
+def _split_pos_ru(section: PosSection) -> list[PosSection]:
     outline, section_end = section.outline, section.span[1]
     homonym_heads = [h for h in outline.headings_in(*section.span) if h.level == 2]
     blocks = [(i + 1, *outline.body_range(homonym_heads, i, section_end))
@@ -227,7 +210,7 @@ def _split_pos_ru(section: LanguageSection, registry: Registry) -> list[PosSecti
         ps = PosSection(language=section.language, etymology_ordinal=ordinal,
                         pos=UNKNOWN_POS, span=(start, end), outline=outline)
         for tpl in ps.templates:
-            found = registry.pos_for_ru_template(tpl.name)
+            found = pos_for_ru_template(tpl.name)
             if found is not None:
                 ps.pos = found
                 break
@@ -240,13 +223,11 @@ def is_definition_line(line: str) -> bool:
     return line.startswith("#") and not line.startswith(("#:", "#*", "##"))
 
 
-def extract_definitions(
-    pos_section: PosSection, dialect: str
-) -> list[tuple[int, str, list[str]]]:
+def extract_definitions(pos_section: PosSection) -> list[tuple[int, str, list[str]]]:
     """Numbered definitions of one PosSection as the store's meaning rows,
     (ordinal, wikitext, ref_words), ordinals consecutive from 1; ref_words
     are the distinct wikilink targets of the definition, in source order."""
-    if dialect == "en":
+    if pos_section.outline.dialect == "en":
         region = pos_section.body
     else:
         region = pos_section.named_subsection(RU_DEFINITIONS_HEADING)

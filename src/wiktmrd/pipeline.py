@@ -193,10 +193,10 @@ def analyze_page(page: entry.Page, dialect: str, registry: Registry) -> Analyzed
         skipped_lines = 0
         seen_ordinals: dict[tuple[str, str], set[int]] = {}
         for sec in sections:
-            for ps in entry.split_pos_sections(sec, dialect, registry):
-                meanings = entry.extract_definitions(ps, dialect)
+            for ps in entry.split_pos_sections(sec):
+                meanings = entry.extract_definitions(ps)
                 soft = entry.classify_soft_redirect(page.title, meanings)
-                records = relations.extract_relations(ps, meanings, dialect, registry)
+                records = relations.extract_relations(ps, meanings)
                 if dialect == "en":
                     boxes, sk = translations.extract_translations_en(ps, registry)
                 else:
@@ -256,16 +256,13 @@ def run_parse(config: ParseConfig) -> ParseReport:
 
 def _resolve_start(config, store, identity) -> tuple[int, dict]:
     cp = store.load_checkpoint()
-    if config.start_record is None:
-        if cp.last_record_id > 0:
-            _check_identity(cp, identity)
-            return cp.last_record_id, dict(cp.counters)
+    start = cp.last_record_id if config.start_record is None else config.start_record
+    if start == 0:
         return 0, {}
-    if config.start_record > 0:
-        if cp.dump_identity:
-            _check_identity(cp, identity)
-        return config.start_record, dict(cp.counters)
-    return 0, {}
+    if config.start_record is None or cp.dump_identity:
+        _check_identity(cp, identity)
+    # below the checkpoint, its counters count pages this run counts again
+    return start, dict(cp.counters) if start >= cp.last_record_id else {}
 
 
 def _check_identity(cp, identity):

@@ -1,11 +1,13 @@
-"""Registries: language codes and names, and the per-dialect heading/template
-vocabulary for parts of speech and semantic relation types.
+"""The language table, and the per-dialect heading/template vocabulary for
+parts of speech and semantic relation types.
 
-The built-in language table ships as data/languages.tsv (one line per code:
-code, english names, russian name). A user registry file in the same format
-extends or overrides it. Parts of speech and relation types are fixed sets
-and are carried as their canonical names, the strings the store rows hold;
-headings and templates map to those names through module-level tables.
+A Registry is the language table alone: codes, English names and aliases,
+Russian names. The built-in table ships as data/languages.tsv (one line per
+code: code, english names, russian name). A user registry file in the same
+format extends or overrides it. Parts of speech and relation types are fixed
+sets and are carried as their canonical names, the strings the store rows
+hold; headings and templates map to those names through the module
+functions find_relation_heading, pos_for_heading_en and pos_for_ru_template.
 Everything is immutable after load and safe to share across threads and
 worker processes.
 """
@@ -98,8 +100,27 @@ _POS_BY_HEADING_EN = _by_alias(_POS_ALIASES, 0)
 _POS_BY_RU_PREFIX = _by_alias(_POS_ALIASES, 1)
 
 
+def find_relation_heading(inner: str, dialect: str) -> str | None:
+    """The relation type a heading of the `dialect` edition names, or None."""
+    return _RELATION_BY_HEADING[dialect].get(inner.strip().casefold())
+
+
+def pos_for_heading_en(inner: str) -> str | None:
+    """The POS an en part-of-speech heading names, or None."""
+    return _POS_BY_HEADING_EN.get(inner.strip().casefold())
+
+
+def pos_for_ru_template(template_name: str) -> str | None:
+    """The POS a ru morphology template's first word ("прил-ru": "прил") names."""
+    token = template_name.strip().split()[0].casefold() if template_name.strip() else ""
+    pos = _POS_BY_RU_PREFIX.get(token)
+    if pos is None and "-" in token:
+        pos = _POS_BY_RU_PREFIX.get(token.split("-", 1)[0])
+    return pos
+
+
 class Registry:
-    """Immutable lookup tables for one parse run."""
+    """The language table of one parse run: codes, names and aliases."""
 
     def __init__(self, languages: dict[str, LanguageCode]):
         self.languages = dict(languages)
@@ -109,31 +130,15 @@ class Registry:
             for alias in lang.name_aliases:
                 self._by_english.setdefault(alias.casefold(), lang.code)
 
-    # -- languages ----------------------------------------------------------
+    def find_code(self, code: str) -> str | None:
+        """`code` as registered (case and outer spaces ignored), or None; the
+        table's own string, so that a pickle of many rows holds it once."""
+        lang = self.languages.get(code.strip().casefold())
+        return lang.code if lang else None
 
-    def find_code(self, code: str) -> LanguageCode | None:
-        return self.languages.get(code.strip().casefold())
-
-    def find_english_name(self, name: str) -> LanguageCode | None:
-        code = self._by_english.get(name.strip().casefold())
-        return self.languages[code] if code else None
-
-    # -- relation headings ---------------------------------------------------
-
-    def find_relation_heading(self, inner: str, dialect: str) -> str | None:
-        return _RELATION_BY_HEADING[dialect].get(inner.strip().casefold())
-
-    # -- parts of speech ------------------------------------------------------
-
-    def pos_for_heading_en(self, inner: str) -> str | None:
-        return _POS_BY_HEADING_EN.get(inner.strip().casefold())
-
-    def pos_for_ru_template(self, template_name: str) -> str | None:
-        token = template_name.strip().split()[0].casefold() if template_name.strip() else ""
-        pos = _POS_BY_RU_PREFIX.get(token)
-        if pos is None and "-" in token:
-            pos = _POS_BY_RU_PREFIX.get(token.split("-", 1)[0])
-        return pos
+    def find_english_name(self, name: str) -> str | None:
+        """The code of the language an English name or alias names, or None."""
+        return self._by_english.get(name.strip().casefold())
 
 
 def _parse_registry_lines(lines, path) -> dict[str, LanguageCode]:

@@ -1,4 +1,5 @@
-"""Semantic-relation (thesaurus) extraction from a PosSection.
+"""Semantic-relation (thesaurus) extraction from a PosSection, under the
+dialect its page's outline records.
 
 en dialect: each relation subsection lists "* [[word]]" lines; a leading
 {{sense|...}} template aligns the line to the meaning whose text contains
@@ -13,7 +14,7 @@ import re
 
 from . import wikitext as wt
 from .entry import LIST_LINE_RE, PosSection
-from .registry import Registry
+from .registry import find_relation_heading
 
 _PLACEHOLDERS = ("", "-", "—")
 
@@ -23,10 +24,7 @@ _SENSE_TEMPLATE = "sense"
 
 
 def extract_relations(
-    pos_section: PosSection,
-    meanings: list[tuple[int, str, list[str]]],
-    dialect: str,
-    registry: Registry,
+    pos_section: PosSection, meanings: list[tuple[int, str, list[str]]]
 ) -> list[tuple[str, str, str, int | None]]:
     """All relations of one PosSection, in source order, as
     (type_name, target_word, target_wikitext, meaning_ordinal or None) rows.
@@ -36,9 +34,10 @@ def extract_relations(
     """
     rows: list[tuple[str, str, str, int | None]] = []
     plain: dict[int, str] = {}  # ordinal -> casefolded plain text, on first use
+    dialect = pos_section.outline.dialect
     heads = pos_section.headings()
     for i, head in enumerate(heads):
-        type_name = registry.find_relation_heading(head.inner_text, dialect)
+        type_name = find_relation_heading(head.inner_text, dialect)
         if type_name is None:
             continue
         lines = pos_section.subsection(heads, i).splitlines()

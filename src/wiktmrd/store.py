@@ -240,6 +240,10 @@ class MrdStore:
                     f"wiktmrd reads version {SCHEMA_VERSION}; export the store to TSV "
                     f"with the wiktmrd version that wrote it and import the files into "
                     f"a new store, or reparse the dump into a new store")
+            recorded = self.get_meta("dialect")
+            if dialect is not None and recorded not in (None, dialect):
+                raise StoreError(f"{self.path}: the store holds the {recorded} edition, "
+                                 f"not {dialect}; parse a {dialect} dump into a new store")
             if native_code is not None:
                 self._set_meta("native_code", native_code)
             if dialect is not None:

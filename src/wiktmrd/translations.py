@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from . import wikitext as wt
 from .entry import LIST_LINE_RE, PosSection
-from .registry import TRANSLATION_BLOCK_RU, TRANSLATION_TEMPLATES_EN, LanguageCode, Registry
+from .registry import TRANSLATION_BLOCK_RU, TRANSLATION_TEMPLATES_EN, Registry
 
 _TRANSLATIONS_HEADING = "translations"
 _TRANS_TOP = "trans-top"
@@ -65,7 +65,7 @@ def _en_box_regions(pos_section: PosSection):
 
 def _entries_from_en_lines(region: str, registry: Registry, skipped: list[str]):
     entries: list[tuple[str, str, str]] = []
-    parent_lang: LanguageCode | None = None
+    parent_code: str | None = None
     for line in region.splitlines():
         m = LIST_LINE_RE.match(line)
         if not m:
@@ -75,17 +75,17 @@ def _entries_from_en_lines(region: str, registry: Registry, skipped: list[str]):
         if not sep:
             continue
         name = name.strip()
-        lang = registry.find_english_name(name) or registry.find_english_name(wt.strip_markup(name))
+        code = registry.find_english_name(name) or registry.find_english_name(wt.strip_markup(name))
         is_sub_line = markers != "*"
-        if lang is None:
-            if is_sub_line and parent_lang is not None:
-                lang = parent_lang
+        if code is None:
+            if is_sub_line and parent_code is not None:
+                code = parent_code
             else:
                 skipped.append(f"unknown language name: {name!r}")
                 continue
         elif not is_sub_line:
-            parent_lang = lang
-        dropped = _entries_from_en_payload(payload, lang.code, registry, entries)
+            parent_code = code
+        dropped = _entries_from_en_payload(payload, code, registry, entries)
         if dropped is not None:
             skipped.append(dropped)
     return entries
@@ -112,7 +112,7 @@ def _entries_from_en_payload(payload, line_code, registry, entries):
                 continue
             # the template's code wins over the line's language name
             s, e = tpl.source_span
-            entries.append((lang.code, word, wt.decode(data[s:e])))
+            entries.append((lang, word, wt.decode(data[s:e])))
         return dropped
     _link_entries(data, line_code, entries)
     return None
@@ -138,10 +138,10 @@ def extract_translations_ru(
         for key, value in tpl.named_params.items():
             if key == "1":
                 continue  # the gloss slot
-            lang = registry.find_code(key)
-            if lang is None:
+            code = registry.find_code(key)
+            if code is None:
                 skipped.append(f"unknown language code: {key!r}")
                 continue
-            _link_entries(wt.encode(value), lang.code, entries)
+            _link_entries(wt.encode(value), code, entries)
         boxes.append((wt.strip_markup(tpl.first_param()), entries))
     return boxes, skipped

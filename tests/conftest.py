@@ -63,10 +63,11 @@ def fixture_page(dialect: str, name: str, record_id: int = 0) -> Page:
     return Page(title=name, raw_text=fixture_text(dialect, name), record_id=record_id)
 
 
-def pos_section(body: str, language: str = "en") -> PosSection:
-    """A noun section whose page is `body` alone."""
-    outline = PageOutline(body)
-    return PosSection(language=language, etymology_ordinal=0, pos="noun",
+def pos_section(body: str, dialect: str = "en") -> PosSection:
+    """A noun section of the `dialect` edition, in its own language, whose
+    page is `body` alone."""
+    outline = PageOutline(body, dialect)
+    return PosSection(language=dialect, etymology_ordinal=0, pos="noun",
                       span=(0, len(outline.data)), outline=outline)
 
 

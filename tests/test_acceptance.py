@@ -326,7 +326,7 @@ def test_criterion_7_registry_completeness():
     assert len(registry.languages) >= 540
     fixture_codes = ("en", "ru", "fi", "ko", "sq", "es", "et", "zh")
     for code in fixture_codes:
-        assert registry.find_code(code).code == code
+        assert registry.find_code(code) == code
     for name in ("English", "Russian", "Finnish", "Korean", "Albanian",
                  "Spanish", "Estonian", "Chinese"):
         assert registry.find_english_name(name) is not None, name

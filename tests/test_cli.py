@@ -255,3 +255,13 @@ def test_parse_accepts_start_record_zero(tmp_path):
     dump = write_dump(tmp_path / "en.xml", fixture_dump_pages("en"))
     assert main(["parse", "--dialect", "en", "--dump", dump,
                  "--store", str(tmp_path / "s.db"), "--start-record", "0"]) == 0
+
+
+def test_lookup_reverse_refuses_lang(tmp_path, capsys):
+    # a reverse lookup searches translations into every language
+    store = tmp_path / "missing.db"
+    with pytest.raises(SystemExit) as exc:
+        main(["lookup", "--store", str(store), "kissa", "--reverse", "--lang", "fi"])
+    assert exc.value.code == 2
+    assert "argument --lang: not allowed with argument --reverse" in capsys.readouterr().err
+    assert not store.exists()

@@ -71,14 +71,14 @@ def test_en_numbered_etymologies(registry):
     body = ("==English==\n===Etymology 1===\nx\n====Noun====\none\n"
             "===Etymology 2===\ny\n====Verb====\ntwo\n")
     sec = section_of(Page(title="t", raw_text=body), "en", registry)
-    ps = entry.split_pos_sections(sec, "en", registry)
+    ps = entry.split_pos_sections(sec)
     assert [(p.etymology_ordinal, p.pos) for p in ps] == [
         (1, "noun"), (2, "verb")]
 
 
 def test_en_single_pos(registry):
     sec = section_of(Page(title="t", raw_text="==English==\n===Noun===\nbody\n"), "en", registry)
-    ps = entry.split_pos_sections(sec, "en", registry)
+    ps = entry.split_pos_sections(sec)
     assert len(ps) == 1
     assert ps[0].pos == "noun" and ps[0].etymology_ordinal == 0
 
@@ -86,21 +86,21 @@ def test_en_single_pos(registry):
 def test_en_unknown_pos_heading(registry):
     body = "==English==\n===Noun===\none\n===Abbreviation===\ntwo\n"
     sec = section_of(Page(title="t", raw_text=body), "en", registry)
-    ps = entry.split_pos_sections(sec, "en", registry)
+    ps = entry.split_pos_sections(sec)
     assert [(p.pos, p.body) for p in ps] == [("noun", "one\n"), ("unknown", "two\n")]
 
 
 def test_en_no_headings_yields_unknown(registry):
     sec = section_of(Page(title="t", raw_text="==English==\njust text\n"), "en", registry)
-    ps = entry.split_pos_sections(sec, "en", registry)
-    assert len(ps) == 1
-    assert ps[0].pos == "unknown"
+    ps = entry.split_pos_sections(sec)
+    assert len(ps) == 1 and ps[0] is sec  # the language section itself
+    assert ps[0].pos == "unknown" and ps[0].etymology_ordinal == 0
     assert ps[0].body == sec.body
 
 
 def test_ru_pos_from_morphology_template(registry):
     sec = section_of(fixture_page("ru", "ангел"), "ru", registry)
-    ps = entry.split_pos_sections(sec, "ru", registry)
+    ps = entry.split_pos_sections(sec)
     assert len(ps) == 1
     assert ps[0].pos == "noun"
     assert ps[0].etymology_ordinal == 0
@@ -108,7 +108,7 @@ def test_ru_pos_from_morphology_template(registry):
 
 def test_ru_homonym_blocks(registry):
     sec = section_of(fixture_page("ru", "замок"), "ru", registry)
-    ps = entry.split_pos_sections(sec, "ru", registry)
+    ps = entry.split_pos_sections(sec)
     assert [(p.etymology_ordinal, p.pos) for p in ps] == [
         (1, "noun"), (2, "noun")]
 
@@ -128,25 +128,25 @@ def reference_definition_filter(body: str) -> list[str]:
 def test_extract_definitions_line_rules():
     body = "# A [[dog]].\n#: ''usage''\n# A scoundrel."
     ps = pos_section(body)
-    got = entry.extract_definitions(ps, "en")
+    got = entry.extract_definitions(ps)
     assert got == [(1, "A [[dog]].", ["dog"]), (2, "A scoundrel.", [])]
     assert [wikitext for _, wikitext, _ in got] == reference_definition_filter(body)
 
 
 def test_extract_definitions_empty():
     ps = pos_section("")
-    assert entry.extract_definitions(ps, "en") == []
+    assert entry.extract_definitions(ps) == []
 
 
 def test_extract_definitions_form_of_template():
     ps = pos_section("# {{plural of|dog}}\n")
-    assert entry.extract_definitions(ps, "en") == [(1, "{{plural of|dog}}", [])]
+    assert entry.extract_definitions(ps) == [(1, "{{plural of|dog}}", [])]
 
 
 def test_ru_definitions_come_from_their_subsection(registry):
     sec = section_of(fixture_page("ru", "ангел"), "ru", registry)
-    ps = entry.split_pos_sections(sec, "ru", registry)[0]
-    got = entry.extract_definitions(ps, "ru")
+    ps = entry.split_pos_sections(sec)[0]
+    got = entry.extract_definitions(ps)
     assert len(got) == 2
     assert wt.strip_markup(got[0][1]).startswith("посланец бога")
 
@@ -154,7 +154,7 @@ def test_ru_definitions_come_from_their_subsection(registry):
 @given(st.text(alphabet=st.sampled_from(list("#:*abc \n[]{}|='")), max_size=200))
 @settings(max_examples=200)
 def test_definition_ordinals_consecutive(body):
-    got = entry.extract_definitions(pos_section(body), "en")
+    got = entry.extract_definitions(pos_section(body))
     assert [ordinal for ordinal, _, _ in got] == list(range(1, len(got) + 1))
     assert [wikitext for _, wikitext, _ in got] == reference_definition_filter(body)
 
@@ -166,15 +166,15 @@ def test_sectioning_never_raises(registry, text):
         page = Page(title="fuzz", raw_text=text)
         sections, _ = entry.split_language_sections(page, dialect, registry)
         for sec in sections:
-            for ps in entry.split_pos_sections(sec, dialect, registry):
-                meanings = entry.extract_definitions(ps, dialect)
+            for ps in entry.split_pos_sections(sec):
+                meanings = entry.extract_definitions(ps)
                 entry.classify_soft_redirect(page.title, meanings)
 
 
 # -- soft redirects -----------------------------------------------------------------
 
 def soft_redirect(title, body):
-    meanings = entry.extract_definitions(pos_section(body), "en")
+    meanings = entry.extract_definitions(pos_section(body))
     return entry.classify_soft_redirect(title, meanings)
 
 

@@ -1,6 +1,7 @@
 """The summary benchmarks/pairs.py writes into a BENCH file."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,25 @@ def test_summary_needs_matched_pairs():
     assert pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
     with pytest.raises(ValueError):
         pairs.summarize([{"x": 1}], [], {"x": "lower"})
+
+
+def test_uncommitted_edits_count_untracked_files(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / ".gitignore").write_text("/.perfbench/\n", encoding="utf-8")
+    (tmp_path / "kept.py").write_text("x = 1\n", encoding="utf-8")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    assert not pairs.has_uncommitted_edits(tmp_path)
+    (tmp_path / ".perfbench").mkdir()
+    (tmp_path / ".perfbench" / "result.json").write_text("{}", encoding="utf-8")
+    (tmp_path / "BENCH_parse_en.json").write_text("{}", encoding="utf-8")
+    assert not pairs.has_uncommitted_edits(tmp_path)  # ignored files and BENCH output
+    (tmp_path / "new_module.py").write_text("y = 2\n", encoding="utf-8")
+    assert pairs.has_uncommitted_edits(tmp_path)
+    (tmp_path / "new_module.py").unlink()
+    (tmp_path / "kept.py").write_text("x = 2\n", encoding="utf-8")
+    assert pairs.has_uncommitted_edits(tmp_path)

@@ -551,3 +551,52 @@ def test_resumed_checkpoint_counters_match_uninterrupted(tmp_path):
         assert want["wiki_text_truncated"] == 1
         assert want["sections_skipped_unknown_language"] == 5
         assert b.load_checkpoint().counters == want
+
+
+def test_start_record_carries_checkpoint_counters_only_from_the_checkpoint_on(tmp_path):
+    # six pages of one unknown-language section each
+    dump = write_dump(tmp_path / "d.xml", [
+        (f"w{i}", "==English==\n===Noun===\n# x\n==Qqzish==\n# y\n") for i in range(6)])
+    store_path = tmp_path / "s.db"
+
+    def skipped_sections(start_record):
+        """The sections the run skipped, and those its checkpoint counts."""
+        report = run_parse(ParseConfig(dialect="en", dump_path=dump, store_path=store_path,
+                                       start_record=start_record))
+        with MrdStore(store_path) as store:
+            counters = store.load_checkpoint().counters
+        return report.sections_skipped_unknown_language, counters[
+            "sections_skipped_unknown_language"]
+
+    assert skipped_sections(None) == (6, 6)
+    # at or past the checkpoint, the run reads no page its counters count
+    assert skipped_sections(6) == (0, 6)
+    assert skipped_sections(9) == (0, 6)
+    # below it, the run counts pages 1-5 again, so it counts from zero as a
+    # start at 0 does
+    assert skipped_sections(1) == (5, 5)
+    assert skipped_sections(0) == (6, 6)
+
+
+@pytest.mark.parametrize("other_dump", ["same", "ru"])
+def test_a_parse_under_another_edition_is_refused_writing_nothing(tmp_path, other_dump):
+    en_dump = write_dump(tmp_path / "en.xml", fixture_dump_pages("en"))
+    store_path = tmp_path / "en.db"
+    crashed = run_cli(["parse", "--dialect", "en", "--dump", en_dump, "--store",
+                       str(store_path), "--checkpoint-interval", "2"],
+                      env_extra={"WIKTMRD_CRASH_AFTER_PAGES": "4"})
+    assert crashed.returncode == 86
+
+    def state():
+        with MrdStore(store_path) as store:
+            return (store.query("SELECT key, value FROM meta ORDER BY key"),
+                    store.table_sizes(), store.load_checkpoint())
+    before = state()
+    assert ("dialect", "en") in before[0] and ("native_code", "en") in before[0]
+    dump = en_dump if other_dump == "same" else write_dump(
+        tmp_path / "ru.xml", fixture_dump_pages("ru"))
+    refused = run_cli(["parse", "--dialect", "ru", "--dump", dump, "--store", str(store_path)])
+    assert refused.returncode == 2
+    assert refused.stderr == (f"error: {store_path}: the store holds the en edition, "
+                              f"not ru; parse a ru dump into a new store\n")
+    assert state() == before

@@ -9,18 +9,20 @@ def builtin():
 
 
 def test_lookup_code_examples(builtin):
-    assert builtin.find_code("fi").english_name == "Finnish"
-    assert builtin.find_code("sq").english_name == "Albanian"
+    assert builtin.languages[builtin.find_code("fi")].english_name == "Finnish"
+    assert builtin.languages[builtin.find_code("sq")].english_name == "Albanian"
     assert builtin.find_code("zz-bogus") is None
 
 
 def test_lookup_code_case_insensitive(builtin):
-    assert builtin.find_code("FI").code == "fi"
+    assert builtin.find_code("FI") == "fi"
+    # the table's own string, which a pickle of many rows holds once
+    assert builtin.find_code(" FI ") is builtin.find_code("fi")
 
 
 def test_lookup_english_name_examples(builtin):
-    assert builtin.find_english_name("Finnish").code == "fi"
-    assert builtin.find_english_name("Korean").code == "ko"
+    assert builtin.find_english_name("Finnish") == "fi"
+    assert builtin.find_english_name("Korean") == "ko"
     assert builtin.find_english_name("Klingonish") is None
 
 
@@ -30,12 +32,12 @@ def test_builtin_size_at_least_540(builtin):
 
 def test_builtin_bijection(builtin):
     for lang in builtin.languages.values():
-        assert builtin.find_english_name(lang.english_name).code == lang.code
+        assert builtin.find_english_name(lang.english_name) == lang.code
 
 
 def test_fixture_languages_resolve(builtin):
     for code in ("en", "ru", "fi", "ko", "sq", "et", "es"):
-        assert builtin.find_code(code).code == code
+        assert builtin.find_code(code) == code
     for name in ("English", "Russian", "Finnish", "Korean", "Albanian"):
         assert builtin.find_english_name(name) is not None
 
@@ -54,17 +56,17 @@ def test_exactly_nine_relation_types():
     ("Синонимы", "ru", "synonym"),
     ("Антонимы", "ru", "antonym"),
 ])
-def test_classify_relation_heading(builtin, inner, dialect, expected):
-    assert builtin.find_relation_heading(inner, dialect) == expected
+def test_classify_relation_heading(inner, dialect, expected):
+    assert reg.find_relation_heading(inner, dialect) == expected
 
 
-def test_classify_relation_heading_rejects_other_sections(builtin):
-    assert builtin.find_relation_heading("Pronunciation", "en") is None
+def test_classify_relation_heading_rejects_other_sections():
+    assert reg.find_relation_heading("Pronunciation", "en") is None
 
 
-def test_classification_is_total(builtin):
+def test_classification_is_total():
     for s in ("", "  ", "Synonyms", "Etymology", "123", "=x=", "\x00"):
-        rt = builtin.find_relation_heading(s, "en")
+        rt = reg.find_relation_heading(s, "en")
         assert rt is None or rt in reg.RELATION_TYPE_NAMES
 
 
@@ -72,8 +74,8 @@ def test_load_registry_extends_builtin(tmp_path):
     path = tmp_path / "extra.tsv"
     path.write_text("# comment\nzzx\tZizzish\tЗиззский\nfi\tFinnish\tФинский\n", encoding="utf-8")
     r = reg.load_registry(path)
-    assert r.find_code("zzx").english_name == "Zizzish"
-    assert r.find_code("fi").russian_name == "Финский"
+    assert r.languages["zzx"].english_name == "Zizzish"
+    assert r.languages["fi"].russian_name == "Финский"
     assert len(r.languages) >= 541
 
 
@@ -99,11 +101,11 @@ def test_load_registry_bad_code_rejected(tmp_path):
         reg.load_registry(path)
 
 
-def test_pos_lookups(builtin):
-    assert builtin.pos_for_heading_en("Noun") == "noun"
-    assert builtin.pos_for_heading_en("Proper noun") == "proper_noun"
-    assert builtin.pos_for_heading_en("Etymology") is None
-    assert builtin.pos_for_ru_template("сущ ru m ina 5a") == "noun"
-    assert builtin.pos_for_ru_template("гл ru нсв") == "verb"
-    assert builtin.pos_for_ru_template("прил-ru") == "adjective"
-    assert builtin.pos_for_ru_template("table of contents") is None
+def test_pos_lookups():
+    assert reg.pos_for_heading_en("Noun") == "noun"
+    assert reg.pos_for_heading_en("Proper noun") == "proper_noun"
+    assert reg.pos_for_heading_en("Etymology") is None
+    assert reg.pos_for_ru_template("сущ ru m ina 5a") == "noun"
+    assert reg.pos_for_ru_template("гл ru нсв") == "verb"
+    assert reg.pos_for_ru_template("прил-ru") == "adjective"
+    assert reg.pos_for_ru_template("table of contents") is None

@@ -5,15 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_page, pos_section
 from wiktmrd import entry, relations, wikitext as wt
-from wiktmrd.registry import RELATION_TYPE_NAMES
+from wiktmrd.registry import RELATION_TYPE_NAMES, find_relation_heading
 
 
 def pos_sections_for(page, dialect, registry):
     sections, _ = entry.split_language_sections(page, dialect, registry)
     out = []
     for sec in sections:
-        for ps in entry.split_pos_sections(sec, dialect, registry):
-            meanings = entry.extract_definitions(ps, dialect)
+        for ps in entry.split_pos_sections(sec):
+            meanings = entry.extract_definitions(ps)
             out.append((ps, meanings))
     return out
 
@@ -22,13 +22,13 @@ def relation_types(rows):
     return {type_name for type_name, _, _, _ in rows}
 
 
-def count_wikilinks_under_relation_headings(body, dialect, registry):
+def count_wikilinks_under_relation_headings(body, dialect):
     """Brute-force oracle: wikilinks below relation headings."""
     total = 0
     heads = wt.scan_headings(body)
     data = wt.encode(body)
     for i, head in enumerate(heads):
-        if registry.find_relation_heading(head.inner_text, dialect) is None:
+        if find_relation_heading(head.inner_text, dialect) is None:
             continue
         end = len(data)
         for nxt in heads[i + 1:]:
@@ -41,45 +41,45 @@ def count_wikilinks_under_relation_headings(body, dialect, registry):
 
 def test_toe_has_seven_relations_in_six_types(registry):
     [(ps, meanings)] = pos_sections_for(fixture_page("en", "toe"), "en", registry)
-    rows = relations.extract_relations(ps, meanings, "en", registry)
+    rows = relations.extract_relations(ps, meanings)
     assert len(rows) == 7
     assert relation_types(rows) == {
         "synonym", "antonym", "hyponym", "holonym", "meronym", "coordinate_term"}
-    oracle = count_wikilinks_under_relation_headings(ps.body, "en", registry)
+    oracle = count_wikilinks_under_relation_headings(ps.body, "en")
     assert len(rows) == oracle
 
 
 def test_paw_homonyms_counted_separately(registry):
     groups = pos_sections_for(fixture_page("en", "paw"), "en", registry)
     assert len(groups) == 2
-    first = relations.extract_relations(*groups[0], "en", registry)
-    second = relations.extract_relations(*groups[1], "en", registry)
+    first = relations.extract_relations(*groups[0])
+    second = relations.extract_relations(*groups[1])
     assert (len(first), len(relation_types(first))) == (12, 4)
     assert (len(second), len(relation_types(second))) == (7, 5)
 
 
 def test_iron_has_six_distinct_types(registry):
     [(ps, meanings)] = pos_sections_for(fixture_page("en", "iron"), "en", registry)
-    rows = relations.extract_relations(ps, meanings, "en", registry)
+    rows = relations.extract_relations(ps, meanings)
     assert len(relation_types(rows)) == 6
 
 
 def test_empty_relation_header_yields_nothing(registry):
     ps = pos_section("====Synonyms====\n")
-    assert relations.extract_relations(ps, [], "en", registry) == []
+    assert relations.extract_relations(ps, []) == []
 
 
 def test_single_antonym_line(registry):
     ps = pos_section("# warm\n====Antonyms====\n* [[cold]]\n")
-    meanings = entry.extract_definitions(ps, "en")
-    rows = relations.extract_relations(ps, meanings, "en", registry)
+    meanings = entry.extract_definitions(ps)
+    rows = relations.extract_relations(ps, meanings)
     assert rows == [("antonym", "cold", "[[cold]]", None)]
 
 
 def test_sense_gloss_alignment(registry):
     [(ps, meanings)] = [g for g in pos_sections_for(fixture_page("en", "dog"), "en", registry)
                         if g[0].pos == "noun"]
-    rows = relations.extract_relations(ps, meanings, "en", registry)
+    rows = relations.extract_relations(ps, meanings)
     ordinal_of = {word: ordinal for _, word, _, ordinal in rows}
     # {{sense|animal}} aligns to the first meaning, whose text holds "animal"
     assert ordinal_of["hound"] == meanings[0][0]
@@ -91,7 +91,7 @@ def test_sense_gloss_alignment(registry):
 
 def test_unmatched_sense_gloss_maps_to_none(registry):
     [(ps, meanings)] = pos_sections_for(fixture_page("en", "toe"), "en", registry)
-    rows = relations.extract_relations(ps, meanings, "en", registry)
+    rows = relations.extract_relations(ps, meanings)
     # its {{sense|digit of the foot}} is in no meaning's text
     [digit_ordinal] = [ordinal for _, word, _, ordinal in rows if word == "digit"]
     assert digit_ordinal is None
@@ -99,14 +99,14 @@ def test_unmatched_sense_gloss_maps_to_none(registry):
 
 def test_bare_word_lines_split_on_commas(registry):
     ps = pos_section("====Synonyms====\n* hound, cur; tyke\n")
-    rows = relations.extract_relations(ps, [], "en", registry)
+    rows = relations.extract_relations(ps, [])
     assert [word for _, word, _, _ in rows] == ["hound", "cur", "tyke"]
     assert all(wikitext == word for _, word, wikitext, _ in rows)
 
 
 def test_link_template_acts_as_wikilink(registry):
     ps = pos_section("====Synonyms====\n* {{l|en|hound}}\n")
-    rows = relations.extract_relations(ps, [], "en", registry)
+    rows = relations.extract_relations(ps, [])
     assert len(rows) == 1
     assert rows[0][1] == "hound"
 
@@ -128,13 +128,13 @@ def test_link_template_acts_as_wikilink(registry):
 ])
 def test_line_edge_cases(registry, line, expected):
     ps = pos_section(f"# an [[animal]]\n# rogue\n====Synonyms====\n* {line}\n")
-    meanings = entry.extract_definitions(ps, "en")
-    assert relations.extract_relations(ps, meanings, "en", registry) == expected
+    meanings = entry.extract_definitions(ps)
+    assert relations.extract_relations(ps, meanings) == expected
 
 
 def test_ru_lines_align_to_meaning_ordinals(registry):
     [(ps, meanings)] = pos_sections_for(fixture_page("ru", "ангел"), "ru", registry)
-    rows = relations.extract_relations(ps, meanings, "ru", registry)
+    rows = relations.extract_relations(ps, meanings)
     assert [(word, ordinal) for t, word, _, ordinal in rows if t == "synonym"] == [
         ("вестник", 1), ("посланник", 1), ("добряк", 2)]
     # the second antonym line is the "-" placeholder: it consumes ordinal 2
@@ -144,7 +144,7 @@ def test_ru_lines_align_to_meaning_ordinals(registry):
 
 def test_ru_empty_headers_yield_zero_records(registry):
     [(ps, meanings)] = pos_sections_for(fixture_page("ru", "собака"), "ru", registry)
-    rows = relations.extract_relations(ps, meanings, "ru", registry)
+    rows = relations.extract_relations(ps, meanings)
     assert [(type_name, word) for type_name, word, _, _ in rows] == [("synonym", "пёс")]
 
 
@@ -152,8 +152,7 @@ def test_target_word_is_stripped_wikitext(registry):
     # the invariant target_word == strip_markup(target_wikitext)
     for name in ("toe", "paw", "iron", "dog"):
         for ps, meanings in pos_sections_for(fixture_page("en", name), "en", registry):
-            for _, word, wikitext, _ in relations.extract_relations(
-                    ps, meanings, "en", registry):
+            for _, word, wikitext, _ in relations.extract_relations(ps, meanings):
                 assert word == wt.strip_markup(wikitext)
                 assert word
 
@@ -174,9 +173,9 @@ _RELATION_TOKENS = (
 @settings(max_examples=150)
 def test_relation_extraction_never_raises(registry, body):
     for dialect in ("en", "ru"):
-        ps = pos_section(body, language=dialect)
-        meanings = entry.extract_definitions(ps, dialect)
-        rows = relations.extract_relations(ps, meanings, dialect, registry)
+        ps = pos_section(body, dialect=dialect)
+        meanings = entry.extract_definitions(ps)
+        rows = relations.extract_relations(ps, meanings)
         assert len(relation_types(rows)) <= min(len(rows), 9)
         for type_name, word, wikitext, ordinal in rows:
             assert word

@@ -9,7 +9,7 @@ from wiktmrd import entry, translations
 def noun_section(page, dialect, registry):
     sections, _ = entry.split_language_sections(page, dialect, registry)
     for sec in sections:
-        for ps in entry.split_pos_sections(sec, dialect, registry):
+        for ps in entry.split_pos_sections(sec):
             if ps.pos == "noun":
                 return ps
     raise AssertionError("no noun section")
@@ -93,14 +93,14 @@ def test_ru_translation_block(registry):
 
 
 def test_ru_empty_block(registry):
-    ps = pos_section("{{перев-блок}}\n", language="ru")
+    ps = pos_section("{{перев-блок}}\n", dialect="ru")
     boxes, skipped = translations.extract_translations_ru(ps, registry)
     assert len(boxes) == 1
     assert boxes[0][1] == [] and skipped == []
 
 
 def test_ru_named_gloss_slot_is_the_gloss(registry):
-    ps = pos_section("{{перев-блок|1=[[зверь]]|fi=[[koira]]}}\n", language="ru")
+    ps = pos_section("{{перев-блок|1=[[зверь]]|fi=[[koira]]}}\n", dialect="ru")
     boxes, skipped = translations.extract_translations_ru(ps, registry)
     assert boxes == [("зверь", [("fi", "koira", "[[koira]]")])]
     assert skipped == []
@@ -108,21 +108,21 @@ def test_ru_named_gloss_slot_is_the_gloss(registry):
 
 def test_ru_codes_taken_at_face_value(registry):
     # "et" stays Estonian even if the editor meant Spanish
-    ps = pos_section("{{перев-блок||et=[[x]]}}\n", language="ru")
+    ps = pos_section("{{перев-блок||et=[[x]]}}\n", dialect="ru")
     boxes, skipped = translations.extract_translations_ru(ps, registry)
     assert [(code, word) for code, word, _ in boxes[0][1]] == [("et", "x")]
     assert skipped == []
 
 
 def test_ru_unknown_code_skipped(registry):
-    ps = pos_section("{{перев-блок||qqz9=[[x]]|fi=[[y]]}}\n", language="ru")
+    ps = pos_section("{{перев-блок||qqz9=[[x]]|fi=[[y]]}}\n", dialect="ru")
     boxes, skipped = translations.extract_translations_ru(ps, registry)
     assert [(code, word) for code, word, _ in boxes[0][1]] == [("fi", "y")]
     assert len(skipped) == 1 and "qqz9" in skipped[0]
 
 
 def test_ru_multiple_links_in_one_value(registry):
-    ps = pos_section("{{перев-блок||fi=[[a]], [[b]]}}\n", language="ru")
+    ps = pos_section("{{перев-блок||fi=[[a]], [[b]]}}\n", dialect="ru")
     boxes, _ = translations.extract_translations_ru(ps, registry)
     assert [word for _, word, _ in boxes[0][1]] == ["a", "b"]
 
@@ -132,7 +132,7 @@ def test_box_count_matches_openings(registry):
     boxes, _ = translations.extract_translations_en(en_ps, registry)
     assert len(boxes) == 2
 
-    ru_ps = pos_section("{{перев-блок|a}}\n{{перев-блок|b}}\n", language="ru")
+    ru_ps = pos_section("{{перев-блок|a}}\n{{перев-блок|b}}\n", dialect="ru")
     boxes, _ = translations.extract_translations_ru(ru_ps, registry)
     assert [gloss for gloss, _ in boxes] == ["a", "b"]
 
@@ -154,7 +154,7 @@ _TRANSLATION_TOKENS = (
 @settings(max_examples=150)
 def test_translation_extraction_never_raises(registry, body):
     for dialect in ("en", "ru"):
-        ps = pos_section(body, language=dialect)
+        ps = pos_section(body, dialect=dialect)
         if dialect == "en":
             boxes, skipped = translations.extract_translations_en(ps, registry)
         else:
