@@ -12,9 +12,11 @@ of the host's speed falls on both sides alike. Each side runs its own
 perfbench.
 
 For every end-to-end metric of BENCHMARK.json the file records each side's
-median and quartiles over the pairs and the change's wins out of them (a
-tie counts for neither side), with the seeds, nproc, workers, both commit
-ids and every run's values. It is written to the root of the checkout.
+median and quartiles over the pairs, the change's wins out of them (a tie
+counts for neither side) and `worse_beyond_bound`: whether the change's
+median is worse than the base's by more than the metric's bound, relative
+to the base median. It also records the seeds, nproc, workers, both commit
+ids and every run's values, and is written to the root of the checkout.
 """
 
 from __future__ import annotations
@@ -77,10 +79,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(base: list[dict[str, float]], change: list[dict[str, float]],
-              better: dict[str, str]) -> dict[str, dict]:
+              better: dict[str, str], bounds: dict[str, float] | None = None
+              ) -> dict[str, dict]:
     """Per metric named in `better` ("higher" or "lower"), from the metric
     values of pairs base[i]/change[i]: each side's quartiles, the change's
-    wins out of the pairs, and its median relative to the base's."""
+    wins out of the pairs, and its median relative to the base's. A metric
+    with a bound in `bounds` also gets worse_beyond_bound: whether that
+    relative change, taken in the metric's better direction, is below
+    minus the bound (None when the base median is 0)."""
     if len(base) != len(change) or not base:
         raise ValueError("need the same number of base and change runs, at least one")
     out = {}
@@ -90,14 +96,18 @@ def summarize(base: list[dict[str, float]], change: list[dict[str, float]],
         sign = 1 if direction == "higher" else -1
         b1, b2, b3 = quartiles(b)
         c1, c2, c3 = quartiles(c)
+        median_change = c2 / b2 - 1 if b2 else None
         out[name] = {
             "better": direction,
             "base": {"q1": b1, "median": b2, "q3": b3},
             "change": {"q1": c1, "median": c2, "q3": c3},
             "wins": sum(sign * (y - x) > 0 for x, y in zip(b, c)),
             "pairs": len(b),
-            "median_change": c2 / b2 - 1 if b2 else None,
+            "median_change": median_change,
         }
+        if bounds and name in bounds:
+            out[name]["worse_beyond_bound"] = (
+                None if median_change is None else -sign * median_change > bounds[name])
     return out
 
 
@@ -113,6 +123,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     change_commit = _git("rev-parse", "HEAD")
     dirty = has_uncommitted_edits()
     seeds = [11 + i for i in range(args.pairs)]
@@ -143,7 +154,7 @@ def main(argv=None) -> int:
         "all_correct": all(r["correct"] and r["failed"] == 0
                            for side in runs.values() for r in side),
         "metrics": summarize([r["metrics"] for r in runs["base"]],
-                             [r["metrics"] for r in runs["change"]], better),
+                             [r["metrics"] for r in runs["change"]], better, bounds),
         "runs": {side: [{"seed": seed, "first": (i % 2 == 0) == (side == "base"),
                          "correct": r["correct"], "failed": r["failed"],
                          "metrics": r["metrics"]}

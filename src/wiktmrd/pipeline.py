@@ -1,8 +1,8 @@
 """Dump ingestion and the extract / analyze / save pipeline.
 
 A run streams pages out of a (possibly compressed) MediaWiki pages-articles
-XML export, analyzes each page into a WordBundle, and commits bundles to the
-store in record order. Checkpoints are written inside the same transaction
+XML export, analyzes each page into the rows store.save_word takes, and saves
+them in record order. Checkpoints are written inside the same transaction
 as the data, every `checkpoint_interval` pages, so a killed run resumes from
 the last checkpoint and produces output identical to an uninterrupted run.
 Pages are analyzed in worker processes while this process reads the dump
@@ -22,11 +22,11 @@ import sys
 import time
 import xml.etree.ElementTree as ET
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import entry, relations, translations
 from .registry import Registry, builtin_registry, check_dialect, load_registry
-from .store import Checkpoint, ChecksumMismatch, MrdStore, WordBundle
+from .store import Checkpoint, ChecksumMismatch, MrdStore
 
 # test seam: abort the process abruptly (no cleanup, like kill -9) after this
 # many pages have been saved; exercises crash recovery end to end
@@ -176,7 +176,7 @@ class AnalyzedPage:
     record_id: int
     title: str
     kind: str  # "parsed" | "redirect" | "namespace" | "failed"
-    bundle: WordBundle | None = None
+    lang_pos: list[tuple] = field(default_factory=list)  # store.save_word's rows
     skipped_sections: int = 0
     skipped_lines: int = 0
     error: str = ""
@@ -189,7 +189,7 @@ def analyze_page(page: entry.Page, dialect: str, registry: Registry) -> Analyzed
         return AnalyzedPage(page.record_id, page.title, "namespace")
     try:
         sections, skipped = entry.split_language_sections(page, dialect, registry)
-        bundle = WordBundle(title=page.title, record_id=page.record_id)
+        lang_pos = []
         skipped_lines = 0
         seen_ordinals: dict[tuple[str, str], set[int]] = {}
         for sec in sections:
@@ -210,9 +210,8 @@ def analyze_page(page: entry.Page, dialect: str, registry: Registry) -> Analyzed
                 if ordinal in taken:
                     ordinal = max(taken) + 1
                 taken.add(ordinal)
-                bundle.lang_pos.append(
-                    (ps.language, ps.pos, ordinal, meanings, records, boxes, soft))
-        return AnalyzedPage(page.record_id, page.title, "parsed", bundle=bundle,
+                lang_pos.append((ps.language, ps.pos, ordinal, meanings, records, boxes, soft))
+        return AnalyzedPage(page.record_id, page.title, "parsed", lang_pos,
                             skipped_sections=len(skipped), skipped_lines=skipped_lines)
     except Exception as exc:  # robustness contract: one page never kills a run
         return AnalyzedPage(page.record_id, page.title, "failed", error=repr(exc))
@@ -243,12 +242,8 @@ def run_parse(config: ParseConfig) -> ParseReport:
     registry = (load_registry(config.registry_path)
                 if config.registry_path else builtin_registry())
     identity = dump_identity(config.dump_path)
-    store = MrdStore(config.store_path, native_code=config.dialect, dialect=config.dialect)
-    try:
+    with MrdStore(config.store_path, dialect=config.dialect) as store:
         report = _run_parse_inner(config, store, registry, identity)
-    finally:
-        store.rollback()
-        store.close()
     report.elapsed = time.monotonic() - t0
     report.pages_per_second = report.pages_seen / report.elapsed if report.elapsed else 0.0
     return report
@@ -336,7 +331,8 @@ def _run_parse_inner(config, store, registry, identity) -> ParseReport:
                 report.pages_failed += 1
                 print(f"failed page: {result.title}: {result.error}", file=sys.stderr)
             else:
-                report.wiki_text_truncated += store.save_word(result.bundle)
+                report.wiki_text_truncated += store.save_word(
+                    result.title, result.record_id, result.lang_pos)
                 report.pages_parsed += 1
                 report.sections_skipped_unknown_language += result.skipped_sections
                 report.translation_lines_skipped += result.skipped_lines

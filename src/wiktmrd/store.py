@@ -19,13 +19,13 @@ forgets the ids it cached. save_word is atomic per page and idempotent per
 title. Checkpoints commit in the same transaction as the data they
 describe, so a killed process always restarts from a consistent point.
 
-A page reaches save_word as a WordBundle whose content is plain tuples, the
-cheapest form to pickle out of an analysis worker. The analysis produces
-these rows directly: entry.extract_definitions returns the meaning rows,
+A page reaches save_word(title, record_id, lang_pos) as the pipeline holds
+it: lang_pos is plain tuples, the cheapest form to pickle out of an analysis
+worker. The analysis produces these rows directly:
+entry.extract_definitions returns the meaning rows,
 relations.extract_relations the relation rows,
 translations.extract_translations_en/ru the translation boxes and
-entry.classify_soft_redirect the soft_redirect pair. Each entry of
-WordBundle.lang_pos is
+entry.classify_soft_redirect the soft_redirect pair. Each entry of lang_pos is
 
     (lang_code, pos_name, etymology_ordinal,
      meanings, relations, translations, soft_redirect)
@@ -186,14 +186,6 @@ class Checkpoint:
     counters: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass
-class WordBundle:
-    """One analyzed page; lang_pos holds the row tuples of the module docstring."""
-    title: str
-    record_id: int
-    lang_pos: list[tuple] = field(default_factory=list)
-
-
 def _text_hash(text: str) -> int:
     """wiki_text.hash of `text`: its CRC-32, shifted into the signed 32-bit
     range, which SQLite stores in 4 bytes. Stable across processes and
@@ -218,7 +210,7 @@ def _translate_error(exc: sqlite3.Error) -> StoreError:
 class MrdStore:
     """Multi-reader dictionary store whose writers take turns."""
 
-    def __init__(self, path, native_code: str | None = None, dialect: str | None = None):
+    def __init__(self, path, dialect: str | None = None):
         self.path = str(path)
         try:
             self._conn = sqlite3.connect(self.path, isolation_level=None)
@@ -240,14 +232,14 @@ class MrdStore:
                     f"wiktmrd reads version {SCHEMA_VERSION}; export the store to TSV "
                     f"with the wiktmrd version that wrote it and import the files into "
                     f"a new store, or reparse the dump into a new store")
-            recorded = self.get_meta("dialect")
-            if dialect is not None and recorded not in (None, dialect):
-                raise StoreError(f"{self.path}: the store holds the {recorded} edition, "
-                                 f"not {dialect}; parse a {dialect} dump into a new store")
-            if native_code is not None:
-                self._set_meta("native_code", native_code)
             if dialect is not None:
-                self._set_meta("dialect", dialect)
+                recorded = self.get_meta("dialect")
+                if recorded is None:  # an edition's native language is its own
+                    self._set_meta("native_code", dialect)
+                    self._set_meta("dialect", dialect)
+                elif recorded != dialect:
+                    raise StoreError(f"{self.path}: the store holds the {recorded} edition, "
+                                     f"not {dialect}; parse a {dialect} dump into a new store")
         except BaseException as exc:
             self._conn.close()
             if isinstance(exc, sqlite3.Error):
@@ -411,7 +403,7 @@ class MrdStore:
 
     # -- saving ---------------------------------------------------------------
 
-    def save_word(self, bundle: WordBundle) -> int:
+    def save_word(self, title: str, record_id: int, lang_pos: list[tuple]) -> int:
         """Write one parsed page atomically; re-saving a title replaces it.
         Returns how many new texts it stored cut to MAX_WIKI_TEXT_BYTES.
 
@@ -421,7 +413,7 @@ class MrdStore:
         self._truncated = 0
         try:
             conn.execute("SAVEPOINT page")
-            self._save_word_rows(bundle)
+            self._save_word_rows(title, record_id, lang_pos)
             conn.execute("RELEASE page")  # commits when it began the transaction
         except Exception as exc:
             if conn.in_transaction:
@@ -436,7 +428,7 @@ class MrdStore:
             raise
         return self._truncated
 
-    def _save_word_rows(self, bundle: WordBundle):
+    def _save_word_rows(self, title, record_id, lang_pos):
         conn = self._conn
         text_id = self._wiki_text_id
         # An entry or relation whose text is cached with its word written
@@ -446,7 +438,7 @@ class MrdStore:
         cache = self._wiki_text_cache
         interned = self._interned
         existing = conn.execute(
-            "SELECT id FROM page WHERE title=?", (bundle.title,)).fetchone()
+            "SELECT id FROM page WHERE title=?", (title,)).fetchone()
         # the first read fixed what this transaction sees; if another
         # connection has committed since the last page, cached ids and next
         # ids may be stale
@@ -456,11 +448,11 @@ class MrdStore:
             self._data_version = data_version
         if existing:
             self._delete_page_rows(existing[0])
-        soft = next((lp[6] for lp in bundle.lang_pos if lp[6] is not None), None)
+        soft = next((lp[6] for lp in lang_pos if lp[6] is not None), None)
         page_id = conn.execute(
             "INSERT INTO page(title, record_id, is_soft_redirect, redirect_target) "
             "VALUES (?, ?, ?, ?)",
-            (bundle.title, bundle.record_id, 1 if soft else 0,
+            (title, record_id, 1 if soft else 0,
              soft[1] if soft else None)).lastrowid
 
         # Parent rows go in one by one for their ids; leaf rows wait for one
@@ -473,7 +465,7 @@ class MrdStore:
         entry_rows = []
         inflection_rows = []
         for (lang_code, pos_name, etymology_ordinal,
-             meanings, relations, translations, soft_redirect) in bundle.lang_pos:
+             meanings, relations, translations, soft_redirect) in lang_pos:
             lang_pos_id = conn.execute(
                 "INSERT INTO lang_pos(page_id, lang_id, pos_id, etymology_ordinal) "
                 "VALUES (?, ?, ?, ?)",
@@ -740,13 +732,17 @@ class MrdStore:
     def export_tsv(self, directory):
         """One sorted TSV per logical table and per word index; values escape
         tab/newline/backslash. Rows are written as the cursor yields them,
-        and each query is closed even when writing fails."""
+        and each query is closed even when writing fails. The index_*.tsv
+        files of an earlier export in `directory` are removed first."""
         self.check_referential_integrity()
         os.makedirs(directory, exist_ok=True)
         for table, columns in TABLE_COLUMNS.items():
             with contextlib.closing(self._conn.execute(
                     f"SELECT {', '.join(columns)} FROM {table} ORDER BY id")) as rows:
                 _write_tsv(os.path.join(directory, f"{table}.tsv"), columns, rows)
+        for name in os.listdir(directory):
+            if name.startswith("index_") and name.endswith(".tsv"):
+                os.remove(os.path.join(directory, name))
         with contextlib.closing(self._word_indexes()) as indexes:
             for table, rows in indexes:
                 _write_tsv(os.path.join(directory, f"{table}.tsv"), _WORD_INDEX_COLUMNS, rows)
@@ -767,7 +763,8 @@ class MrdStore:
             # setting cannot change inside a transaction
             self._conn.execute("PRAGMA foreign_keys=OFF")
             self._conn.execute("BEGIN")
-            for table in reversed(list(TABLE_COLUMNS)):
+            # imported content has no position in a dump to resume from
+            for table in ["checkpoint", *reversed(TABLE_COLUMNS)]:
                 self._conn.execute(f"DELETE FROM {table}")
             self._clear_caches()
             self.prepare_load()

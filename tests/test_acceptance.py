@@ -20,7 +20,7 @@ from conftest import DATA_DIR, fixture_dump_pages, write_dump
 from wiktmrd import stats
 from wiktmrd.pipeline import ParseConfig, run_parse
 from wiktmrd.registry import RELATION_TYPE_NAMES, builtin_registry
-from wiktmrd.store import MrdStore, WordBundle
+from wiktmrd.store import MrdStore
 
 REGEN = bool(os.environ.get("WIKTMRD_REGEN_GOLDEN"))
 
@@ -149,14 +149,14 @@ def _random_store_description(rng, max_words=500):
 
 
 def _store_from_description(description):
-    store = MrdStore(":memory:", native_code="en", dialect="en")
+    store = MrdStore(":memory:", dialect="en")
     store.begin()
     for i, (title, lang, types) in enumerate(description):
-        store.save_word(WordBundle(title=title, record_id=i, lang_pos=[(
+        store.save_word(title, i, [(
             lang, "noun", 0,
             [(1, f"def {title}", [])],
             [(t, f"t{k}", f"[[t{k}]]", None) for k, t in enumerate(types)],
-            [], None)]))
+            [], None)])
     store.commit()
     return store
 

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import fixture_dump_pages, write_dump
 from wiktmrd.cli import main
-from wiktmrd.store import SCHEMA_VERSION, MrdStore, StoreError, WordBundle
+from wiktmrd.store import SCHEMA_VERSION, MrdStore, StoreError
 
 
 @pytest.fixture(scope="module")
@@ -123,12 +123,12 @@ def test_lookup_reverse(parsed_ru_store, capsys):
 def test_lookup_reverse_sorted_by_title_then_language(tmp_path, capsys):
     # each title translates "kissa" into fi before de, and "zeta" is saved first
     path = tmp_path / "s.db"
-    with MrdStore(path, native_code="en", dialect="en") as store:
+    with MrdStore(path, dialect="en") as store:
         for record_id, title in enumerate(("zeta", "alpha")):
-            store.save_word(WordBundle(title=title, record_id=record_id, lang_pos=[(
+            store.save_word(title, record_id, [(
                 "en", "noun", 0, [], [],
                 [("cat", [("fi", "kissa", "{{t|fi|kissa}}"),
-                          ("de", "kissa", "{{t|de|kissa}}")])], None)]))
+                          ("de", "kissa", "{{t|de|kissa}}")])], None)])
         expected = [("alpha", "de"), ("alpha", "fi"), ("zeta", "de"), ("zeta", "fi")]
         assert store.reverse_lookup("kissa") == expected
     capsys.readouterr()
@@ -181,7 +181,7 @@ def test_store_of_another_layout_version_is_refused(tmp_path, capsys, edit, foun
     conn.close()
     before = path.read_bytes()
     with pytest.raises(StoreError) as exc:  # meta values unlike the stored ones
-        MrdStore(path, native_code="ru", dialect="ru")
+        MrdStore(path, dialect="ru")
     assert (f"layout version {found}, but this wiktmrd reads version {SCHEMA_VERSION}"
             in str(exc.value))
     assert path.read_bytes() == before  # a refused open writes nothing

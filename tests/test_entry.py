@@ -37,6 +37,18 @@ def test_ru_heading_with_stray_brace(registry):
     assert [s.language for s in sections] == ["sq"]
 
 
+@pytest.mark.parametrize("heading, reason", [
+    ("= Foo =", "expected a single language template in the heading"),
+    ("= {{-en-}} {{-de-}} =", "expected a single language template in the heading"),
+    ("= {{перевод}} =", "not a language template: 'перевод'"),
+])
+def test_ru_heading_without_one_language_template_skipped(registry, heading, reason):
+    page = Page(title="x", raw_text=f"{heading}\nbody\n= {{{{-sq-}}}} =\nmore\n")
+    sections, skipped = entry.split_language_sections(page, "ru", registry)
+    assert [s.language for s in sections] == ["sq"]
+    assert skipped == [reason]
+
+
 def test_unknown_dialect_refused(registry):
     with pytest.raises(ValueError, match="unsupported dialect: 'fi'"):
         entry.split_language_sections(Page(title="x", raw_text="==English==\n"), "fi", registry)

@@ -32,6 +32,27 @@ def test_summary_of_fixed_pairs():
     assert times["median_change"] == pytest.approx(0)
 
 
+def test_summary_flags_a_median_worse_beyond_its_bound():
+    base = [{"rate": 100.0, "time": 1.0}]
+    summary = pairs.summarize(
+        base, [{"rate": 74.0, "time": 1.26}],
+        {"rate": "higher", "time": "lower"}, {"rate": 0.25, "time": 0.25})
+    assert summary["rate"]["worse_beyond_bound"] is True  # 26% slower
+    assert summary["time"]["worse_beyond_bound"] is True  # 26% longer
+    summary = pairs.summarize(
+        base, [{"rate": 76.0, "time": 1.24}],
+        {"rate": "higher", "time": "lower"}, {"rate": 0.25, "time": 0.25})
+    assert summary["rate"]["worse_beyond_bound"] is False  # within the bound
+    assert summary["time"]["worse_beyond_bound"] is False
+    summary = pairs.summarize(
+        base, [{"rate": 200.0, "time": 0.1}],
+        {"rate": "higher", "time": "lower"}, {"rate": 0.25, "time": 0.25})
+    assert summary["rate"]["worse_beyond_bound"] is False  # better is never worse
+    assert summary["time"]["worse_beyond_bound"] is False
+    unbounded = pairs.summarize(base, base, {"rate": "higher"})
+    assert "worse_beyond_bound" not in unbounded["rate"]
+
+
 def test_summary_needs_matched_pairs():
     assert pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
     with pytest.raises(ValueError):

@@ -236,10 +236,27 @@ def test_texts_of_one_hash_are_told_apart_by_their_text(tmp_path, monkeypatch, d
     with MrdStore(store_path) as store:
         store.export_tsv(tmp_path / "export")
     assert_export_dirs_equal(tmp_path / "export", os.path.join(DATA_DIR, f"golden_{dialect}"))
-    with MrdStore(tmp_path / "imported.db", native_code=dialect, dialect=dialect) as store:
+    with MrdStore(tmp_path / "imported.db", dialect=dialect) as store:
         store.import_tsv(tmp_path / "export")
         store.export_tsv(tmp_path / "again")
     assert_export_dirs_equal(tmp_path / "again", tmp_path / "export")
+
+
+def test_import_drops_the_checkpoint_of_the_content_it_replaces(tmp_path):
+    report, store_path = parse_fixture_corpus(tmp_path, "en")
+    assert report.pages_parsed == 11
+    with MrdStore(tmp_path / "empty.db") as empty:
+        empty.export_tsv(tmp_path / "empty")
+    with MrdStore(store_path) as store:
+        assert store.load_checkpoint().last_record_id == 11
+        store.import_tsv(tmp_path / "empty")
+    # imported content has no place in a dump, so the same dump parses whole
+    again = run_parse(ParseConfig(dialect="en", dump_path=tmp_path / "en.xml",
+                                  store_path=store_path))
+    assert again.pages_parsed == 11
+    with MrdStore(store_path) as store:
+        store.export_tsv(tmp_path / "export")
+    assert_export_dirs_equal(tmp_path / "export", os.path.join(DATA_DIR, "golden_en"))
 
 
 def test_run_parse_ru_fixture_corpus(tmp_path):
@@ -369,9 +386,9 @@ def test_workers_stay_a_bounded_number_of_pages_ahead(tmp_path, monkeypatch):
     saved = []
     save_word = MrdStore.save_word
 
-    def counting_save(self, bundle):
-        saved.append(bundle.title)
-        return save_word(self, bundle)
+    def counting_save(self, title, record_id, lang_pos):
+        saved.append(title)
+        return save_word(self, title, record_id, lang_pos)
 
     ahead = []
     read = pipeline.iterate_dump
@@ -388,10 +405,10 @@ def test_workers_stay_a_bounded_number_of_pages_ahead(tmp_path, monkeypatch):
     assert report.pages_parsed == len(pages) == len(saved)
     assert max(ahead) <= 7  # with the page just read, 8 pages read but not saved
 
-    def failing_save(self, bundle):
+    def failing_save(self, *page):
         if len(saved) == len(pages) + 20:
             raise RuntimeError("writer failed")
-        return counting_save(self, bundle)
+        return counting_save(self, *page)
 
     # a writer error ends the run with a batch still queued in the pool
     monkeypatch.setattr(MrdStore, "save_word", failing_save)

@@ -94,6 +94,14 @@ def test_load_registry_single_column_rejected(tmp_path):
     assert exc.value.line_no == 2
 
 
+def test_load_registry_empty_name_rejected(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("fi\tFinnish\nzzx\t ; ;\tЗиззский\n", encoding="utf-8")
+    with pytest.raises(reg.MalformedRegistryFile, match="empty language name") as exc:
+        reg.load_registry(path)
+    assert exc.value.line_no == 2
+
+
 def test_load_registry_bad_code_rejected(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("X!\tBroken\n", encoding="utf-8")

@@ -8,18 +8,18 @@ import pytest
 
 from wiktmrd import stats
 from wiktmrd.registry import RELATION_TYPE_NAMES
-from wiktmrd.store import MrdStore, WordBundle
+from wiktmrd.store import MrdStore
 
 
 def make_store(path, description, native="en"):
     """description: list of (title, lang_code, [relation type names])."""
-    store = MrdStore(path, native_code=native, dialect=native)
+    store = MrdStore(path, dialect=native)
     for i, (title, lang, types) in enumerate(description):
-        store.save_word(WordBundle(title=title, record_id=i, lang_pos=[(
+        store.save_word(title, i, [(
             lang, "noun", 0,
             [(1, f"def of {title}", [])],
             [(t, f"t{k}", f"[[t{k}]]", 1) for k, t in enumerate(types)],
-            [], None)]))
+            [], None)])
     return store
 
 
@@ -76,7 +76,7 @@ def test_ratio_report_identity():
 # -- store-backed metrics ----------------------------------------------------------
 
 def test_empty_store_stats(tmp_path):
-    with MrdStore(tmp_path / "s.db", native_code="en", dialect="en") as store:
+    with MrdStore(tmp_path / "s.db", dialect="en") as store:
         ns = stats.compute_native_stats(store)
         assert ns.empty_store
         assert ns.avg_relations_per_native_word == 0.0
@@ -89,12 +89,12 @@ def test_native_native_requires_target_resolution(tmp_path):
     with make_store(tmp_path / "s.db", desc) as store:
         # target "t0" is not a native entry
         assert stats.compute_native_stats(store).native_native_relations == 0
-        store.save_word(WordBundle(title="t0", record_id=9, lang_pos=[
-            ("en", "noun", 0, [], [], [], None)]))
+        store.save_word("t0", 9, [
+            ("en", "noun", 0, [], [], [], None)])
         assert stats.compute_native_stats(store).native_native_relations == 1
         # foreign-owned relations never count as native-to-native
-        store.save_word(WordBundle(title="kuuma", record_id=10, lang_pos=[
-            ("fi", "noun", 0, [], [("synonym", "t0", "[[t0]]", None)], [], None)]))
+        store.save_word("kuuma", 10, [
+            ("fi", "noun", 0, [], [("synonym", "t0", "[[t0]]", None)], [], None)])
         assert stats.compute_native_stats(store).native_native_relations == 1
 
 
@@ -126,22 +126,22 @@ def test_native_native_matches_brute_force(tmp_path):
         "big": [entry("en", meanings=[(1, both, ["large", "great"])],
                       relations=[("synonym", "large", both, 1)])],
     }
-    with MrdStore(tmp_path / "s.db", native_code="en", dialect="en") as store:
+    with MrdStore(tmp_path / "s.db", dialect="en") as store:
         for i, (title, lang_pos) in enumerate(pages.items()):
-            store.save_word(WordBundle(title=title, record_id=i, lang_pos=lang_pos))
+            store.save_word(title, i, lang_pos)
         assert stats.compute_native_stats(store).native_native_relations == 2
         assert _brute_force_native_native(store, "en") == 2
 
     rng = random.Random(20100406)
     titles = [f"w{i}" for i in range(12)]
     for trial in range(10):
-        with MrdStore(tmp_path / f"r{trial}.db", native_code="en", dialect="en") as store:
+        with MrdStore(tmp_path / f"r{trial}.db", dialect="en") as store:
             for i, title in enumerate(titles):
                 targets = rng.sample(titles + ["absent"], rng.randint(0, 4))
-                store.save_word(WordBundle(title=title, record_id=i, lang_pos=[
+                store.save_word(title, i, [
                     entry(rng.choice(("en", "fi")), etymology, relations=[
                         ("synonym", t, f"[[{t}]]", None) for t in targets])
-                    for etymology in range(rng.randint(1, 2))]))
+                    for etymology in range(rng.randint(1, 2))])
             assert (stats.compute_native_stats(store).native_native_relations
                     == _brute_force_native_native(store, "en"))
 

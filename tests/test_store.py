@@ -18,15 +18,14 @@ from wiktmrd.store import (
     StorageFull,
     StoreError,
     TABLE_COLUMNS,
-    WordBundle,
     MAX_WIKI_TEXT_BYTES,
 )
 
 
-def simple_bundle(title="toe", record_id=0, relations=7):
+def simple_page(title="toe", record_id=0, relations=7):
     types = ["synonym", "antonym", "hyponym", "holonym", "meronym",
              "coordinate_term", "synonym", "hypernym", "troponym"]
-    return WordBundle(title=title, record_id=record_id, lang_pos=[(
+    return (title, record_id, [(
         "en", "noun", 0,
         [(1, "A [[thing]].", ["thing"])],
         [(types[i % len(types)], f"w{i}", f"[[w{i}]]", 1) for i in range(relations)],
@@ -43,7 +42,7 @@ def noun(lang_code="en", meanings=(), relations=(), translations=(), soft_redire
 
 @pytest.fixture
 def store(tmp_path):
-    with MrdStore(tmp_path / "mrd.db", native_code="en", dialect="en") as s:
+    with MrdStore(tmp_path / "mrd.db", dialect="en") as s:
         yield s
 
 
@@ -57,84 +56,84 @@ def test_fresh_store_sizes(store):
 
 
 def test_save_word_relation_rows(store):
-    store.save_word(simple_bundle())
+    store.save_word(*simple_page())
     assert store.table_sizes()["relation"] == 7
 
 
 def test_save_empty_bundle_page_row_only(store):
-    store.save_word(WordBundle(title="ghost", record_id=3))
+    store.save_word("ghost", 3, [])
     sizes = store.table_sizes()
     assert sizes["page"] == 1
     assert sizes["lang_pos"] == 0
 
 
 def test_resave_is_idempotent(store):
-    store.save_word(simple_bundle())
+    store.save_word(*simple_page())
     before = store.table_sizes()
-    store.save_word(simple_bundle())
+    store.save_word(*simple_page())
     assert store.table_sizes() == before
 
 
 def test_meaning_counts_multiply(store):
     for n in range(10):
-        bundle = WordBundle(title=f"w{n}", record_id=n, lang_pos=[
+        page = (f"w{n}", n, [
             noun(meanings=[(k + 1, f"def {n}.{k}", []) for k in range(3)])])
-        store.save_word(bundle)
+        store.save_word(*page)
     assert store.table_sizes()["meaning"] == 30
 
 
 def test_wiki_text_deduplicated(store):
-    store.save_word(simple_bundle(title="a"))
+    store.save_word(*simple_page(title="a"))
     one = store.table_sizes()["wiki_text"]
-    store.save_word(simple_bundle(title="b"))
+    store.save_word(*simple_page(title="b"))
     assert store.table_sizes()["wiki_text"] == one  # identical texts share rows
 
 
 def test_soft_redirect_stored(store):
-    bundle = WordBundle(title="dogs", record_id=1, lang_pos=[
+    page = ("dogs", 1, [
         noun(meanings=[(1, "{{plural of|dog}}", [])],
              soft_redirect=("plural of", "dog"))])
-    store.save_word(bundle)
+    store.save_word(*page)
     rows = store.query("SELECT is_soft_redirect, redirect_target FROM page WHERE title='dogs'")
     assert rows == [(1, "dog")]
     assert store.table_sizes()["inflection"] == 1
 
 
 def test_long_wiki_text_truncated(store):
-    bundle = WordBundle(title="long", record_id=0, lang_pos=[
+    page = ("long", 0, [
         noun(meanings=[(1, "щ" * 70000, [])])])
-    assert store.save_word(bundle) == 1  # the texts it cut
+    assert store.save_word(*page) == 1  # the texts it cut
     (stored,) = store.query("SELECT text FROM wiki_text")[0]
     assert len(stored.encode("utf-8")) <= MAX_WIKI_TEXT_BYTES
     assert stored and set(stored) == {"щ"}
-    assert store.save_word(simple_bundle(title="short", record_id=1)) == 0
+    assert store.save_word(*simple_page(title="short", record_id=1)) == 0
 
 
 def test_long_wiki_text_counted_once_when_stored(store):
     text = "x" * 140_000
-    first = WordBundle(title="a", record_id=0, lang_pos=[
+    first = ("a", 0, [
         noun(meanings=[(1, text, []), (2, text, [])])])
-    second = WordBundle(title="b", record_id=1, lang_pos=[noun(meanings=[(1, text, [])])])
-    assert store.save_word(first) == 1
-    assert store.save_word(second) == 0  # reused, not stored again
+    second = ("b", 1, [noun(meanings=[(1, text, [])])])
+    assert store.save_word(*first) == 1
+    assert store.save_word(*second) == 0  # reused, not stored again
     assert store.table_sizes()["wiki_text"] == 1
 
 
 def test_full_storage_is_reported_as_such(store):
-    store.save_word(simple_bundle())
+    store.save_word(*simple_page())
     (pages,) = store.query("PRAGMA page_count")[0]
     store.query(f"PRAGMA max_page_count={pages}")
     with pytest.raises(StorageFull):
-        store.save_word(WordBundle(title="big", record_id=1, lang_pos=[
-            noun(meanings=[(n, f"{n} " + "x" * 30_000, []) for n in range(1, 5)])]))
+        store.save_word("big", 1, [
+            noun(meanings=[(n, f"{n} " + "x" * 30_000, []) for n in range(1, 5)])])
     assert store.table_sizes()["page"] == 1
 
 
 def test_uncommitted_save_invisible_to_readers(tmp_path):
     path = tmp_path / "mrd.db"
-    writer = MrdStore(path, native_code="en", dialect="en")
+    writer = MrdStore(path, dialect="en")
     writer.begin()
-    writer.save_word(simple_bundle())
+    writer.save_word(*simple_page())
     reader = sqlite3.connect(str(path))
     assert reader.execute("SELECT COUNT(*) FROM page").fetchone()[0] == 0
     writer.commit()
@@ -145,30 +144,30 @@ def test_uncommitted_save_invisible_to_readers(tmp_path):
 
 def test_rollback_drops_partial_page(tmp_path):
     path = tmp_path / "mrd.db"
-    writer = MrdStore(path, native_code="en", dialect="en")
+    writer = MrdStore(path, dialect="en")
     writer.begin()
-    writer.save_word(simple_bundle())
+    writer.save_word(*simple_page())
     writer.rollback()
     assert writer.table_sizes()["page"] == 0
     # the writer stays usable and ids restart identically
-    writer.save_word(simple_bundle())
+    writer.save_word(*simple_page())
     assert writer.table_sizes()["page"] == 1
     writer.close()
 
 
 def test_language_interned_in_rolled_back_batch_gets_valid_id(store):
     def page(title, record_id):
-        return WordBundle(title=title, record_id=record_id, lang_pos=[
+        return (title, record_id, [
             noun("sq", translations=[("gloss", [("fi", "sana", "[[sana]]")])])])
 
-    store.save_word(page("first", 0))
+    store.save_word(*page("first", 0))
     store.begin()
-    store.save_word(WordBundle(title="new", record_id=1, lang_pos=[
-        noun("ka", translations=[("", [("ja", "kotoba", "[[kotoba]]")])])]))
+    store.save_word("new", 1, [
+        noun("ka", translations=[("", [("ja", "kotoba", "[[kotoba]]")])])])
     store.rollback()
-    store.save_word(WordBundle(title="new", record_id=1, lang_pos=[
-        noun("ka", translations=[("", [("ja", "kotoba", "[[kotoba]]")])])]))
-    store.save_word(page("again", 2))
+    store.save_word("new", 1, [
+        noun("ka", translations=[("", [("ja", "kotoba", "[[kotoba]]")])])])
+    store.save_word(*page("again", 2))
     store.check_referential_integrity()
     assert store.reverse_lookup("kotoba") == [("new", "ja")]
     assert store.lookup_word("new")[0]["lang_code"] == "ka"
@@ -176,16 +175,16 @@ def test_language_interned_in_rolled_back_batch_gets_valid_id(store):
 
 def test_failed_page_inside_transaction_leaves_batch_unchanged(store):
     store.begin()
-    store.save_word(simple_bundle(title="kept"))
+    store.save_word(*simple_page(title="kept"))
     sizes = store.table_sizes()
-    broken = WordBundle(title="broken", record_id=1, lang_pos=[
+    broken = ("broken", 1, [
         noun(meanings=[(1, "щ" * 70000, [])],
              translations=[("gloss", [("fi", "sana", "[[sana]]"),
                                       ("Not A Code", "x", "[[x]]")])])])
     with pytest.raises(CorruptStore):
-        store.save_word(broken)
+        store.save_word(*broken)
     assert store.table_sizes() == sizes
-    store.save_word(simple_bundle(title="after", record_id=2))
+    store.save_word(*simple_page(title="after", record_id=2))
     store.commit()
     assert [r[0] for r in store.query("SELECT title FROM page ORDER BY id")] == [
         "kept", "after"]
@@ -194,24 +193,24 @@ def test_failed_page_inside_transaction_leaves_batch_unchanged(store):
 
 def test_lock_held_by_another_writer_is_not_corruption(tmp_path):
     path = tmp_path / "mrd.db"
-    with MrdStore(path, native_code="en", dialect="en") as writer:
+    with MrdStore(path, dialect="en") as writer:
         writer._conn.execute("PRAGMA busy_timeout=0")
         other = sqlite3.connect(str(path), isolation_level=None)
         other.execute("BEGIN IMMEDIATE")
         try:
             with pytest.raises(StoreError, match="locked") as exc:
-                writer.save_word(simple_bundle())
+                writer.save_word(*simple_page())
             assert not isinstance(exc.value, CorruptStore)
         finally:
             other.rollback()
             other.close()
-        writer.save_word(simple_bundle())  # the lock gone, the writer goes on
+        writer.save_word(*simple_page())  # the lock gone, the writer goes on
         assert writer.table_sizes()["page"] == 1
 
 
 def test_opening_a_writer_under_a_lock_is_not_corruption(tmp_path, monkeypatch):
     path = tmp_path / "mrd.db"
-    MrdStore(path, native_code="en", dialect="en").close()
+    MrdStore(path).close()  # no edition recorded yet, so the open below writes it
     other = sqlite3.connect(str(path), isolation_level=None)
     other.execute("BEGIN IMMEDIATE")
     connect = sqlite3.connect
@@ -219,7 +218,7 @@ def test_opening_a_writer_under_a_lock_is_not_corruption(tmp_path, monkeypatch):
                         lambda *args, **kwargs: connect(*args, **kwargs, timeout=0.1))
     try:  # the meta writes wait out the busy timeout, then fail
         with pytest.raises(StoreError, match="locked") as exc:
-            MrdStore(path, native_code="en", dialect="en")
+            MrdStore(path, dialect="en")
         assert not isinstance(exc.value, CorruptStore)
     finally:
         other.rollback()
@@ -230,7 +229,7 @@ def test_a_store_that_fails_to_open_closes_its_connection(tmp_path, monkeypatch)
     garbage = tmp_path / "garbage.db"
     garbage.write_bytes(b"not a database " * 100)
     locked = tmp_path / "locked.db"
-    MrdStore(locked, native_code="en", dialect="en").close()
+    MrdStore(locked).close()  # no edition recorded yet, so the open below writes it
     other = sqlite3.connect(str(locked), isolation_level=None)
     other.execute("BEGIN IMMEDIATE")
     opened = []
@@ -246,7 +245,7 @@ def test_a_store_that_fails_to_open_closes_its_connection(tmp_path, monkeypatch)
         with pytest.raises(CorruptStore):
             MrdStore(garbage)
         with pytest.raises(StoreError, match="locked"):
-            MrdStore(locked, native_code="en", dialect="en")
+            MrdStore(locked, dialect="en")
     finally:
         other.rollback()
         other.close()
@@ -254,6 +253,35 @@ def test_a_store_that_fails_to_open_closes_its_connection(tmp_path, monkeypatch)
     for conn in opened:
         with pytest.raises(sqlite3.ProgrammingError):
             conn.execute("SELECT 1")
+
+
+class _ChangesAtClose(sqlite3.Connection):
+    """A connection that records its total_changes when it closes."""
+    changes: list[int] = []
+
+    def close(self):
+        self.changes.append(self.total_changes)
+        super().close()
+
+
+def test_a_store_records_its_edition_once(tmp_path, monkeypatch):
+    path = tmp_path / "mrd.db"
+    MrdStore(path).close()
+    with MrdStore(path, dialect="ru") as store:  # an edition's native language is its own
+        assert store.query("SELECT key, value FROM meta WHERE key != 'schema_version' "
+                           "ORDER BY key") == [("dialect", "ru"), ("native_code", "ru")]
+        assert store.native_code == "ru"
+    connect = sqlite3.connect
+    monkeypatch.setattr(sqlite3, "connect", lambda *args, **kwargs: connect(
+        *args, **kwargs, factory=_ChangesAtClose))
+    monkeypatch.setattr(_ChangesAtClose, "changes", [])
+    with MrdStore(path, dialect="ru") as store:
+        assert store._conn.total_changes == 0  # the same edition: nothing written
+    with pytest.raises(StoreError, match="holds the ru edition, not en"):
+        MrdStore(path, dialect="en")
+    with MrdStore(path) as store:
+        assert store.get_meta("dialect") == "ru"
+    assert _ChangesAtClose.changes == [0, 0, 0]
 
 
 class _BatchCounter:
@@ -276,7 +304,7 @@ def test_save_word_statements(store):
     def page(n):
         entries = [(code, word, f"[[{word}]]")
                    for code, word in (("fi", "sana"), ("ru", "слово"), ("de", "Wort"))]
-        return WordBundle(title=f"p{n}", record_id=n, lang_pos=[
+        return (f"p{n}", n, [
             noun(meanings=[(1, "A [[word]] or [[term]].", ["word", "term"])],
                  relations=[("synonym", "term", "[[term]]", 1)],
                  translations=[("a word", entries), ("", entries[:2])],
@@ -288,7 +316,7 @@ def test_save_word_statements(store):
     store._conn = counter = _BatchCounter(store._conn)
     pages = 4
     for n in range(pages):
-        store.save_word(page(n))
+        store.save_word(*page(n))
 
     lang_selects = Counter(s for s in statements if s.startswith("SELECT id FROM lang"))
     assert lang_selects and max(lang_selects.values()) == 1
@@ -304,7 +332,7 @@ def test_save_word_statements(store):
     # a text already in the store, but no longer cached, keeps its id
     texts_before = store.query("SELECT id, text FROM wiki_text ORDER BY id")
     store._clear_caches()
-    store.save_word(page(pages))
+    store.save_word(*page(pages))
     assert store.query("SELECT id, text FROM wiki_text ORDER BY id") == texts_before
     assert len([s for s in statements
                 if s.startswith("SELECT id FROM wiki_text WHERE")]) > len(text_selects)
@@ -315,9 +343,9 @@ def test_wiki_text_cache_cap_counts_words(store, monkeypatch):
     monkeypatch.setattr(store_module, "_WIKI_TEXT_CACHE_SIZE", 10)
     for n in range(6):
         words = [f"w{n}.{k}" for k in range(3)]
-        store.save_word(WordBundle(title=f"p{n}", record_id=n, lang_pos=[
+        store.save_word(f"p{n}", n, [
             noun(meanings=[(1, " ".join(f"[[{w}]]" for w in words), words),
-                           (2, "shared [[x]]", ["x"])])]))
+                           (2, "shared [[x]]", ["x"])])])
     kept = sum(1 + len(words) for _, words in store._wiki_text_cache.values())
     assert 0 < kept <= 10  # texts and words together stay within the cap
     # texts past the cap still get their words
@@ -327,15 +355,15 @@ def test_wiki_text_cache_cap_counts_words(store, monkeypatch):
 def test_texts_saved_again_past_the_cache_cap_keep_their_rows(tmp_path, monkeypatch):
     # texts come back with words old and new, and pages are saved again
     def page(n):
-        return WordBundle(title=f"p{n % 7}", record_id=n % 7, lang_pos=[noun(
+        return (f"p{n % 7}", n % 7, [noun(
             meanings=[(1, f"text {n % 3}", [f"w{n % 3}", f"v{n % 4}"]),
                       (2, "shared", [f"s{n % 5}"]), (3, f"own {n}", [])],
             relations=[("synonym", f"r{n % 2}", f"[[r{n % 2}]]", 1)])])
 
     def export(name):
-        with MrdStore(tmp_path / f"{name}.db", native_code="en", dialect="en") as store:
+        with MrdStore(tmp_path / f"{name}.db", dialect="en") as store:
             for n in range(12):
-                store.save_word(page(n))
+                store.save_word(*page(n))
             store.export_tsv(tmp_path / name)
 
     export("uncapped")
@@ -348,12 +376,12 @@ def test_texts_saved_again_past_the_cache_cap_keep_their_rows(tmp_path, monkeypa
 
 
 def _text_page(title, text):
-    return WordBundle(title=title, record_id=0, lang_pos=[noun(meanings=[(1, text, [])])])
+    return (title, 0, [noun(meanings=[(1, text, [])])])
 
 
 def test_text_stored_twice_is_refused(store):
-    store.save_word(_text_page("a", "x"))
-    store.save_word(_text_page("b", "y"))
+    store.save_word(*_text_page("a", "x"))
+    store.save_word(*_text_page("b", "y"))
     # the schema does not keep a text from being stored twice
     store._conn.execute("INSERT INTO wiki_text(text, hash) VALUES (?, ?)",
                         ("y", store_module._text_hash("y")))
@@ -362,18 +390,18 @@ def test_text_stored_twice_is_refused(store):
 
 
 def test_text_a_second_writer_stored_is_reused(tmp_path):
-    with MrdStore(tmp_path / "mrd.db", native_code="en", dialect="en") as first, \
+    with MrdStore(tmp_path / "mrd.db", dialect="en") as first, \
             MrdStore(tmp_path / "mrd.db") as second:
-        first.save_word(_text_page("a", "x"))
-        second.save_word(_text_page("b", "y"))
-        first.save_word(_text_page("c", "y"))
+        first.save_word(*_text_page("a", "x"))
+        second.save_word(*_text_page("b", "y"))
+        first.save_word(*_text_page("c", "y"))
         assert first.query("SELECT COUNT(*) FROM wiki_text WHERE text='y'") == [(1,)]
         first.build_index_tables()
 
 
 def entries_page(title, record_id, words):
     """A page whose one translation box has an entry per word."""
-    return WordBundle(title=title, record_id=record_id, lang_pos=[noun(
+    return (title, record_id, [noun(
         translations=[("", [("fi", word, f"[[{word}]]") for word in words])])])
 
 
@@ -391,12 +419,12 @@ def _word_ids(store):
 
 def test_resaved_page_ids_follow_the_rowid_rule(store):
     # SQLite's rowid rule: a new row's id is one past the largest id left
-    store.save_word(entries_page("a", 0, ["x1", "x2"]))
-    store.save_word(entries_page("b", 1, ["y1", "y2", "y3"]))
-    store.save_word(entries_page("b", 1, ["y1"]))  # deletes the top ids 3-5
-    store.save_word(entries_page("c", 2, ["z1"]))
+    store.save_word(*entries_page("a", 0, ["x1", "x2"]))
+    store.save_word(*entries_page("b", 1, ["y1", "y2", "y3"]))
+    store.save_word(*entries_page("b", 1, ["y1"]))  # deletes the top ids 3-5
+    store.save_word(*entries_page("c", 2, ["z1"]))
     assert _entry_ids(store) == [(1, "a"), (2, "a"), (3, "b"), (4, "c")]
-    store.save_word(entries_page("a", 0, ["x1", "x2", "x3"]))  # deletes 1-2, not the top
+    store.save_word(*entries_page("a", 0, ["x1", "x2", "x3"]))  # deletes 1-2, not the top
     assert _entry_ids(store) == [(3, "b"), (4, "c"), (5, "a"), (6, "a"), (7, "a")]
     # words are never deleted, and a word a text already has is not written again
     assert _word_ids(store) == [(1, "x1"), (2, "x2"), (3, "y1"), (4, "y2"), (5, "y3"),
@@ -405,48 +433,48 @@ def test_resaved_page_ids_follow_the_rowid_rule(store):
 
 def test_page_failing_after_taking_ids_gives_them_back(store):
     store.begin()
-    store.save_word(entries_page("a", 0, ["x1"]))
+    store.save_word(*entries_page("a", 0, ["x1"]))
     # the inflection insert fails after the words and entries went in
-    broken = WordBundle(title="broken", record_id=1, lang_pos=[noun(
+    broken = ("broken", 1, [noun(
         translations=[("", [("fi", "y1", "[[y1]]"), ("fi", "y2", "[[y2]]")])],
         soft_redirect=("plural of", None))])
     with pytest.raises(CorruptStore, match="NOT NULL"):
-        store.save_word(broken)
-    store.save_word(entries_page("c", 2, ["z1"]))
+        store.save_word(*broken)
+    store.save_word(*entries_page("c", 2, ["z1"]))
     store.commit()
     assert _entry_ids(store) == [(1, "a"), (2, "c")]
     assert _word_ids(store) == [(1, "x1"), (2, "z1")]
 
 
 def test_writers_taking_turns_do_not_repeat_ids(tmp_path):
-    with MrdStore(tmp_path / "mrd.db", native_code="en", dialect="en") as first, \
+    with MrdStore(tmp_path / "mrd.db", dialect="en") as first, \
             MrdStore(tmp_path / "mrd.db") as second:
-        first.save_word(entries_page("a", 0, ["x1"]))
-        second.save_word(entries_page("b", 1, ["y1"]))
+        first.save_word(*entries_page("a", 0, ["x1"]))
+        second.save_word(*entries_page("b", 1, ["y1"]))
         # the first writer's next ids were taken meanwhile
-        first.save_word(entries_page("c", 2, ["z1"]))
+        first.save_word(*entries_page("c", 2, ["z1"]))
         assert _entry_ids(first) == [(1, "a"), (2, "b"), (3, "c")]
         assert _word_ids(first) == [(1, "x1"), (2, "y1"), (3, "z1")]
         first.export_tsv(tmp_path / "export")
-    with MrdStore(tmp_path / "copy.db", native_code="en", dialect="en") as copy:
+    with MrdStore(tmp_path / "copy.db", dialect="en") as copy:
         copy.import_tsv(tmp_path / "export")
         assert _entry_ids(copy) == [(1, "a"), (2, "b"), (3, "c")]
 
 
 def test_text_the_cache_could_not_keep_gets_only_its_new_words(store, monkeypatch):
     monkeypatch.setattr(store_module, "_WIKI_TEXT_CACHE_SIZE", 2)
-    store.save_word(WordBundle(title="p0", record_id=0, lang_pos=[
-        noun(meanings=[(1, "[[f]]", ["f"])])]))  # fills the cache
+    store.save_word("p0", 0, [
+        noun(meanings=[(1, "[[f]]", ["f"])])])  # fills the cache
     shared = "[[a]] or [[b]]"
-    store.save_word(WordBundle(title="p1", record_id=1, lang_pos=[
-        noun(meanings=[(1, shared, ["a"])])]))
+    store.save_word("p1", 1, [
+        noun(meanings=[(1, shared, ["a"])])])
     assert shared not in store._wiki_text_cache
     # the stored text gains b; used twice, it is read back twice, b written once
-    store.save_word(WordBundle(title="p2", record_id=2, lang_pos=[
-        noun(meanings=[(1, shared, ["a", "b"]), (2, shared, ["b", "b"])])]))
+    store.save_word("p2", 2, [
+        noun(meanings=[(1, shared, ["a", "b"]), (2, shared, ["b", "b"])])])
     assert _word_ids(store) == [(1, "f"), (2, "a"), (3, "b")]
-    store.save_word(WordBundle(title="p3", record_id=3, lang_pos=[
-        noun(meanings=[(1, "[[c]]", ["c"])])]))
+    store.save_word("p3", 3, [
+        noun(meanings=[(1, "[[c]]", ["c"])])])
     assert _word_ids(store)[-1] == (4, "c")
 
 
@@ -454,8 +482,8 @@ def _resave_vm_steps(path, pages):
     """SQLite VM steps of re-saving one page of a store of `pages` pages
     with built indexes: meanings, sense-bound relations, translations and
     a second language, so every table takes a delete."""
-    def bundle(n):
-        return WordBundle(title=f"p{n:04d}", record_id=n, lang_pos=[
+    def page(n):
+        return (f"p{n:04d}", n, [
             noun(meanings=[(1, f"A [[w{n}]].", [f"w{n}"]), (2, "Other.", [])],
                  relations=[("synonym", f"s{n}", f"[[s{n}]]", 1),
                             ("antonym", f"a{n}", f"[[a{n}]]", None)],
@@ -464,10 +492,10 @@ def _resave_vm_steps(path, pages):
             noun("fi", meanings=[(1, "Fi.", [])],
                  relations=[("synonym", f"t{n}", f"[[t{n}]]", 1)])])
 
-    with MrdStore(path, native_code="en", dialect="en") as store:
+    with MrdStore(path, dialect="en") as store:
         store.begin()
         for n in range(pages):
-            store.save_word(bundle(n))
+            store.save_word(*page(n))
         store.commit()
         store.build_index_tables()
         steps = 0
@@ -477,7 +505,7 @@ def _resave_vm_steps(path, pages):
             steps += 1
             return 0
         store._conn.set_progress_handler(step, 1)
-        store.save_word(bundle(pages // 2))
+        store.save_word(*page(pages // 2))
         store._conn.set_progress_handler(None, 1)
         store.check_referential_integrity()
         return steps
@@ -496,8 +524,8 @@ def _word_index_sizes(store):
 
 
 def test_index_tables_native_only(store, tmp_path):
-    store.save_word(simple_bundle(title="beta"))
-    store.save_word(simple_bundle(title="alpha", record_id=1))
+    store.save_word(*simple_page(title="beta"))
+    store.save_word(*simple_page(title="alpha", record_id=1))
     assert _word_index_sizes(store) == {"index_native": 2}
     store.export_tsv(tmp_path / "export")
     assert [name for name in sorted(os.listdir(tmp_path / "export"))
@@ -508,7 +536,7 @@ def test_index_tables_native_only(store, tmp_path):
 
 def test_index_tables_ignore_translation_languages(store):
     # fi appears only as a translation target: no index_fi
-    store.save_word(simple_bundle())
+    store.save_word(*simple_page())
     assert _word_index_sizes(store) == {"index_native": 1}
     assert store.query("SELECT COUNT(*) FROM lang WHERE code='fi'")[0][0] == 1
 
@@ -516,11 +544,11 @@ def test_index_tables_ignore_translation_languages(store):
 def test_index_tables_match_group_by_oracle(store):
     langs = ["en", "fi", "sq", "en", "fi", "en"]
     for i, code in enumerate(langs):
-        store.save_word(WordBundle(title=f"w{i}", record_id=i, lang_pos=[noun(code)]))
+        store.save_word(f"w{i}", i, [noun(code)])
     oracle = Counter("index_native" if code == "en" else f"index_{code}" for code in langs)
     assert _word_index_sizes(store) == oracle
     # a re-saved page moves its entries to the index of its new language
-    store.save_word(WordBundle(title="w0", record_id=0, lang_pos=[noun("sq")]))
+    store.save_word("w0", 0, [noun("sq")])
     oracle.update({"index_native": -1, "index_sq": 1})
     assert _word_index_sizes(store) == oracle
 
@@ -586,10 +614,10 @@ _LOOKUP_SECTIONS = st.lists(st.tuples(
                 min_size=1, max_size=5))
 @settings(max_examples=60, deadline=None)
 def test_lookup_word_matches_a_join_of_the_rows(pages):
-    with MrdStore(":memory:", native_code="en", dialect="en") as store:
+    with MrdStore(":memory:", dialect="en") as store:
         for record_id, (title, sections) in enumerate(pages):  # a title may be saved again
-            store.save_word(WordBundle(title=title, record_id=record_id, lang_pos=[
-                (code, pos, etym, *rows) for etym, (code, pos, *rows) in enumerate(sections)]))
+            store.save_word(title, record_id, [
+                (code, pos, etym, *rows) for etym, (code, pos, *rows) in enumerate(sections)])
         for title in ("a", "b", "c", "missing"):
             for lang_code in (None, "en", "fi", "zz"):
                 assert (store.lookup_word(title, lang_code)
@@ -599,12 +627,12 @@ def test_lookup_word_matches_a_join_of_the_rows(pages):
 def test_lookup_word_statements_do_not_grow_with_the_entry(store):
     def box(n):
         return (f"gloss {n}", [("fi", f"w{n}", f"[[w{n}]]")])
-    store.save_word(WordBundle(title="small", record_id=0, lang_pos=[
-        noun(meanings=[(1, "One.", [])], translations=[box(0)])]))
-    store.save_word(WordBundle(title="rich", record_id=1, lang_pos=[
+    store.save_word("small", 0, [
+        noun(meanings=[(1, "One.", [])], translations=[box(0)])])
+    store.save_word("rich", 1, [
         (code, "noun", 0, [(1, "One.", []), (2, "Two.", [])],
          [("synonym", "s", "[[s]]", 1)], [box(2 * i), box(2 * i + 1)], None)
-        for i, code in enumerate(("en", "fi", "de"))]))
+        for i, code in enumerate(("en", "fi", "de"))])
     statements = []
     store._conn.set_trace_callback(statements.append)
     counts = {}
@@ -634,14 +662,14 @@ def _brute_force_reverse(store, word):
 
 def test_reverse_lookup_matches_brute_force(store):
     shared = "[[hund]] / [[vovve]]"  # one translation text for two words
-    store.save_word(WordBundle(title="dog", record_id=0, lang_pos=[noun(
+    store.save_word("dog", 0, [noun(
         meanings=[(1, "A [[canine]].", ["canine"])],
         relations=[("synonym", "hound", "[[hound]]", 1)],
         translations=[("pet", [("sv", "hund", shared), ("no", "vovve", shared),
                                ("fi", "koira", "{{t|fi|koira}}"),
-                               ("fi", "koira", "{{t+|fi|koira}}")])])]))
-    store.save_word(WordBundle(title="cur", record_id=1, lang_pos=[noun(
-        translations=[("", [("fi", "koira", "{{t|fi|koira}}")])])]))
+                               ("fi", "koira", "{{t+|fi|koira}}")])])])
+    store.save_word("cur", 1, [noun(
+        translations=[("", [("fi", "koira", "{{t|fi|koira}}")])])])
     assert store.reverse_lookup("koira") == [("cur", "fi"), ("dog", "fi")]
     assert store.reverse_lookup("hund") == store.reverse_lookup("vovve") == [
         ("dog", "no"), ("dog", "sv")]
@@ -655,7 +683,7 @@ def test_reverse_lookup_matches_brute_force(store):
 
 def test_reverse_lookup_searches_entries_by_text(store, monkeypatch):
     for n in range(3):
-        store.save_word(entries_page(f"p{n}", n, ["koira", f"w{n}"]))
+        store.save_word(*entries_page(f"p{n}", n, ["koira", f"w{n}"]))
     store.build_index_tables()
     calls = []
 
@@ -687,13 +715,13 @@ def test_fresh_checkpoint_is_zero(store):
 # -- TSV interchange ------------------------------------------------------------------
 
 def test_export_import_round_trip(store, tmp_path):
-    store.save_word(simple_bundle(title="toe"))
-    store.save_word(simple_bundle(title="paw", record_id=1))
+    store.save_word(*simple_page(title="toe"))
+    store.save_word(*simple_page(title="paw", record_id=1))
     store.build_index_tables()
     out1 = tmp_path / "export1"
     store.export_tsv(out1)
 
-    with MrdStore(tmp_path / "other.db", native_code="en", dialect="en") as other:
+    with MrdStore(tmp_path / "other.db", dialect="en") as other:
         other.import_tsv(out1)
         assert other.table_sizes() == store.table_sizes()
         assert_full_index_set(other)
@@ -710,7 +738,7 @@ def test_import_inside_open_transaction_refused(store, tmp_path):
     out = tmp_path / "export"
     store.export_tsv(out)
     store.begin()
-    store.save_word(simple_bundle())
+    store.save_word(*simple_page())
     with pytest.raises(StoreError, match="open transaction") as exc:
         store.import_tsv(out)
     assert type(exc.value) is StoreError  # a caller error, not corruption
@@ -755,7 +783,7 @@ def test_import_handwritten_relation_rows(tmp_path):
         header = "\t".join(TABLE_COLUMNS[table])
         (out / f"{table}.tsv").write_text(
             "\n".join([header, *rows]) + "\n", encoding="utf-8")
-    with MrdStore(tmp_path / "other.db", native_code="en", dialect="en") as other:
+    with MrdStore(tmp_path / "other.db", dialect="en") as other:
         other.import_tsv(out)
         assert other.table_sizes()["relation"] == 2
         assert other.lookup_word("warm")[0]["relations"] == [
@@ -767,7 +795,7 @@ def test_import_handwritten_relation_rows(tmp_path):
 
 
 def test_import_rejects_bad_arity(store, tmp_path):
-    store.save_word(simple_bundle())
+    store.save_word(*simple_page())
     store.build_index_tables()
     out = tmp_path / "export"
     store.export_tsv(out)
@@ -777,6 +805,18 @@ def test_import_rejects_bad_arity(store, tmp_path):
     path.write_text("".join(lines), encoding="utf-8")
     err = _failing_import_leaves_store_unchanged(store, out, MalformedRow)
     assert (err.table, err.line_no) == ("relation", 5)
+
+
+def test_import_refuses_a_table_header_unlike_its_columns(store, tmp_path):
+    store.save_word(*simple_page())
+    out = tmp_path / "export"
+    store.export_tsv(out)
+    path = out / "relation.tsv"
+    header, *rows = path.read_text("utf-8").splitlines(keepends=True)
+    path.write_text("".join([header.replace("meaning_id", "sense_id"), *rows]),
+                    encoding="utf-8")
+    err = _failing_import_leaves_store_unchanged(store, out, MalformedRow)
+    assert (err.table, err.line_no) == ("relation", 1)
 
 
 def _failing_import_leaves_store_unchanged(store, out, expected_error):
@@ -793,7 +833,7 @@ def _failing_import_leaves_store_unchanged(store, out, expected_error):
 
 
 def test_import_with_dangling_reference_rolls_back(store, tmp_path):
-    store.save_word(simple_bundle())
+    store.save_word(*simple_page())
     store.build_index_tables()
     for table, column, parent in (("relation", 2, "lang_pos"),
                                   ("translation_entry", 1, "translation")):  # no rowid
@@ -847,7 +887,7 @@ def _repeat_first_text(lines):
     # zz has no entries, so its index has no rows
     ("index_zz", lambda lines: ["word\tlang_pos_id\n", "paw\t3\n"], "en", MalformedRow, 2),
     # the export's native language is en; the TSV files do not say so
-    ("index_native", lambda lines: lines, "fi", CorruptStore, "'en'.*'fi'"),
+    ("index_native", lambda lines: lines, "ru", CorruptStore, "'en'.*'ru'"),
     # tables whose primary key leaves the id out
     ("translation_entry", _repeat_first_id, "en", CorruptStore,
      r"^translation_entry\.tsv: id 1 appears 2 times$"),
@@ -864,9 +904,9 @@ def _repeat_first_text(lines):
 def test_import_refuses_index_files_unlike_the_derived_rows(
         store, tmp_path, table, edit, native, error, where):
     boxes = [("", [("fi", "sana", "[[sana]]")]), ("", [("de", "Wort", "[[Wort]]")])]
-    store.save_word(WordBundle(title="toe", record_id=0, lang_pos=[
-        noun(translations=boxes), noun("fi")]))
-    store.save_word(WordBundle(title="paw", record_id=1, lang_pos=[noun()]))
+    store.save_word("toe", 0, [
+        noun(translations=boxes), noun("fi")])
+    store.save_word("paw", 1, [noun()])
     out, clean = tmp_path / "export", tmp_path / "clean"
     store.export_tsv(out)
     store.export_tsv(clean)
@@ -875,8 +915,8 @@ def test_import_refuses_index_files_unlike_the_derived_rows(
     path = out / f"{table}.tsv"
     lines = path.read_text("utf-8").splitlines(keepends=True) if path.exists() else []
     path.write_text("".join(edit(lines)), encoding="utf-8")
-    with MrdStore(tmp_path / "target.db", native_code=native, dialect="en") as target:
-        target.save_word(simple_bundle(title="kept"))
+    with MrdStore(tmp_path / "target.db", dialect=native) as target:
+        target.save_word(*simple_page(title="kept"))
         err = _failing_import_leaves_store_unchanged(target, out, error)
         if error is MalformedRow:
             assert (err.table, err.line_no) == (table, where)
@@ -887,10 +927,24 @@ def test_import_refuses_index_files_unlike_the_derived_rows(
             assert target.table_sizes() == store.table_sizes()
 
 
+def test_export_over_an_older_export_leaves_no_stale_index(store, tmp_path):
+    store.save_word(*simple_page())
+    store.save_word("fjalë", 1, [noun("sq")])
+    out, fresh = tmp_path / "export", tmp_path / "fresh"
+    store.export_tsv(out)
+    assert (out / "index_sq.tsv").exists()
+    with MrdStore(tmp_path / "empty.db") as empty:
+        empty.export_tsv(out)
+        empty.export_tsv(fresh)
+    assert sorted(os.listdir(out)) == sorted(os.listdir(fresh))
+    store.import_tsv(out)
+    assert store.table_sizes()["page"] == 0
+
+
 @pytest.mark.parametrize("blocked", ["lang_pos.tsv", "index_native.tsv"])
 def test_failed_export_leaves_no_query_open(store, tmp_path, blocked):
-    store.save_word(simple_bundle())
-    store.save_word(simple_bundle(title="paw", record_id=1))  # rows left to read
+    store.save_word(*simple_page())
+    store.save_word(*simple_page(title="paw", record_id=1))  # rows left to read
     store.export_tsv(tmp_path / "good")
     (tmp_path / "bad" / blocked).mkdir(parents=True)  # a directory where the file goes
     with pytest.raises(OSError) as exc:
@@ -903,19 +957,19 @@ def test_failed_export_leaves_no_query_open(store, tmp_path, blocked):
 
 def test_escaping_round_trips_nasty_titles(store, tmp_path):
     nasty = "tab\there\nand\\slash"
-    store.save_word(WordBundle(title=nasty, record_id=0, lang_pos=[
-        noun(meanings=[(1, nasty, [])])]))
+    store.save_word(nasty, 0, [
+        noun(meanings=[(1, nasty, [])])])
     out = tmp_path / "export"
     store.export_tsv(out)
     for line in (out / "page.tsv").read_text("utf-8").splitlines()[1:]:
         assert "\t".join(line.split("\t")[:0]) == ""  # lines stay one-per-row
-    with MrdStore(tmp_path / "other.db", native_code="en", dialect="en") as other:
+    with MrdStore(tmp_path / "other.db", dialect="en") as other:
         other.import_tsv(out)
         assert other.query("SELECT title FROM page") == [(nasty,)]
 
 
 def test_referential_integrity_enforced_on_export(store, tmp_path):
-    store.save_word(simple_bundle())
+    store.save_word(*simple_page())
     store._conn.execute("PRAGMA foreign_keys=OFF")
     store._conn.execute("INSERT INTO relation(meaning_id, lang_pos_id, relation_type_id, "
                         "wiki_text_id) VALUES (999, 999, 1, 1)")
