@@ -79,14 +79,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(base: list[dict[str, float]], change: list[dict[str, float]],
-              better: dict[str, str], bounds: dict[str, float] | None = None
-              ) -> dict[str, dict]:
+              better: dict[str, str], bounds: dict[str, float]) -> dict[str, dict]:
     """Per metric named in `better` ("higher" or "lower"), from the metric
     values of pairs base[i]/change[i]: each side's quartiles, the change's
-    wins out of the pairs, and its median relative to the base's. A metric
-    with a bound in `bounds` also gets worse_beyond_bound: whether that
-    relative change, taken in the metric's better direction, is below
-    minus the bound (None when the base median is 0)."""
+    wins out of the pairs, its median relative to the base's, and whether
+    that relative change, taken in the metric's better direction, is worse
+    than the metric's bound in `bounds` (None when the base median is 0)."""
     if len(base) != len(change) or not base:
         raise ValueError("need the same number of base and change runs, at least one")
     out = {}
@@ -104,10 +102,9 @@ def summarize(base: list[dict[str, float]], change: list[dict[str, float]],
             "wins": sum(sign * (y - x) > 0 for x, y in zip(b, c)),
             "pairs": len(b),
             "median_change": median_change,
+            "worse_beyond_bound": (None if median_change is None
+                                   else -sign * median_change > bounds[name]),
         }
-        if bounds and name in bounds:
-            out[name]["worse_beyond_bound"] = (
-                None if median_change is None else -sign * median_change > bounds[name])
     return out
 
 

@@ -76,9 +76,8 @@ def test_resave_is_idempotent(store):
 
 def test_meaning_counts_multiply(store):
     for n in range(10):
-        page = (f"w{n}", n, [
+        store.save_word(f"w{n}", n, [
             noun(meanings=[(k + 1, f"def {n}.{k}", []) for k in range(3)])])
-        store.save_word(*page)
     assert store.table_sizes()["meaning"] == 30
 
 
@@ -90,19 +89,16 @@ def test_wiki_text_deduplicated(store):
 
 
 def test_soft_redirect_stored(store):
-    page = ("dogs", 1, [
-        noun(meanings=[(1, "{{plural of|dog}}", [])],
-             soft_redirect=("plural of", "dog"))])
-    store.save_word(*page)
+    store.save_word("dogs", 1, [noun(meanings=[(1, "{{plural of|dog}}", [])],
+                                     soft_redirect=("plural of", "dog"))])
     rows = store.query("SELECT is_soft_redirect, redirect_target FROM page WHERE title='dogs'")
     assert rows == [(1, "dog")]
     assert store.table_sizes()["inflection"] == 1
 
 
 def test_long_wiki_text_truncated(store):
-    page = ("long", 0, [
-        noun(meanings=[(1, "щ" * 70000, [])])])
-    assert store.save_word(*page) == 1  # the texts it cut
+    page = [noun(meanings=[(1, "щ" * 70000, [])])]
+    assert store.save_word("long", 0, page) == 1  # the texts it cut
     (stored,) = store.query("SELECT text FROM wiki_text")[0]
     assert len(stored.encode("utf-8")) <= MAX_WIKI_TEXT_BYTES
     assert stored and set(stored) == {"щ"}
@@ -111,11 +107,8 @@ def test_long_wiki_text_truncated(store):
 
 def test_long_wiki_text_counted_once_when_stored(store):
     text = "x" * 140_000
-    first = ("a", 0, [
-        noun(meanings=[(1, text, []), (2, text, [])])])
-    second = ("b", 1, [noun(meanings=[(1, text, [])])])
-    assert store.save_word(*first) == 1
-    assert store.save_word(*second) == 0  # reused, not stored again
+    assert store.save_word("a", 0, [noun(meanings=[(1, text, []), (2, text, [])])]) == 1
+    assert store.save_word("b", 1, [noun(meanings=[(1, text, [])])]) == 0  # reused
     assert store.table_sizes()["wiki_text"] == 1
 
 
@@ -463,18 +456,15 @@ def test_writers_taking_turns_do_not_repeat_ids(tmp_path):
 
 def test_text_the_cache_could_not_keep_gets_only_its_new_words(store, monkeypatch):
     monkeypatch.setattr(store_module, "_WIKI_TEXT_CACHE_SIZE", 2)
-    store.save_word("p0", 0, [
-        noun(meanings=[(1, "[[f]]", ["f"])])])  # fills the cache
+    store.save_word("p0", 0, [noun(meanings=[(1, "[[f]]", ["f"])])])  # fills the cache
     shared = "[[a]] or [[b]]"
-    store.save_word("p1", 1, [
-        noun(meanings=[(1, shared, ["a"])])])
+    store.save_word("p1", 1, [noun(meanings=[(1, shared, ["a"])])])
     assert shared not in store._wiki_text_cache
     # the stored text gains b; used twice, it is read back twice, b written once
     store.save_word("p2", 2, [
         noun(meanings=[(1, shared, ["a", "b"]), (2, shared, ["b", "b"])])])
     assert _word_ids(store) == [(1, "f"), (2, "a"), (3, "b")]
-    store.save_word("p3", 3, [
-        noun(meanings=[(1, "[[c]]", ["c"])])])
+    store.save_word("p3", 3, [noun(meanings=[(1, "[[c]]", ["c"])])])
     assert _word_ids(store)[-1] == (4, "c")
 
 
@@ -957,8 +947,7 @@ def test_failed_export_leaves_no_query_open(store, tmp_path, blocked):
 
 def test_escaping_round_trips_nasty_titles(store, tmp_path):
     nasty = "tab\there\nand\\slash"
-    store.save_word(nasty, 0, [
-        noun(meanings=[(1, nasty, [])])])
+    store.save_word(nasty, 0, [noun(meanings=[(1, nasty, [])])])
     out = tmp_path / "export"
     store.export_tsv(out)
     for line in (out / "page.tsv").read_text("utf-8").splitlines()[1:]:
