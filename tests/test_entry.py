@@ -41,7 +41,7 @@ def test_ru_heading_with_stray_brace(registry):
     ("= Foo =", "expected a single language template in the heading"),
     ("= {{-en-}} {{-de-}} =", "expected a single language template in the heading"),
     ("= {{перевод}} =", "not a language template: 'перевод'"),
-])
+], ids=["no_template", "two_templates", "other_template"])
 def test_ru_heading_without_one_language_template_skipped(registry, heading, reason):
     page = Page(title="x", raw_text=f"{heading}\nbody\n= {{{{-sq-}}}} =\nmore\n")
     sections, skipped = entry.split_language_sections(page, "ru", registry)
