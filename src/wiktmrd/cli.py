@@ -9,8 +9,8 @@ import sys
 
 from . import stats as stats_mod
 from . import wikitext as wt
-from .pipeline import MalformedDump, ParseConfig, run_parse
-from .registry import DIALECTS, builtin_registry, load_registry
+from .pipeline import EDITIONS, MalformedDump, ParseConfig, run_parse
+from .registry import builtin_registry, load_registry
 from .store import ChecksumMismatch, MrdStore, StoreError
 
 
@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse a dump into a store")
-    p.add_argument("--dialect", choices=DIALECTS, required=True)
+    p.add_argument("--dialect", choices=EDITIONS, required=True)
     p.add_argument("--dump", required=True)
     p.add_argument("--store", required=True)
     p.add_argument("--start-record", type=_int_at_least(0), default=None)

@@ -1,13 +1,13 @@
 """Splitting one page into language sections, part-of-speech sections and
 numbered definitions, plus word-form ("soft redirect") detection.
 
-The two supported dialects differ structurally: the en edition marks
-languages with level-2 name headings ("==English=="), the ru edition with
-level-1 template headings ("= {{-en-}} ="), reads definitions from the
-"Значение" subsection and takes the part of speech from the morphology
-template block. Only split_language_sections is told the dialect; the
-PageOutline of its sections records it for every later stage. Anything
-unresolvable is skipped and recorded, never fatal.
+Editions differ structurally: the en edition marks languages with level-2
+name headings ("==English=="), the ru edition with level-1 template headings
+("= {{-en-}} ="), reads definitions from the "Значение" subsection and takes
+the part of speech from the morphology template block. One Edition record
+per edition (pipeline.EDITIONS) holds these rules; split_language_sections
+is given it, and the PageOutline of its sections carries it to every later
+stage. Anything unresolvable is skipped and recorded, never fatal.
 """
 
 from __future__ import annotations
@@ -15,30 +15,29 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 from . import wikitext as wt
-from .registry import (
-    FORM_OF_TEMPLATES,
-    RU_DEFINITIONS_HEADING,
-    UNKNOWN_POS,
-    Registry,
-    check_dialect,
-    pos_for_heading_en,
-    pos_for_ru_template,
-)
-
-# headings recognized as a part-of-speech slot but outside the canonical set
-UNKNOWN_POS_HEADINGS_EN = frozenset(
-    h.casefold() for h in (
-        "Abbreviation", "Initialism", "Acronym", "Symbol", "Letter",
-        "Prefix", "Suffix", "Contraction", "Determiner", "Article",
-    )
-)
+from .registry import (FORM_OF_TEMPLATES, POS_HEADINGS_EN, UNKNOWN_POS, Registry,
+                       pos_for_ru_template)
 
 _ETYMOLOGY_RE = re.compile(r"^etymology(?:\s+(\d+))?$", re.IGNORECASE)
 _RU_LANG_TEMPLATE_RE = re.compile(r"^-([a-z0-9][a-z0-9-]{1,10})-$")
 # a list line ("*", "#" or ":" markers): its markers and its content
 LIST_LINE_RE = re.compile(r"^([*#:]+)\s*(.*)$")
+
+
+@dataclass(frozen=True)
+class Edition:
+    """Everything one edition's rules differ in."""
+
+    language_level: int  # the level of its language headings
+    resolve_language: Callable  # (heading text, registry) -> (code | None, skip reason)
+    split_pos: Callable  # language section -> its (etymology, POS) sections, or []
+    definitions_heading: str | None  # casefolded; None: definitions span the whole body
+    relation_headings: dict[str, str]  # casefolded heading -> relation type
+    bind_relation_lines: Callable  # see relations.bind_by_sense
+    extract_translations: Callable  # (PosSection, registry) -> (boxes, skipped)
 
 
 @dataclass
@@ -51,13 +50,13 @@ class Page:
 
 class PageOutline:
     """A page's UTF-8 bytes and headings, encoded and scanned once, and the
-    dialect whose rules read it. Sections of the page are byte ranges of it,
-    so no stage rescans its own text or is told the dialect again."""
+    edition whose rules read it. Sections of the page are byte ranges of it,
+    so no stage rescans its own text or is given the edition again."""
 
-    def __init__(self, text: str, dialect: str):
+    def __init__(self, text: str, edition: Edition):
         self.data = wt.encode(text)
         self.headings = wt.scan_headings(self.data)
-        self.dialect = dialect
+        self.edition = edition
 
     def headings_in(self, start: int, end: int) -> list[wt.Heading]:
         """The headings whose line starts in [start, end)."""
@@ -120,23 +119,21 @@ class PosSection:
 
 
 def split_language_sections(
-    page: Page, dialect: str, registry: Registry
+    page: Page, edition: Edition, registry: Registry
 ) -> tuple[list[PosSection], list[str]]:
-    """Partition the page body at language headings, one unknown-POS,
-    etymology-0 section per language; the page's outline records `dialect`
-    for every later stage.
+    """Partition the page body at `edition`'s language headings, one
+    unknown-POS, etymology-0 section per language; the page's outline
+    carries `edition` to every later stage.
 
     Unresolvable headings produce a skip reason each; the text under them is
-    not parsed further. A dialect other than "en" or "ru" is a ValueError.
+    not parsed further.
     """
-    check_dialect(dialect)
-    outline = PageOutline(page.raw_text, dialect)
-    level, resolve = (2, _resolve_language_en) if dialect == "en" else (1, _resolve_language_ru)
-    heads = [h for h in outline.headings if h.level == level]
+    outline = PageOutline(page.raw_text, edition)
+    heads = [h for h in outline.headings if h.level == edition.language_level]
     sections: list[PosSection] = []
     skipped: list[str] = []
     for i, head in enumerate(heads):
-        language, reason = resolve(head.inner_text, registry)
+        language, reason = edition.resolve_language(head.inner_text, registry)
         if language is None:
             skipped.append(reason)
             continue
@@ -146,13 +143,13 @@ def split_language_sections(
     return sections, skipped
 
 
-def _resolve_language_en(inner: str, registry: Registry):
+def resolve_language_en(inner: str, registry: Registry):
     name = wt.strip_markup(inner) or inner.strip()
     code = registry.find_english_name(name)
     return (code, "") if code else (None, f"unknown language name: {name!r}")
 
 
-def _resolve_language_ru(inner: str, registry: Registry):
+def resolve_language_ru(inner: str, registry: Registry):
     templates = wt.scan_templates(inner)
     if len(templates) != 1:
         return None, "expected a single language template in the heading"
@@ -169,11 +166,10 @@ def split_pos_sections(section: PosSection) -> list[PosSection]:
     A section with nothing recognizable is returned as it is, the single
     pos=unknown section spanning the whole body.
     """
-    split = _split_pos_en if section.outline.dialect == "en" else _split_pos_ru
-    return split(section) or [section]
+    return section.outline.edition.split_pos(section) or [section]
 
 
-def _split_pos_en(section: PosSection) -> list[PosSection]:
+def split_pos_en(section: PosSection) -> list[PosSection]:
     outline, section_end = section.outline, section.span[1]
     marks = []  # (heading, kind, payload)
     for head in outline.headings_in(*section.span):
@@ -182,9 +178,7 @@ def _split_pos_en(section: PosSection) -> list[PosSection]:
         if m:
             marks.append((head, "etym", int(m.group(1) or 0)))
             continue
-        pos = pos_for_heading_en(inner)
-        if pos is None and inner.casefold() in UNKNOWN_POS_HEADINGS_EN:
-            pos = UNKNOWN_POS
+        pos = POS_HEADINGS_EN.get(inner.casefold())
         if pos is not None:
             marks.append((head, "pos", pos))
     heads = [head for head, _, _ in marks]
@@ -200,7 +194,7 @@ def _split_pos_en(section: PosSection) -> list[PosSection]:
     return out
 
 
-def _split_pos_ru(section: PosSection) -> list[PosSection]:
+def split_pos_ru(section: PosSection) -> list[PosSection]:
     outline, section_end = section.outline, section.span[1]
     homonym_heads = [h for h in outline.headings_in(*section.span) if h.level == 2]
     blocks = [(i + 1, *outline.body_range(homonym_heads, i, section_end))
@@ -227,14 +221,10 @@ def extract_definitions(pos_section: PosSection) -> list[tuple[int, str, list[st
     """Numbered definitions of one PosSection as the store's meaning rows,
     (ordinal, wikitext, ref_words), ordinals consecutive from 1; ref_words
     are the distinct wikilink targets of the definition, in source order."""
-    if pos_section.outline.dialect == "en":
-        region = pos_section.body
-    else:
-        region = pos_section.named_subsection(RU_DEFINITIONS_HEADING)
-        if region is None:
-            return []
+    heading = pos_section.outline.edition.definitions_heading
+    region = pos_section.named_subsection(heading) if heading else pos_section.body
     meanings = []
-    for line in region.splitlines():
+    for line in (region or "").splitlines():
         if is_definition_line(line):
             wikitext = line[1:].strip()
             ref_words = list(dict.fromkeys(

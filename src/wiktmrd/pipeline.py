@@ -25,7 +25,8 @@ import zlib
 from dataclasses import dataclass, field
 
 from . import entry, relations, translations
-from .registry import Registry, builtin_registry, check_dialect, load_registry
+from .registry import (RELATION_HEADINGS_EN, RELATION_HEADINGS_RU, Registry,
+                       builtin_registry, load_registry)
 from .store import Checkpoint, ChecksumMismatch, MrdStore
 
 # test seam: abort the process abruptly (no cleanup, like kill -9) after this
@@ -37,6 +38,21 @@ _SKIP_EXAMPLES = 5  # titles named per skip reason in the end-of-run summary
 _MAX_IN_FLIGHT = 64
 # how damaged XML, a cut compressed stream and corrupt compressed bytes fail
 _DUMP_DAMAGE = (ET.ParseError, EOFError, OSError, zlib.error)
+
+# The editions a dump can come from, by their `parse --dialect` name. Each call
+# looks its translation extractor up in the module, where a wrapper may sit.
+EDITIONS = {
+    "en": entry.Edition(
+        language_level=2, resolve_language=entry.resolve_language_en,
+        split_pos=entry.split_pos_en, definitions_heading=None,
+        relation_headings=RELATION_HEADINGS_EN, bind_relation_lines=relations.bind_by_sense,
+        extract_translations=lambda *args: translations.extract_translations_en(*args)),
+    "ru": entry.Edition(
+        language_level=1, resolve_language=entry.resolve_language_ru,
+        split_pos=entry.split_pos_ru, definitions_heading="значение",
+        relation_headings=RELATION_HEADINGS_RU, bind_relation_lines=relations.bind_by_position,
+        extract_translations=lambda *args: translations.extract_translations_ru(*args)),
+}
 
 
 class MalformedDump(Exception):
@@ -182,13 +198,13 @@ class AnalyzedPage:
     error: str = ""
 
 
-def analyze_page(page: entry.Page, dialect: str, registry: Registry) -> AnalyzedPage:
+def analyze_page(page: entry.Page, edition: entry.Edition, registry: Registry) -> AnalyzedPage:
     if page.is_redirect:
         return AnalyzedPage(page.record_id, page.title, "redirect")
     if ":" in page.title:
         return AnalyzedPage(page.record_id, page.title, "namespace")
     try:
-        sections, skipped = entry.split_language_sections(page, dialect, registry)
+        sections, skipped = entry.split_language_sections(page, edition, registry)
         lang_pos = []
         skipped_lines = 0
         seen_ordinals: dict[tuple[str, str], set[int]] = {}
@@ -197,10 +213,7 @@ def analyze_page(page: entry.Page, dialect: str, registry: Registry) -> Analyzed
                 meanings = entry.extract_definitions(ps)
                 soft = entry.classify_soft_redirect(page.title, meanings)
                 records = relations.extract_relations(ps, meanings)
-                if dialect == "en":
-                    boxes, sk = translations.extract_translations_en(ps, registry)
-                else:
-                    boxes, sk = translations.extract_translations_ru(ps, registry)
+                boxes, sk = edition.extract_translations(ps, registry)
                 skipped_lines += len(sk)
                 # duplicated headings act like extra homonym blocks; keep
                 # (lang, pos, etymology) unique within the page
@@ -217,19 +230,18 @@ def analyze_page(page: entry.Page, dialect: str, registry: Registry) -> Analyzed
         return AnalyzedPage(page.record_id, page.title, "failed", error=repr(exc))
 
 
-_pool_dialect = ""
-_pool_registry = None
+_pool_args: tuple = ()  # (edition, registry) of the run
 
 
-def _pool_init(dialect: str, registry: Registry):
-    # the workers are forked, so the registry the run loaded reaches them
-    # without a second read or a pickle
-    global _pool_dialect, _pool_registry
-    _pool_dialect, _pool_registry = dialect, registry
+def _pool_init(edition: entry.Edition, registry: Registry):
+    # the workers are forked, so the edition and the registry the run loaded
+    # reach them without a second read or a pickle
+    global _pool_args
+    _pool_args = edition, registry
 
 
 def _pool_analyze(page):
-    return analyze_page(page, _pool_dialect, _pool_registry)
+    return analyze_page(page, *_pool_args)
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +249,15 @@ def _pool_analyze(page):
 # ---------------------------------------------------------------------------
 
 def run_parse(config: ParseConfig) -> ParseReport:
-    check_dialect(config.dialect)
+    edition = EDITIONS.get(config.dialect)
+    if edition is None:
+        raise ValueError(f"unsupported dialect: {config.dialect!r}")
     t0 = time.monotonic()
     registry = (load_registry(config.registry_path)
                 if config.registry_path else builtin_registry())
     identity = dump_identity(config.dump_path)
     with MrdStore(config.store_path, dialect=config.dialect) as store:
-        report = _run_parse_inner(config, store, registry, identity)
+        report = _run_parse_inner(config, edition, store, registry, identity)
     report.elapsed = time.monotonic() - t0
     report.pages_per_second = report.pages_seen / report.elapsed if report.elapsed else 0.0
     return report
@@ -269,7 +283,7 @@ def _check_identity(cp, identity):
             f"never match; to reparse, pass --start-record 0 or use a fresh store)")
 
 
-def _run_parse_inner(config, store, registry, identity) -> ParseReport:
+def _run_parse_inner(config, edition, store, registry, identity) -> ParseReport:
     start, base_counters = _resolve_start(config, store, identity)
     report = ParseReport()
     crash_after = int(os.environ.get(_CRASH_ENV, "0") or "0")
@@ -293,7 +307,7 @@ def _run_parse_inner(config, store, registry, identity) -> ParseReport:
             return
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(config.worker_count, initializer=_pool_init,
-                      initargs=(config.dialect, registry)) as pool:
+                      initargs=(edition, registry)) as pool:
             analysed = ()
             while batch:
                 queued = pool.imap(_pool_analyze, batch, chunksize=8)

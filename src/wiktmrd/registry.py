@@ -1,4 +1,4 @@
-"""The language table, and the per-dialect heading/template vocabulary for
+"""The language table, and each edition's heading/template vocabulary for
 parts of speech and semantic relation types.
 
 A Registry is the language table alone: codes, English names and aliases,
@@ -6,8 +6,8 @@ Russian names. The built-in table ships as data/languages.tsv (one line per
 code: code, english names, russian name). A user registry file in the same
 format extends or overrides it. Parts of speech and relation types are fixed
 sets and are carried as their canonical names, the strings the store rows
-hold; headings and templates map to those names through the module
-functions find_relation_heading, pos_for_heading_en and pos_for_ru_template.
+hold; the edition records (pipeline.EDITIONS) map headings and templates to
+those names through POS_HEADINGS_EN, RELATION_HEADINGS_* and pos_for_ru_template.
 Everything is immutable after load and safe to share across threads and
 worker processes.
 """
@@ -21,16 +21,8 @@ from importlib import resources
 
 CODE_RE = re.compile(r"^[a-z0-9][a-z0-9-]{1,10}$")
 
-# the POS of a slot with no heading or template in _POS_ALIASES
+# the POS of a slot whose heading or template names no canonical POS
 UNKNOWN_POS = "unknown"
-
-# the editions a dump can come from, each parsed by its own rules
-DIALECTS = ("en", "ru")
-
-
-def check_dialect(dialect: str) -> None:
-    if dialect not in DIALECTS:
-        raise ValueError(f"unsupported dialect: {dialect!r}")
 
 
 class MalformedRegistryFile(ValueError):
@@ -63,7 +55,7 @@ _RELATION_ALIASES = {
 # a relation type's store id is its 1-based position here
 RELATION_TYPE_NAMES = tuple(_RELATION_ALIASES)
 
-# canonical POS -> (en heading aliases, ru morphology template prefixes)
+# POS -> (en heading aliases, ru morphology template prefixes)
 _POS_ALIASES = {
     "noun": (("Noun",), ("сущ",)),
     "verb": (("Verb",), ("гл", "глагол")),
@@ -77,6 +69,9 @@ _POS_ALIASES = {
     "particle": (("Particle",), ("част",)),
     "proper_noun": (("Proper noun",), ()),
     "phrase": (("Phrase",), ("фраз",)),
+    # en headings of a part-of-speech slot outside the canonical set
+    UNKNOWN_POS: (("Abbreviation", "Initialism", "Acronym", "Symbol", "Letter", "Prefix",
+                   "Suffix", "Contraction", "Determiner", "Article"), ()),
 }
 
 FORM_OF_TEMPLATES = frozenset({
@@ -86,7 +81,6 @@ FORM_OF_TEMPLATES = frozenset({
 
 TRANSLATION_TEMPLATES_EN = frozenset({"t", "t+", "t-", "tø"})
 TRANSLATION_BLOCK_RU = "перев-блок"
-RU_DEFINITIONS_HEADING = "значение"
 
 
 def _by_alias(aliases, column: int) -> dict[str, str]:
@@ -94,20 +88,11 @@ def _by_alias(aliases, column: int) -> dict[str, str]:
     return {a.casefold(): name for name, cols in aliases.items() for a in cols[column]}
 
 
-_RELATION_BY_HEADING = {"en": _by_alias(_RELATION_ALIASES, 0),
-                        "ru": _by_alias(_RELATION_ALIASES, 1)}
-_POS_BY_HEADING_EN = _by_alias(_POS_ALIASES, 0)
+# casefolded heading -> the relation type or POS it names, per edition
+RELATION_HEADINGS_EN = _by_alias(_RELATION_ALIASES, 0)
+RELATION_HEADINGS_RU = _by_alias(_RELATION_ALIASES, 1)
+POS_HEADINGS_EN = _by_alias(_POS_ALIASES, 0)
 _POS_BY_RU_PREFIX = _by_alias(_POS_ALIASES, 1)
-
-
-def find_relation_heading(inner: str, dialect: str) -> str | None:
-    """The relation type a heading of the `dialect` edition names, or None."""
-    return _RELATION_BY_HEADING[dialect].get(inner.strip().casefold())
-
-
-def pos_for_heading_en(inner: str) -> str | None:
-    """The POS an en part-of-speech heading names, or None."""
-    return _POS_BY_HEADING_EN.get(inner.strip().casefold())
 
 
 def pos_for_ru_template(template_name: str) -> str | None:

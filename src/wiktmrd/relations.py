@@ -1,10 +1,10 @@
 """Semantic-relation (thesaurus) extraction from a PosSection, under the
-dialect its page's outline records.
+relation headings and the line binding of its page's edition.
 
-en dialect: each relation subsection lists "* [[word]]" lines; a leading
-{{sense|...}} template aligns the line to the meaning whose text contains
-the gloss. ru dialect: the i-th list line belongs to meaning ordinal i, and
-"-"/"—" placeholder lines hold the position without contributing rows.
+bind_by_sense (en): a leading {{sense|...}} template aligns a "* [[word]]"
+line to the meaning whose text contains the gloss. bind_by_position (ru):
+the i-th line of one "#" or "*" marker belongs to meaning ordinal i, "-"/"—"
+placeholders hold the position without rows, and nested lines give none.
 Rows are the store's relation tuples (see store.py).
 """
 
@@ -14,7 +14,6 @@ import re
 
 from . import wikitext as wt
 from .entry import LIST_LINE_RE, PosSection
-from .registry import find_relation_heading
 
 _PLACEHOLDERS = ("", "-", "—")
 
@@ -32,50 +31,60 @@ def extract_relations(
 
     Empty relation subsections are legal and contribute nothing.
     """
-    rows: list[tuple[str, str, str, int | None]] = []
-    plain: dict[int, str] = {}  # ordinal -> casefolded plain text, on first use
-    dialect = pos_section.outline.dialect
+    edition = pos_section.outline.edition
     heads = pos_section.headings()
+    subsections = []
     for i, head in enumerate(heads):
-        type_name = find_relation_heading(head.inner_text, dialect)
-        if type_name is None:
-            continue
-        lines = pos_section.subsection(heads, i).splitlines()
-        items = [m.group(2).strip() for m in map(LIST_LINE_RE.match, lines) if m]
-        for index, content in enumerate(items):
+        type_name = edition.relation_headings.get(head.inner_text.strip().casefold())
+        if type_name is not None:
+            lines = pos_section.subsection(heads, i).splitlines()
+            subsections.append((type_name, [(m.group(1), m.group(2).strip())
+                                            for m in map(LIST_LINE_RE.match, lines) if m]))
+    rows: list[tuple[str, str, str, int | None]] = []
+    for type_name, ordinal, data, templates, start in edition.bind_relation_lines(
+            subsections, meanings):
+        for wikitext in _line_words(data, templates, start):
+            word = wt.strip_markup(wikitext)
+            if word:
+                rows.append((type_name, word, wikitext, ordinal))
+    return rows
+
+
+def bind_by_sense(subsections, meanings):
+    """(type_name, meaning ordinal | None, encoding, templates, where the words
+    start) per non-placeholder line of the (type_name, [(markers, content)])
+    subsections; a leading {{sense|gloss}} names the meaning, words follow it."""
+    plain: dict[int, str] = {}  # ordinal -> casefolded plain text, on first use
+    for type_name, items in subsections:
+        for _, content in items:
             if content in _PLACEHOLDERS:
                 continue
             data = wt.encode(content)
             templates = wt.scan_templates(data)
+            sense = templates[0] if templates and templates[0].source_span[0] == 0 else None
+            if sense is None or sense.name.strip().casefold() != _SENSE_TEMPLATE:
+                yield type_name, None, data, templates, 0
+                continue
+            gloss = wt.strip_markup(", ".join(sense.positional_params)).casefold()
             ordinal = None
-            start = 0  # where the line's words begin
-            if dialect != "en":  # the i-th list line belongs to meaning i
+            for meaning_ordinal, wikitext, _ in meanings if gloss else ():
+                if meaning_ordinal not in plain:
+                    plain[meaning_ordinal] = wt.strip_markup(wikitext).casefold()
+                if gloss in plain[meaning_ordinal]:
+                    ordinal = meaning_ordinal
+                    break
+            yield type_name, ordinal, data, templates, sense.source_span[1]
+
+
+def bind_by_position(subsections, meanings):
+    """As bind_by_sense; the i-th line of one "#" or "*" marker is meaning i's."""
+    for type_name, items in subsections:
+        top = [content for markers, content in items if markers in ("#", "*")]
+        for index, content in enumerate(top):
+            if content not in _PLACEHOLDERS:
+                data = wt.encode(content)
                 ordinal = meanings[index][0] if index < len(meanings) else None
-            elif (templates and templates[0].source_span[0] == 0
-                  and templates[0].name.strip().casefold() == _SENSE_TEMPLATE):
-                ordinal = _sense_ordinal(templates[0], meanings, plain)
-                start = templates[0].source_span[1]
-            for wikitext in _line_words(data, templates, start):
-                word = wt.strip_markup(wikitext)
-                if word:
-                    rows.append((type_name, word, wikitext, ordinal))
-    return rows
-
-
-def _sense_ordinal(sense: wt.Template, meanings, plain: dict[int, str]) -> int | None:
-    """Ordinal of the first meaning whose text contains the gloss of a
-    {{sense|...}} template, or None. `plain` caches each meaning's
-    casefolded plain text across the section's lines."""
-    gloss = wt.strip_markup(", ".join(sense.positional_params))
-    if not gloss:
-        return None
-    needle = gloss.casefold()
-    for meaning_ordinal, wikitext, _ in meanings:
-        if meaning_ordinal not in plain:
-            plain[meaning_ordinal] = wt.strip_markup(wikitext).casefold()
-        if needle in plain[meaning_ordinal]:
-            return meaning_ordinal
-    return None
+                yield type_name, ordinal, data, wt.scan_templates(data), 0
 
 
 def _line_words(data: bytes, templates: list[wt.Template], start: int) -> list[str]:

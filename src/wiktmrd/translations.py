@@ -1,9 +1,9 @@
-"""Translation extraction for both dialects.
+"""Translation extraction; an edition record names the extractor its pages use.
 
-en dialect: {{trans-top|gloss}} ... {{trans-bottom}} blocks with
+extract_translations_en: {{trans-top|gloss}} ... {{trans-bottom}} blocks with
 "* Language: {{t+|code|word}}" lines (bare "[[word]] (translit)" accepted).
-ru dialect: one {{перев-блок}} template per translated sense whose named
-parameters are language codes holding wikilinked words.
+extract_translations_ru: one {{перев-блок}} template per translated sense
+whose named parameters are language codes holding wikilinked words.
 
 Both return (boxes, skipped): boxes are the store's translation tuples
 (gloss, [(lang_code, word, wikitext), ...]) (see store.py), skipped holds

@@ -7,6 +7,7 @@ import pytest
 
 from wiktmrd import registry as reg
 from wiktmrd.entry import Page, PageOutline, PosSection
+from wiktmrd.pipeline import EDITIONS
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -66,7 +67,7 @@ def fixture_page(dialect: str, name: str, record_id: int = 0) -> Page:
 def pos_section(body: str, dialect: str = "en") -> PosSection:
     """A noun section of the `dialect` edition, in its own language, whose
     page is `body` alone."""
-    outline = PageOutline(body, dialect)
+    outline = PageOutline(body, EDITIONS[dialect])
     return PosSection(language=dialect, etymology_ordinal=0, pos="noun",
                       span=(0, len(outline.data)), outline=outline)
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import DATA_DIR, fixture_page, pos_section
 from wiktmrd import entry, wikitext as wt
 from wiktmrd.entry import Page
+from wiktmrd.pipeline import EDITIONS
 from wiktmrd.registry import RELATION_TYPE_NAMES
 
 
@@ -16,7 +17,7 @@ from wiktmrd.registry import RELATION_TYPE_NAMES
 
 def test_en_two_language_sections(registry):
     page = Page(title="x", raw_text="==English==\nbody one\n==Albanian==\nbody two\n")
-    sections, skipped = entry.split_language_sections(page, "en", registry)
+    sections, skipped = entry.split_language_sections(page, EDITIONS["en"], registry)
     assert [s.language for s in sections] == ["en", "sq"]
     assert skipped == []
     assert sections[0].body == "body one\n"
@@ -25,7 +26,7 @@ def test_en_two_language_sections(registry):
 
 def test_ru_language_template_heading(registry):
     page = Page(title="x", raw_text="= {{-en-}} =\nbody\n")
-    sections, skipped = entry.split_language_sections(page, "ru", registry)
+    sections, skipped = entry.split_language_sections(page, EDITIONS["ru"], registry)
     assert [s.language for s in sections] == ["en"]
     assert skipped == []
 
@@ -33,7 +34,7 @@ def test_ru_language_template_heading(registry):
 def test_ru_heading_with_stray_brace(registry):
     # tolerates sloppy markup around the language template
     page = Page(title="x", raw_text="= {{-sq-}}} =\nbody\n")
-    sections, _ = entry.split_language_sections(page, "ru", registry)
+    sections, _ = entry.split_language_sections(page, EDITIONS["ru"], registry)
     assert [s.language for s in sections] == ["sq"]
 
 
@@ -44,19 +45,14 @@ def test_ru_heading_with_stray_brace(registry):
 ], ids=["no_template", "two_templates", "other_template"])
 def test_ru_heading_without_one_language_template_skipped(registry, heading, reason):
     page = Page(title="x", raw_text=f"{heading}\nbody\n= {{{{-sq-}}}} =\nmore\n")
-    sections, skipped = entry.split_language_sections(page, "ru", registry)
+    sections, skipped = entry.split_language_sections(page, EDITIONS["ru"], registry)
     assert [s.language for s in sections] == ["sq"]
     assert skipped == [reason]
 
 
-def test_unknown_dialect_refused(registry):
-    with pytest.raises(ValueError, match="unsupported dialect: 'fi'"):
-        entry.split_language_sections(Page(title="x", raw_text="==English==\n"), "fi", registry)
-
-
 def test_en_unknown_language_skipped(registry):
     page = Page(title="x", raw_text="==Qqzish==\nstuff\n")
-    sections, skipped = entry.split_language_sections(page, "en", registry)
+    sections, skipped = entry.split_language_sections(page, EDITIONS["en"], registry)
     assert sections == []
     assert len(skipped) == 1 and "Qqzish" in skipped[0]
 
@@ -64,7 +60,7 @@ def test_en_unknown_language_skipped(registry):
 def test_partition_property_on_fixture(registry):
     page = fixture_page("en", "dog")
     data = wt.encode(page.raw_text)
-    sections, _ = entry.split_language_sections(page, "en", registry)
+    sections, _ = entry.split_language_sections(page, EDITIONS["en"], registry)
     for s in sections:
         assert wt.decode(data[s.span[0]:s.span[1]]) == s.body
     spans = [s.span for s in sections]
@@ -75,7 +71,7 @@ def test_partition_property_on_fixture(registry):
 # -- POS sections ---------------------------------------------------------------
 
 def section_of(page, dialect, registry, index=0):
-    sections, _ = entry.split_language_sections(page, dialect, registry)
+    sections, _ = entry.split_language_sections(page, EDITIONS[dialect], registry)
     return sections[index]
 
 
@@ -176,7 +172,7 @@ def test_definition_ordinals_consecutive(body):
 def test_sectioning_never_raises(registry, text):
     for dialect in ("en", "ru"):
         page = Page(title="fuzz", raw_text=text)
-        sections, _ = entry.split_language_sections(page, dialect, registry)
+        sections, _ = entry.split_language_sections(page, EDITIONS[dialect], registry)
         for sec in sections:
             for ps in entry.split_pos_sections(sec):
                 meanings = entry.extract_definitions(ps)

@@ -1,5 +1,6 @@
 """Dump iteration, the parse run, resume/crash behavior, worker determinism."""
 
+import dataclasses
 import os
 import random
 import sqlite3
@@ -14,7 +15,9 @@ from conftest import (
     DATA_DIR, assert_full_index_set, build_dump_xml, fixture_dump_pages, write_dump)
 from wiktmrd import pipeline
 from wiktmrd import store as store_module
-from wiktmrd.pipeline import MalformedDump, ParseConfig, iterate_dump, run_parse
+from wiktmrd.cli import main
+from wiktmrd.entry import Page
+from wiktmrd.pipeline import EDITIONS, MalformedDump, ParseConfig, iterate_dump, run_parse
 from wiktmrd.store import _SECONDARY_INDEXES, ChecksumMismatch, MrdStore
 
 
@@ -165,13 +168,38 @@ def test_dump_identity_distinguishes_dumps(tmp_path):
 
 
 @pytest.mark.parametrize("dialect", ["fi", "EN", ""])
-def test_run_parse_rejects_unknown_dialect(tmp_path, dialect):
+def test_run_parse_rejects_unknown_dialect(tmp_path, capsys, dialect):
     # the dump is missing too: the dialect is refused before anything is read
     config = ParseConfig(dialect=dialect, dump_path=tmp_path / "missing.xml",
                          store_path=tmp_path / "s.db")
     with pytest.raises(ValueError, match=f"unsupported dialect: {dialect!r}"):
         run_parse(config)
+    # the CLI offers the names of EDITIONS only
+    with pytest.raises(SystemExit) as exited:
+        main(["parse", "--dialect", dialect, "--dump", str(config.dump_path),
+              "--store", str(config.store_path)])
+    assert exited.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_an_edition_built_from_existing_parts(registry):
+    # ru headings, POS split and definitions, with en {{trans-top}} boxes
+    edition = dataclasses.replace(
+        EDITIONS["ru"], extract_translations=EDITIONS["en"].extract_translations)
+    page = Page(title="пёс", raw_text=(
+        "= {{-ru-}} =\n{{сущ ru m a 1a}}\n==== Значение ====\n# [[собака]]\n"
+        "==== Синонимы ====\n# [[собака]]\n=== Перевод ===\n{{trans-top|animal}}\n"
+        "* English: {{t|en|dog}}\n* Finnish: [[koira]]\n{{trans-bottom}}\n"
+        "{{перев-блок|животное|de=[[Hund]]}}\n"))
+    analyzed = pipeline.analyze_page(page, edition, registry)
+    assert (analyzed.kind, analyzed.skipped_sections, analyzed.skipped_lines) == ("parsed", 0, 0)
+    assert analyzed.lang_pos == [(
+        "ru", "noun", 0,
+        [(1, "[[собака]]", ["собака"])],
+        [("synonym", "собака", "[[собака]]", 1)],
+        [("animal", [("en", "dog", "{{t|en|dog}}"), ("fi", "koira", "[[koira]]")])],
+        None)]
 
 
 @pytest.mark.parametrize("compression", [None, "bz2"])
@@ -319,10 +347,10 @@ def test_skipped_pages_summarized_once_per_reason(tmp_path, capsys):
 def test_failing_page_never_halts_run(tmp_path, monkeypatch):
     real = pipeline.entry.split_language_sections
 
-    def explode(page, dialect, registry):
+    def explode(page, edition, registry):
         if page.title == "boom":
             raise RuntimeError("induced analysis failure")
-        return real(page, dialect, registry)
+        return real(page, edition, registry)
 
     monkeypatch.setattr(pipeline.entry, "split_language_sections", explode)
     dump = write_dump(tmp_path / "d.xml", [

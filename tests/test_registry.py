@@ -1,6 +1,7 @@
 import pytest
 
 from wiktmrd import registry as reg
+from wiktmrd.pipeline import EDITIONS
 
 
 @pytest.fixture(scope="module")
@@ -44,9 +45,9 @@ def test_fixture_languages_resolve(builtin):
 
 def test_exactly_nine_relation_types():
     assert len(reg.RELATION_TYPE_NAMES) == 9
-    # every type has a heading in both dialects, and headings name no other type
-    for dialect in ("en", "ru"):
-        assert set(reg._RELATION_BY_HEADING[dialect].values()) == set(reg.RELATION_TYPE_NAMES)
+    # every type has a heading in each edition, and headings name no other type
+    for edition in EDITIONS.values():
+        assert set(edition.relation_headings.values()) == set(reg.RELATION_TYPE_NAMES)
 
 
 @pytest.mark.parametrize("inner,dialect,expected", [
@@ -57,17 +58,21 @@ def test_exactly_nine_relation_types():
     ("Антонимы", "ru", "antonym"),
 ])
 def test_classify_relation_heading(inner, dialect, expected):
-    assert reg.find_relation_heading(inner, dialect) == expected
+    assert EDITIONS[dialect].relation_headings.get(inner.strip().casefold()) == expected
 
 
 def test_classify_relation_heading_rejects_other_sections():
-    assert reg.find_relation_heading("Pronunciation", "en") is None
+    for edition in EDITIONS.values():
+        assert "pronunciation" not in edition.relation_headings
 
 
 def test_classification_is_total():
-    for s in ("", "  ", "Synonyms", "Etymology", "123", "=x=", "\x00"):
-        rt = reg.find_relation_heading(s, "en")
-        assert rt is None or rt in reg.RELATION_TYPE_NAMES
+    for edition in EDITIONS.values():
+        # keys are casefolded, as relations.extract_relations looks them up
+        assert all(heading == heading.casefold() for heading in edition.relation_headings)
+        for s in ("", "  ", "Synonyms", "Etymology", "123", "=x=", "\x00"):
+            rt = edition.relation_headings.get(s.strip().casefold())
+            assert rt is None or rt in reg.RELATION_TYPE_NAMES
 
 
 def test_load_registry_extends_builtin(tmp_path):
@@ -110,9 +115,10 @@ def test_load_registry_bad_code_rejected(tmp_path):
 
 
 def test_pos_lookups():
-    assert reg.pos_for_heading_en("Noun") == "noun"
-    assert reg.pos_for_heading_en("Proper noun") == "proper_noun"
-    assert reg.pos_for_heading_en("Etymology") is None
+    assert reg.POS_HEADINGS_EN["noun"] == "noun"
+    assert reg.POS_HEADINGS_EN["proper noun"] == "proper_noun"
+    assert reg.POS_HEADINGS_EN["abbreviation"] == reg.UNKNOWN_POS
+    assert "etymology" not in reg.POS_HEADINGS_EN
     assert reg.pos_for_ru_template("сущ ru m ina 5a") == "noun"
     assert reg.pos_for_ru_template("гл ru нсв") == "verb"
     assert reg.pos_for_ru_template("прил-ru") == "adjective"

@@ -5,11 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_page, pos_section
 from wiktmrd import entry, relations, wikitext as wt
-from wiktmrd.registry import RELATION_TYPE_NAMES, find_relation_heading
+from wiktmrd.pipeline import EDITIONS
+from wiktmrd.registry import RELATION_TYPE_NAMES
 
 
 def pos_sections_for(page, dialect, registry):
-    sections, _ = entry.split_language_sections(page, dialect, registry)
+    sections, _ = entry.split_language_sections(page, EDITIONS[dialect], registry)
     out = []
     for sec in sections:
         for ps in entry.split_pos_sections(sec):
@@ -28,7 +29,7 @@ def count_wikilinks_under_relation_headings(body, dialect):
     heads = wt.scan_headings(body)
     data = wt.encode(body)
     for i, head in enumerate(heads):
-        if find_relation_heading(head.inner_text, dialect) is None:
+        if head.inner_text.strip().casefold() not in EDITIONS[dialect].relation_headings:
             continue
         end = len(data)
         for nxt in heads[i + 1:]:
@@ -146,6 +147,15 @@ def test_ru_empty_headers_yield_zero_records(registry):
     [(ps, meanings)] = pos_sections_for(fixture_page("ru", "собака"), "ru", registry)
     rows = relations.extract_relations(ps, meanings)
     assert [(type_name, word) for type_name, word, _, _ in rows] == [("synonym", "пёс")]
+
+
+@pytest.mark.parametrize("marker", ["#:", "##", "#*", "**", "*:", ":"])
+def test_ru_nested_lines_hold_no_meaning(marker):
+    # only a line of one "#" or "*" marker takes a meaning's place
+    ps = pos_section("==== Значение ====\n# пёс\n# кобель\n==== Синонимы ====\n"
+                     f"# [[пёс]]\n{marker} пример\n# [[кобель]]\n", dialect="ru")
+    assert relations.extract_relations(ps, entry.extract_definitions(ps)) == [
+        ("synonym", "пёс", "[[пёс]]", 1), ("synonym", "кобель", "[[кобель]]", 2)]
 
 
 def test_target_word_is_stripped_wikitext(registry):

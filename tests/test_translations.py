@@ -1,13 +1,14 @@
-"""Translation extraction under both dialects."""
+"""Translation extraction under both editions."""
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_page, pos_section
 from wiktmrd import entry, translations
+from wiktmrd.pipeline import EDITIONS
 
 
 def noun_section(page, dialect, registry):
-    sections, _ = entry.split_language_sections(page, dialect, registry)
+    sections, _ = entry.split_language_sections(page, EDITIONS[dialect], registry)
     for sec in sections:
         for ps in entry.split_pos_sections(sec):
             if ps.pos == "noun":
