@@ -55,6 +55,14 @@ EDITIONS = {
 }
 
 
+def edition_for(dialect: str) -> entry.Edition:
+    """The Edition record of a `parse --dialect` name; unknown names are refused."""
+    edition = EDITIONS.get(dialect)
+    if edition is None:
+        raise ValueError(f"unsupported dialect: {dialect!r}")
+    return edition
+
+
 class MalformedDump(Exception):
     def __init__(self, byte_offset: int, detail: str):
         super().__init__(f"malformed dump at byte offset {byte_offset}: {detail}")
@@ -249,9 +257,7 @@ def _pool_analyze(page):
 # ---------------------------------------------------------------------------
 
 def run_parse(config: ParseConfig) -> ParseReport:
-    edition = EDITIONS.get(config.dialect)
-    if edition is None:
-        raise ValueError(f"unsupported dialect: {config.dialect!r}")
+    edition = edition_for(config.dialect)
     t0 = time.monotonic()
     registry = (load_registry(config.registry_path)
                 if config.registry_path else builtin_registry())

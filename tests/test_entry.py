@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import DATA_DIR, fixture_page, pos_section
 from wiktmrd import entry, wikitext as wt
 from wiktmrd.entry import Page
-from wiktmrd.pipeline import EDITIONS
+from wiktmrd.pipeline import EDITIONS, edition_for
 from wiktmrd.registry import RELATION_TYPE_NAMES
 
 
@@ -48,6 +48,12 @@ def test_ru_heading_without_one_language_template_skipped(registry, heading, rea
     sections, skipped = entry.split_language_sections(page, EDITIONS["ru"], registry)
     assert [s.language for s in sections] == ["sq"]
     assert skipped == [reason]
+
+
+def test_unknown_dialect_refused():
+    with pytest.raises(ValueError, match="unsupported dialect: 'fi'"):
+        edition_for("fi")
+    assert edition_for("en") is EDITIONS["en"]
 
 
 def test_en_unknown_language_skipped(registry):
