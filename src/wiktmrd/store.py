@@ -10,14 +10,15 @@ Each text is stored once: wiki_text is found by a 4-byte hash of its text
 (_text_hash), kept in a column the export leaves out, and a text is matched
 by comparing it with the rows of its hash, so a collision costs a compare.
 translation_entry and wiki_text_words are stored by their parent's key,
-without a rowid; the writer gives their ids by SQLite's rowid rule, so the
-ids, and the exports sorted by them, are those a rowid table would have.
+without a rowid, and have no id of their own: a word is keyed by its text
+and title, an entry by its box and its place in the box, numbered from 1.
 
 Writers take turns, as SQLite allows one write transaction at a time; a
 writer that finds another connection has committed since its last page
-forgets the ids it cached. save_word is atomic per page and idempotent per
-title. Checkpoints commit in the same transaction as the data they
-describe, so a killed process always restarts from a consistent point.
+forgets the texts and ids it cached. save_word is atomic per page and
+idempotent per title. Checkpoints commit in the same transaction as the
+data they describe, so a killed process always restarts from a consistent
+point.
 
 A page reaches save_word(title, record_id, lang_pos) as the pipeline holds
 it: lang_pos is plain tuples, the cheapest form to pickle out of an analysis
@@ -64,7 +65,7 @@ TABLE_COLUMNS = {
     "pos": ("id", "name"),
     "lang_pos": ("id", "page_id", "lang_id", "pos_id", "etymology_ordinal"),
     "wiki_text": ("id", "text"),
-    "wiki_text_words": ("id", "wiki_text_id", "page_ref_title"),
+    "wiki_text_words": ("wiki_text_id", "page_ref_title"),
     "meaning": ("id", "lang_pos_id", "ordinal", "wiki_text_id"),
     "relation_type": ("id", "name"),
     "relation": ("id", "meaning_id", "lang_pos_id", "relation_type_id", "wiki_text_id"),
@@ -75,13 +76,14 @@ TABLE_COLUMNS = {
 
 # The two largest leaf tables have no rowid: each is stored in the order of
 # its parent's key, which its reads and deletes go by, instead of keeping a
-# rowid table and an index on that key. The writer assigns their ids
-# (MrdStore._take_ids).
-_KEYED_TABLES = ("wiki_text_words", "translation_entry")
+# rowid table and an index on that key. These are their primary keys; every
+# other table is keyed by its id.
+_KEYED_TABLES = {"wiki_text_words": ("wiki_text_id", "page_ref_title"),
+                 "translation_entry": ("translation_id", "id")}
 
 # The layout of the tables and indexes below. A store records the version
 # it was made with and is refused under any other; see MrdStore.__init__.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # Texts are found by hash; the writer reads this index while it loads, so it
 # is part of the schema, not a secondary index.
@@ -104,8 +106,7 @@ CREATE TABLE IF NOT EXISTS wiki_text(
     id INTEGER PRIMARY KEY, text TEXT NOT NULL, hash INTEGER NOT NULL);
 {_WIKI_TEXT_HASH_INDEX};
 CREATE TABLE IF NOT EXISTS wiki_text_words(
-    id INTEGER NOT NULL, wiki_text_id INTEGER NOT NULL REFERENCES wiki_text(id),
-    page_ref_title TEXT NOT NULL,
+    wiki_text_id INTEGER NOT NULL REFERENCES wiki_text(id), page_ref_title TEXT NOT NULL,
     PRIMARY KEY(wiki_text_id, page_ref_title)) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS meaning(
     id INTEGER PRIMARY KEY, lang_pos_id INTEGER NOT NULL REFERENCES lang_pos(id),
@@ -120,7 +121,8 @@ CREATE TABLE IF NOT EXISTS translation(
     id INTEGER PRIMARY KEY, lang_pos_id INTEGER NOT NULL REFERENCES lang_pos(id),
     gloss_wiki_text_id INTEGER REFERENCES wiki_text(id));
 CREATE TABLE IF NOT EXISTS translation_entry(
-    id INTEGER NOT NULL, translation_id INTEGER NOT NULL REFERENCES translation(id),
+    id INTEGER NOT NULL CHECK (typeof(id) = 'integer'),
+    translation_id INTEGER NOT NULL REFERENCES translation(id),
     lang_id INTEGER NOT NULL REFERENCES lang(id),
     wiki_text_id INTEGER NOT NULL REFERENCES wiki_text(id),
     PRIMARY KEY(translation_id, id)) WITHOUT ROWID;
@@ -229,9 +231,8 @@ class MrdStore:
             if version != str(SCHEMA_VERSION):
                 raise StoreError(
                     f"{self.path}: store layout version {version or 'none'}, but this "
-                    f"wiktmrd reads version {SCHEMA_VERSION}; export the store to TSV "
-                    f"with the wiktmrd version that wrote it and import the files into "
-                    f"a new store, or reparse the dump into a new store")
+                    f"wiktmrd reads version {SCHEMA_VERSION}; reparse the dump into a "
+                    f"new store")
             if dialect is not None:
                 recorded = self.get_meta("dialect")
                 if recorded is None:  # an edition's native language is its own
@@ -249,7 +250,6 @@ class MrdStore:
         self._wiki_text_cache: dict[str, tuple[int, tuple[str, ...]]] = {}
         self._wiki_text_cache_strings = 0  # texts plus words held in that cache
         self._interned: dict[tuple[str, str], int] = {}  # (table, value) -> id
-        self._next_ids: dict[str, int] = {}  # _KEYED_TABLES table -> its next id
         self._data_version = None  # PRAGMA data_version when the caches were last valid
         self._truncated = 0  # texts the running save_word stored cut
 
@@ -315,7 +315,6 @@ class MrdStore:
         self._wiki_text_cache.clear()
         self._wiki_text_cache_strings = 0
         self._interned.clear()
-        self._next_ids.clear()
 
     # -- shared row helpers ---------------------------------------------------
 
@@ -339,17 +338,6 @@ class MrdStore:
                 f"INSERT INTO {table}({column}) VALUES (?)", (value,)).lastrowid
             self._interned[key] = row_id
         return row_id
-
-    def _take_ids(self, table, count) -> int:
-        """The first of `count` new ids of a _KEYED_TABLES table. Ids follow
-        SQLite's rowid rule, one past the largest id stored, so the ids of
-        a store do not depend on its layout."""
-        first = self._next_ids.get(table)
-        if first is None:
-            first = self._conn.execute(
-                f"SELECT COALESCE(MAX(id), 0) + 1 FROM {table}").fetchone()[0]
-        self._next_ids[table] = first + count
-        return first
 
     def _truncate(self, text: str) -> str:
         if len(text) <= MAX_WIKI_TEXT_BYTES // 4:  # a code point takes at most 4 bytes
@@ -440,8 +428,8 @@ class MrdStore:
         existing = conn.execute(
             "SELECT id FROM page WHERE title=?", (title,)).fetchone()
         # the first read fixed what this transaction sees; if another
-        # connection has committed since the last page, cached ids and next
-        # ids may be stale
+        # connection has committed since the last page, cached texts and ids
+        # may be stale
         data_version = conn.execute("PRAGMA data_version").fetchone()[0]
         if data_version != self._data_version:
             self._clear_caches()
@@ -459,7 +447,7 @@ class MrdStore:
         # executemany per table. Each table still receives its rows in page
         # order, so ids match those of row-by-row insertion. A pair of
         # word_rows may repeat (a text used twice, a word linked twice) and is
-        # written once, so no id is spent on it.
+        # written once.
         word_rows: list[tuple[int, str]] = []
         relation_rows = []
         entry_rows = []
@@ -491,11 +479,11 @@ class MrdStore:
                 translation_id = conn.execute(
                     "INSERT INTO translation(lang_pos_id, gloss_wiki_text_id) "
                     "VALUES (?, ?)", (lang_pos_id, gloss_id)).lastrowid
-                for entry_lang, word, wikitext in entries:
+                for place, (entry_lang, word, wikitext) in enumerate(entries, start=1):
                     cached = cache.get(wikitext)
                     wid = (cached[0] if cached is not None and word in cached[1]
                            else text_id(wikitext, (word,), word_rows))
-                    entry_rows.append((translation_id,
+                    entry_rows.append((place, translation_id,
                                        interned.get(("lang", entry_lang))
                                        or self._lang_id(entry_lang),
                                        wid))
@@ -503,18 +491,15 @@ class MrdStore:
             if soft_redirect is not None:
                 inflection_rows.append((lang_pos_id, *soft_redirect))
 
-        word_rows = list(dict.fromkeys(word_rows))
-        first = self._take_ids("wiki_text_words", len(word_rows))
         conn.executemany(
-            "INSERT INTO wiki_text_words(id, wiki_text_id, page_ref_title) "
-            "VALUES (?, ?, ?)", [(i, *row) for i, row in enumerate(word_rows, first)])
+            "INSERT INTO wiki_text_words(wiki_text_id, page_ref_title) VALUES (?, ?)",
+            dict.fromkeys(word_rows))
         conn.executemany(
             "INSERT INTO relation(meaning_id, lang_pos_id, relation_type_id, "
             "wiki_text_id) VALUES (?, ?, ?, ?)", relation_rows)
-        first = self._take_ids("translation_entry", len(entry_rows))
         conn.executemany(
             "INSERT INTO translation_entry(id, translation_id, lang_id, wiki_text_id) "
-            "VALUES (?, ?, ?, ?)", [(i, *row) for i, row in enumerate(entry_rows, first)])
+            "VALUES (?, ?, ?, ?)", entry_rows)
         conn.executemany(
             "INSERT INTO inflection(lang_pos_id, form_kind, lemma_title) "
             "VALUES (?, ?, ?)", inflection_rows)
@@ -525,14 +510,9 @@ class MrdStore:
             "SELECT id FROM lang_pos WHERE page_id=?", (page_id,))]
         if lang_pos_ids:
             marks = ",".join("?" * len(lang_pos_ids))
-            entries = (f"FROM translation_entry WHERE translation_id IN "
-                       f"(SELECT id FROM translation WHERE lang_pos_id IN ({marks}))")
-            next_id = self._next_ids.get("translation_entry")
-            if next_id is not None and conn.execute(
-                    f"SELECT MAX(id) {entries}", lang_pos_ids).fetchone()[0] == next_id - 1:
-                # the top id goes, so the next is one past the largest left
-                del self._next_ids["translation_entry"]
-            conn.execute(f"DELETE {entries}", lang_pos_ids)
+            conn.execute(f"DELETE FROM translation_entry WHERE translation_id IN "
+                         f"(SELECT id FROM translation WHERE lang_pos_id IN ({marks}))",
+                         lang_pos_ids)
             conn.execute(f"DELETE FROM translation WHERE lang_pos_id IN ({marks})", lang_pos_ids)
             conn.execute(f"DELETE FROM relation WHERE lang_pos_id IN ({marks})", lang_pos_ids)
             conn.execute(f"DELETE FROM meaning WHERE lang_pos_id IN ({marks})", lang_pos_ids)
@@ -706,39 +686,31 @@ class MrdStore:
         violations = self._conn.execute("PRAGMA foreign_key_check").fetchall()
         if violations:
             # the pragma gives no rowid for a table without one, so the
-            # offending row is named by its id
+            # offending row is named by its key
             table, _, parent, fk_id = violations[0]
             column, key = next(fk[3:5] for fk in self._conn.execute(
                 f"PRAGMA foreign_key_list({table})") if fk[0] == fk_id)
-            (row_id,) = self._conn.execute(
-                f"SELECT id FROM {table} WHERE {column} NOT IN "
+            key_columns = _KEYED_TABLES.get(table, ("id",))
+            row = self._conn.execute(
+                f"SELECT {', '.join(key_columns)} FROM {table} WHERE {column} NOT IN "
                 f"(SELECT {key} FROM {parent}) LIMIT 1").fetchone()
+            named = ", ".join(f"{c} {v!r}" for c, v in zip(key_columns, row))
             raise CorruptStore(
-                f"foreign key violation in {table} (id {row_id}) -> {parent}; "
+                f"foreign key violation in {table} ({named}) -> {parent}; "
                 f"{len(violations)} total")
 
-    def _check_keyed_ids(self):
-        """Refuse a _KEYED_TABLES table whose ids repeat or are not integers:
-        its primary key does not make the id unique on its own."""
-        for table in _KEYED_TABLES:
-            row = self._conn.execute(
-                f"SELECT id, COUNT(*) FROM {table} GROUP BY id "
-                f"HAVING COUNT(*) > 1 OR typeof(id) != 'integer' LIMIT 1").fetchone()
-            if row is not None:
-                row_id, count = row
-                problem = f"appears {count} times" if count > 1 else "is not an integer"
-                raise CorruptStore(f"{table}.tsv: id {row_id!r} {problem}")
-
     def export_tsv(self, directory):
-        """One sorted TSV per logical table and per word index; values escape
-        tab/newline/backslash. Rows are written as the cursor yields them,
-        and each query is closed even when writing fails. The index_*.tsv
-        files of an earlier export in `directory` are removed first."""
+        """One TSV per logical table, sorted by its primary key, and per word
+        index; values escape tab/newline/backslash. Rows are written as the
+        cursor yields them, and each query is closed even when writing fails.
+        The index_*.tsv files of an earlier export in `directory` are removed
+        first."""
         self.check_referential_integrity()
         os.makedirs(directory, exist_ok=True)
         for table, columns in TABLE_COLUMNS.items():
             with contextlib.closing(self._conn.execute(
-                    f"SELECT {', '.join(columns)} FROM {table} ORDER BY id")) as rows:
+                    f"SELECT {', '.join(columns)} FROM {table} "
+                    f"ORDER BY {', '.join(_KEYED_TABLES.get(table, ('id',)))}")) as rows:
                 _write_tsv(os.path.join(directory, f"{table}.tsv"), columns, rows)
         for name in os.listdir(directory):
             if name.startswith("index_") and name.endswith(".tsv"):
@@ -750,7 +722,7 @@ class MrdStore:
     def import_tsv(self, directory):
         """Replace store content with a TSV export; ids are preserved.
 
-        Referential integrity and unique ids are checked once, before the
+        Referential integrity and unique texts are checked once, before the
         commit, and so are the index_*.tsv files against the derived word
         indexes; an import that fails leaves the store as it was. It needs a
         store with no open transaction: the caller's uncommitted rows would
@@ -773,7 +745,6 @@ class MrdStore:
                 path = os.path.join(directory, f"{table}.tsv")
                 if os.path.exists(path):
                     self._import_table(path, table, columns)
-            self._check_keyed_ids()
             self._conn.execute(_WIKI_TEXT_HASH_INDEX)
             self._check_unique_texts("wiki_text.tsv")
             self._create_secondary_indexes()
@@ -808,9 +779,9 @@ class MrdStore:
         Only the texts of a hash that repeats are compared, through
         idx_wiki_text_hash."""
         row = self._conn.execute(
-            "SELECT MIN(id), MAX(id) FROM wiki_text WHERE hash IN "
-            "(SELECT hash FROM wiki_text GROUP BY hash HAVING COUNT(*) > 1) "
-            "GROUP BY hash, text HAVING COUNT(*) > 1 LIMIT 1").fetchone()
+            "SELECT a.id, b.id FROM wiki_text a JOIN wiki_text b "
+            "ON b.hash = a.hash AND b.text = a.text AND b.id > a.id WHERE a.hash IN "
+            "(SELECT hash FROM wiki_text GROUP BY hash HAVING COUNT(*) > 1) LIMIT 1").fetchone()
         if row is not None:
             raise CorruptStore(f"{source}: id {row[1]} repeats the text of id {row[0]}")
 

@@ -169,7 +169,7 @@ def test_read_commands_refuse_a_missing_store(parsed_store, tmp_path, capsys, co
 
 @pytest.mark.parametrize("edit, found", [
     ("DELETE FROM meta WHERE key = 'schema_version'", "none"),
-    ("UPDATE meta SET value = '1' WHERE key = 'schema_version'", "1"),  # the layout before this one
+    ("UPDATE meta SET value = '2' WHERE key = 'schema_version'", "2"),  # the layout before this one
 ], ids=["missing", "other"])
 def test_store_of_another_layout_version_is_refused(tmp_path, capsys, edit, found):
     dump = write_dump(tmp_path / "en.xml", fixture_dump_pages("en"))
@@ -182,8 +182,9 @@ def test_store_of_another_layout_version_is_refused(tmp_path, capsys, edit, foun
     before = path.read_bytes()
     with pytest.raises(StoreError) as exc:  # meta values unlike the stored ones
         MrdStore(path, dialect="ru")
-    assert (f"layout version {found}, but this wiktmrd reads version {SCHEMA_VERSION}"
-            in str(exc.value))
+    assert str(exc.value).endswith(
+        f"layout version {found}, but this wiktmrd reads version {SCHEMA_VERSION}; "
+        f"reparse the dump into a new store")
     assert path.read_bytes() == before  # a refused open writes nothing
     capsys.readouterr()
     store = str(path)

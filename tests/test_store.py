@@ -398,33 +398,37 @@ def entries_page(title, record_id, words):
         translations=[("", [("fi", word, f"[[{word}]]") for word in words])])])
 
 
-def _entry_ids(store):
+def _entries(store):
+    """(page title, place in its box, word) of every entry, in key order."""
     return store.query(
-        "SELECT e.id, p.title FROM translation_entry e "
+        "SELECT p.title, e.id, w.page_ref_title FROM translation_entry e "
         "JOIN translation t ON t.id = e.translation_id "
         "JOIN lang_pos lp ON lp.id = t.lang_pos_id "
-        "JOIN page p ON p.id = lp.page_id ORDER BY e.id")
+        "JOIN page p ON p.id = lp.page_id "
+        "JOIN wiki_text_words w ON w.wiki_text_id = e.wiki_text_id "
+        "ORDER BY e.translation_id, e.id")
 
 
-def _word_ids(store):
-    return store.query("SELECT id, page_ref_title FROM wiki_text_words ORDER BY id")
+def _words(store):
+    return store.query("SELECT wiki_text_id, page_ref_title FROM wiki_text_words "
+                       "ORDER BY wiki_text_id, page_ref_title")
 
 
-def test_resaved_page_ids_follow_the_rowid_rule(store):
-    # SQLite's rowid rule: a new row's id is one past the largest id left
+def test_resaved_boxes_number_their_entries_from_one(store):
     store.save_word(*entries_page("a", 0, ["x1", "x2"]))
     store.save_word(*entries_page("b", 1, ["y1", "y2", "y3"]))
-    store.save_word(*entries_page("b", 1, ["y1"]))  # deletes the top ids 3-5
-    store.save_word(*entries_page("c", 2, ["z1"]))
-    assert _entry_ids(store) == [(1, "a"), (2, "a"), (3, "b"), (4, "c")]
-    store.save_word(*entries_page("a", 0, ["x1", "x2", "x3"]))  # deletes 1-2, not the top
-    assert _entry_ids(store) == [(3, "b"), (4, "c"), (5, "a"), (6, "a"), (7, "a")]
+    store.save_word(*entries_page("b", 1, ["y1"]))
+    store.save_word("c", 2, [noun(translations=[
+        ("", [("fi", "z1", "[[z1]]"), ("fi", "z2", "[[z2]]")]), ("", [("de", "x1", "[[x1]]")])])])
+    store.save_word(*entries_page("a", 0, ["x3", "x1", "x2"]))
+    assert _entries(store) == [("b", 1, "y1"), ("c", 1, "z1"), ("c", 2, "z2"), ("c", 1, "x1"),
+                               ("a", 1, "x3"), ("a", 2, "x1"), ("a", 3, "x2")]
     # words are never deleted, and a word a text already has is not written again
-    assert _word_ids(store) == [(1, "x1"), (2, "x2"), (3, "y1"), (4, "y2"), (5, "y3"),
-                                (6, "z1"), (7, "x3")]
+    assert _words(store) == [(1, "x1"), (2, "x2"), (3, "y1"), (4, "y2"), (5, "y3"),
+                             (6, "z1"), (7, "z2"), (8, "x3")]
 
 
-def test_page_failing_after_taking_ids_gives_them_back(store):
+def test_page_failing_after_writing_words_leaves_none(store):
     store.begin()
     store.save_word(*entries_page("a", 0, ["x1"]))
     # the inflection insert fails after the words and entries went in
@@ -433,25 +437,31 @@ def test_page_failing_after_taking_ids_gives_them_back(store):
         soft_redirect=("plural of", None))])
     with pytest.raises(CorruptStore, match="NOT NULL"):
         store.save_word(*broken)
-    store.save_word(*entries_page("c", 2, ["z1"]))
+    # the failed page's text and word are written again, not taken as cached
+    store.save_word(*entries_page("c", 2, ["y1"]))
     store.commit()
-    assert _entry_ids(store) == [(1, "a"), (2, "c")]
-    assert _word_ids(store) == [(1, "x1"), (2, "z1")]
+    assert _entries(store) == [("a", 1, "x1"), ("c", 1, "y1")]
+    assert _words(store) == [(1, "x1"), (2, "y1")]
+    store.check_referential_integrity()
 
 
-def test_writers_taking_turns_do_not_repeat_ids(tmp_path):
+def test_writers_taking_turns_give_a_store_that_round_trips(tmp_path):
     with MrdStore(tmp_path / "mrd.db", dialect="en") as first, \
             MrdStore(tmp_path / "mrd.db") as second:
         first.save_word(*entries_page("a", 0, ["x1"]))
-        second.save_word(*entries_page("b", 1, ["y1"]))
-        # the first writer's next ids were taken meanwhile
-        first.save_word(*entries_page("c", 2, ["z1"]))
-        assert _entry_ids(first) == [(1, "a"), (2, "b"), (3, "c")]
-        assert _word_ids(first) == [(1, "x1"), (2, "y1"), (3, "z1")]
+        second.save_word(*entries_page("b", 1, ["y1", "x1"]))
+        first.save_word(*entries_page("c", 2, ["z1", "y1"]))
+        second.save_word(*entries_page("a", 0, ["x1", "z1"]))
+        assert _entries(first) == [("b", 1, "y1"), ("b", 2, "x1"), ("c", 1, "z1"),
+                                   ("c", 2, "y1"), ("a", 1, "x1"), ("a", 2, "z1")]
+        assert _words(first) == [(1, "x1"), (2, "y1"), (3, "z1")]
         first.export_tsv(tmp_path / "export")
     with MrdStore(tmp_path / "copy.db", dialect="en") as copy:
         copy.import_tsv(tmp_path / "export")
-        assert _entry_ids(copy) == [(1, "a"), (2, "b"), (3, "c")]
+        copy.export_tsv(tmp_path / "reexport")
+    for name in sorted(os.listdir(tmp_path / "export")):
+        assert ((tmp_path / "export" / name).read_bytes()
+                == (tmp_path / "reexport" / name).read_bytes()), name
 
 
 def test_text_the_cache_could_not_keep_gets_only_its_new_words(store, monkeypatch):
@@ -463,9 +473,9 @@ def test_text_the_cache_could_not_keep_gets_only_its_new_words(store, monkeypatc
     # the stored text gains b; used twice, it is read back twice, b written once
     store.save_word("p2", 2, [
         noun(meanings=[(1, shared, ["a", "b"]), (2, shared, ["b", "b"])])])
-    assert _word_ids(store) == [(1, "f"), (2, "a"), (3, "b")]
+    assert _words(store) == [(1, "f"), (2, "a"), (2, "b")]
     store.save_word("p3", 3, [noun(meanings=[(1, "[[c]]", ["c"])])])
-    assert _word_ids(store)[-1] == (4, "c")
+    assert _words(store)[-1] == (3, "c")
 
 
 def _resave_vm_steps(path, pages):
@@ -559,7 +569,7 @@ def _joined_lookup(store, title, lang_code):
     ordinal = {meaning_id: o for _, o, meaning_id, _ in meanings}
     relations = sorted(q("SELECT * FROM relation"))
     boxes = sorted(q("SELECT * FROM translation"))
-    entries = sorted(q("SELECT id, translation_id, lang_id, wiki_text_id FROM translation_entry"))
+    entries = sorted(q("SELECT translation_id, id, lang_id, wiki_text_id FROM translation_entry"))
     inflections = sorted(q("SELECT * FROM inflection"))
     out = []
     for lp, page_id, lang_id, pos_id, etym in sorted(q("SELECT * FROM lang_pos")):
@@ -573,7 +583,7 @@ def _joined_lookup(store, title, lang_code):
             "translations": [
                 {"gloss": text.get(gloss, ""),
                  "entries": [(code[lang], min(words.get(t, [text[t]])))
-                             for _, box, lang, t in entries if box == box_id]}
+                             for box, _, lang, t in entries if box == box_id]}
                 for box_id, t_lp, gloss in boxes if t_lp == lp],
             "inflections": [(kind, lemma) for _, i_lp, kind, lemma in inflections if i_lp == lp],
         })
@@ -759,7 +769,7 @@ def test_import_handwritten_relation_rows(tmp_path):
         "pos": ["1\tnoun"],
         "lang_pos": ["1\t1\t1\t1\t0"],
         "wiki_text": ["1\t[[cold]]", "2\t[[hot]]"],
-        "wiki_text_words": ["1\t1\tcold", "2\t2\thot"],
+        "wiki_text_words": ["1\tcold", "2\thot"],
         "meaning": [],
         "relation_type": [f"{i}\t{n}" for i, n in enumerate(
             ["synonym", "antonym", "hypernym", "hyponym", "holonym", "meronym",
@@ -799,14 +809,22 @@ def test_import_rejects_bad_arity(store, tmp_path):
 
 def test_import_refuses_a_table_header_unlike_its_columns(store, tmp_path):
     store.save_word(*simple_page())
-    out = tmp_path / "export"
-    store.export_tsv(out)
-    path = out / "relation.tsv"
-    header, *rows = path.read_text("utf-8").splitlines(keepends=True)
-    path.write_text("".join([header.replace("meaning_id", "sense_id"), *rows]),
-                    encoding="utf-8")
-    err = _failing_import_leaves_store_unchanged(store, out, MalformedRow)
-    assert (err.table, err.line_no) == ("relation", 1)
+
+    def layout_2_words(lines):  # wiki_text_words.tsv as layout 2 wrote it, with ids
+        return ["id\twiki_text_id\tpage_ref_title\n",
+                *[f"{i}\t{line}" for i, line in enumerate(lines[1:], start=1)]]
+
+    for table, edit in (
+            ("relation", lambda lines: [lines[0].replace("meaning_id", "sense_id"),
+                                        *lines[1:]]),
+            ("wiki_text_words", layout_2_words)):
+        out = tmp_path / table
+        store.export_tsv(out)
+        path = out / f"{table}.tsv"
+        path.write_text("".join(edit(path.read_text("utf-8").splitlines(keepends=True))),
+                        encoding="utf-8")
+        err = _failing_import_leaves_store_unchanged(store, out, MalformedRow)
+        assert (err.table, err.line_no) == (table, 1)
 
 
 def _failing_import_leaves_store_unchanged(store, out, expected_error):
@@ -825,17 +843,20 @@ def _failing_import_leaves_store_unchanged(store, out, expected_error):
 def test_import_with_dangling_reference_rolls_back(store, tmp_path):
     store.save_word(*simple_page())
     store.build_index_tables()
-    for table, column, parent in (("relation", 2, "lang_pos"),
-                                  ("translation_entry", 1, "translation")):  # no rowid
+    # a row is named by its key; the last two tables have no rowid
+    for table, column, parent, key in (
+            ("relation", 2, "lang_pos", "id {0}"),
+            ("translation_entry", 1, "translation", "translation_id 999, id {0}"),
+            ("wiki_text_words", 0, "wiki_text", "wiki_text_id 999, page_ref_title '{1}'")):
         out = tmp_path / table
         store.export_tsv(out)
         path = out / f"{table}.tsv"
         header, first, *rest = path.read_text("utf-8").splitlines(keepends=True)
-        fields = first.split("\t")
+        fields = first.rstrip("\n").split("\t")
         fields[column] = "999"  # a parent row that does not exist
-        path.write_text("".join([header, "\t".join(fields), *rest]), encoding="utf-8")
+        path.write_text("".join([header, "\t".join(fields) + "\n", *rest]), encoding="utf-8")
         err = _failing_import_leaves_store_unchanged(store, out, CorruptStore)
-        assert f"in {table} (id {fields[0]}) -> {parent}; 1 total" in str(err)
+        assert f"in {table} ({key.format(*fields)}) -> {parent}; 1 total" in str(err)
 
 
 def _duplicate_last_row(lines):
@@ -854,10 +875,10 @@ def _rename_header(lines):
     return ["word\tid\n", *lines[1:]]
 
 
-def _repeat_first_id(lines):
-    """The second row takes the first row's id; its key stays its own."""
-    second = lines[1].split("\t", 1)[0] + "\t" + lines[2].split("\t", 1)[1]
-    return [lines[0], lines[1], second, *lines[3:]]
+def _repeat_first_entry_key(lines):
+    """The second entry takes the first entry's box and place in it."""
+    second = lines[1].split("\t")[:2] + lines[2].split("\t")[2:]
+    return [lines[0], lines[1], "\t".join(second), *lines[3:]]
 
 
 def _text_id(lines):
@@ -878,19 +899,19 @@ def _repeat_first_text(lines):
     ("index_zz", lambda lines: ["word\tlang_pos_id\n", "paw\t3\n"], "en", MalformedRow, 2),
     # the export's native language is en; the TSV files do not say so
     ("index_native", lambda lines: lines, "ru", CorruptStore, "'en'.*'ru'"),
-    # tables whose primary key leaves the id out
-    ("translation_entry", _repeat_first_id, "en", CorruptStore,
-     r"^translation_entry\.tsv: id 1 appears 2 times$"),
-    ("wiki_text_words", _repeat_first_id, "en", CorruptStore,
-     r"^wiki_text_words\.tsv: id 1 appears 2 times$"),
-    ("wiki_text_words", _text_id, "en", CorruptStore,
-     r"^wiki_text_words\.tsv: id 'x' is not an integer$"),
+    # the tables without a rowid refuse a repeated key
+    ("translation_entry", _repeat_first_entry_key, "en", CorruptStore,
+     r"^UNIQUE constraint failed: translation_entry\.translation_id, translation_entry\.id$"),
+    ("wiki_text_words", _duplicate_last_row, "en", CorruptStore,
+     r"^UNIQUE constraint failed: wiki_text_words\.wiki_text_id, "
+     r"wiki_text_words\.page_ref_title$"),
+    ("translation_entry", _text_id, "en", CorruptStore, r"^CHECK constraint failed"),
     # a store keeps each text once
     ("wiki_text", _repeat_first_text, "en", CorruptStore,
      r"^wiki_text\.tsv: id 3 repeats the text of id 1$"),
 ], ids=["duplicated", "missing", "changed_word", "bad_header", "language_without_entries",
-        "other_native_code", "entry_id_repeated", "word_id_repeated", "word_id_not_integer",
-        "text_repeated"])
+        "other_native_code", "entry_id_repeated", "word_repeated",
+        "entry_id_not_integer", "text_repeated"])
 def test_import_refuses_index_files_unlike_the_derived_rows(
         store, tmp_path, table, edit, native, error, where):
     boxes = [("", [("fi", "sana", "[[sana]]")]), ("", [("de", "Wort", "[[Wort]]")])]
